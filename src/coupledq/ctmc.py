@@ -13,7 +13,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +43,53 @@ DEFAULT_START_BOX = 32
 DeathFn = Callable[[int, tuple], float]
 
 
+class LimitTable:
+    """Per-state values ``fn(key, u)`` over the cube ``{0..T}^dim``, one array
+    per key, for the largest ``T`` asked for so far.
+
+    A value at ``u`` must not depend on the box it is asked for in, so every
+    smaller box is a slice of the stored array and growing the cube evaluates
+    only the states it adds.  Memory is bounded by the largest box asked for.
+    """
+
+    def __init__(self, fn: DeathFn, dim: int):
+        self.fn = fn
+        self.dim = dim
+        self.arrays = {}
+
+    def values(self, key, box: tuple) -> np.ndarray:
+        """``fn(key, u)`` at every state ``u`` of ``box``, in state order."""
+        arr = self.arrays.get(key)
+        side = max(box, default=0)
+        if arr is None or (self.dim and arr.shape[0] <= side):
+            arr = self._grow(key, arr, side)
+            self.arrays[key] = arr
+        return np.ravel(arr[tuple(slice(t + 1) for t in box)])
+
+    def _grow(self, key, old: Optional[np.ndarray], side: int) -> np.ndarray:
+        shape = (side + 1,) * self.dim
+        coords = _state_coords(shape)
+        fresh = np.ones((len(coords), 1), dtype=bool)
+        if old is not None:
+            fresh[:, 0] = (coords >= old.shape[0]).any(axis=1)
+        arr = _tabulate(self.fn, (key,), coords, fresh).reshape(shape)
+        if old is not None:
+            arr[tuple(slice(n) for n in old.shape)] = old
+        return arr
+
+
+@dataclass(frozen=True)
+class TabulatedDeaths:
+    """Death rates read from a :class:`LimitTable`: coordinate ``i`` of the
+    chain dies at ``table.values(keys[i], box)`` wherever ``x_i > 0``."""
+
+    table: LimitTable
+    keys: tuple
+
+
+Deaths = Union[DeathFn, TabulatedDeaths]
+
+
 @dataclass(eq=False)
 class TruncatedGenerator:
     """Conservative rate matrix of a truncated multiclass birth-death chain."""
@@ -50,7 +97,6 @@ class TruncatedGenerator:
     dim: int
     box: tuple
     birth_rates: tuple
-    death_rate_fn: DeathFn
     death_bound: float
     uniformization_constant: float
     matrix: sp.csr_matrix
@@ -75,9 +121,39 @@ def _box_tuple(box, dim) -> tuple:
     return box
 
 
+def _state_coords(shape: tuple) -> np.ndarray:
+    """(count, dim) coordinates of every state of ``shape``, in state order."""
+    count = math.prod(shape)
+    if not shape:
+        return np.zeros((count, 0), dtype=np.intp)
+    return np.stack(np.unravel_index(np.arange(count), shape), axis=1)
+
+
+def _tabulate(fn: DeathFn, keys, coords: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The one per-state loop: ``fn(keys[c], x)`` at every state ``x`` (a row
+    of ``coords``) and column ``c`` where ``mask`` holds, state by state;
+    zero elsewhere."""
+    out = np.zeros(mask.shape)
+    states = coords.tolist()
+    rows, cols = np.nonzero(mask)
+    out[rows, cols] = [float(fn(keys[c], tuple(states[s])))
+                       for s, c in zip(rows.tolist(), cols.tolist())]
+    return out
+
+
+def _death_array(deaths: Deaths, coords: np.ndarray, busy: np.ndarray,
+                 box: tuple) -> np.ndarray:
+    """(count, dim) death rates, zero where ``busy`` (``x_i > 0``) fails,
+    from either form of the death-rate parameter."""
+    if isinstance(deaths, TabulatedDeaths):
+        values = np.stack([deaths.table.values(k, box) for k in deaths.keys], axis=1)
+        return np.where(busy, values, 0.0)
+    return _tabulate(deaths, range(len(box)), coords, busy)
+
+
 def build_truncated_generator(
     rates,
-    death_rate_fn: DeathFn,
+    death_rate_fn: Deaths,
     box,
     *,
     death_bound: float,
@@ -85,8 +161,9 @@ def build_truncated_generator(
 ) -> TruncatedGenerator:
     """Generator over ``{0..T}^n`` with births suppressed on the upper face.
 
-    ``death_rate_fn(i, x)`` is consulted only where ``x_i > 0`` and must stay
-    within ``[0, death_bound]``.
+    ``death_rate_fn`` is either a callback ``(i, x) -> rate`` or a
+    :class:`TabulatedDeaths`.  It is consulted only where ``x_i > 0`` and must
+    stay within ``[0, death_bound]``.
     """
     rates = as_rates(rates)
     dim = len(rates)
@@ -96,46 +173,43 @@ def build_truncated_generator(
     if count > state_cap:
         raise BoxTooLarge(f"box {box} has {count} states, above cap {state_cap}")
 
-    coords = np.stack(np.unravel_index(np.arange(count), shape), axis=1)
-    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
-
-    rows_parts, cols_parts, data_parts = [], [], []
-    for i in range(dim):
-        up = np.nonzero(coords[:, i] < box[i])[0]
-        rows_parts.append(up)
-        cols_parts.append(up + strides[i])
-        data_parts.append(np.full(up.size, rates[i]))
-
-    death_values = np.zeros((count, dim))
-    states = list(map(tuple, coords.tolist()))
-    drows, dcols, ddata = [], [], []
+    coords = _state_coords(shape)
+    busy = coords > 0
+    death_values = _death_array(death_rate_fn, coords, busy, box)
     slack = death_bound * 1e-12 + 1e-12
-    for s, x in enumerate(states):
-        for i in range(dim):
-            if x[i] > 0:
-                d = float(death_rate_fn(i, x))
-                if not math.isfinite(d) or d < 0.0 or d > death_bound + slack:
-                    raise BoundViolation(
-                        f"death rate {d!r} at (i={i}, x={x}) outside [0, {death_bound}]"
-                    )
-                death_values[s, i] = d
-                if d > 0.0:
-                    drows.append(s)
-                    dcols.append(s - strides[i])
-                    ddata.append(d)
-    rows_parts.append(np.asarray(drows, dtype=np.int64))
-    cols_parts.append(np.asarray(dcols, dtype=np.int64))
-    data_parts.append(np.asarray(ddata))
+    ok = np.isfinite(death_values) & (death_values >= 0.0)
+    ok &= death_values <= death_bound + slack
+    bad = np.flatnonzero(busy & ~ok)
+    if bad.size:
+        s, i = divmod(int(bad[0]), dim)
+        x = tuple(coords[s].tolist())
+        raise BoundViolation(
+            f"death rate {float(death_values[s, i])!r} at (i={i}, x={x}) "
+            f"outside [0, {death_bound}]"
+        )
 
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    data = np.concatenate(data_parts)
-
+    # Each state's exit rate sums its births, then its deaths, in coordinate
+    # order; that order fixes the rounding of the diagonal.  Off-diagonal
+    # entries are unique per (row, col), so their order does not matter.
+    idx = np.arange(count)
+    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
+    rows_parts, cols_parts, data_parts = [], [], []
     out_rate = np.zeros(count)
-    np.add.at(out_rate, rows, data)
-    rows = np.concatenate([rows, np.arange(count)])
-    cols = np.concatenate([cols, np.arange(count)])
-    data = np.concatenate([data, -out_rate])
+    for i in range(dim):
+        up = coords[:, i] < box[i]
+        rows_parts.append(idx[up])
+        cols_parts.append(idx[up] + strides[i])
+        data_parts.append(np.full(int(up.sum()), rates[i]))
+        out_rate += np.where(up, rates[i], 0.0)
+    for i in range(dim):
+        down = death_values[:, i] > 0.0
+        rows_parts.append(idx[down])
+        cols_parts.append(idx[down] - strides[i])
+        data_parts.append(death_values[down, i])
+        out_rate += death_values[:, i]
+    rows = np.concatenate(rows_parts + [idx])
+    cols = np.concatenate(cols_parts + [idx])
+    data = np.concatenate(data_parts + [-out_rate])
 
     matrix = sp.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
     boundary_mask = (coords == np.asarray(box)).any(axis=1)
@@ -144,7 +218,6 @@ def build_truncated_generator(
         dim=dim,
         box=box,
         birth_rates=tuple(rates),
-        death_rate_fn=death_rate_fn,
         death_bound=death_bound,
         uniformization_constant=uniformization,
         matrix=matrix,
@@ -334,7 +407,7 @@ def _functionals(gen: TruncatedGenerator, dist: StationaryDistribution,
 
 def adaptive_stationary(
     rates,
-    death_rate_fn: DeathFn,
+    death_rate_fn: Deaths,
     *,
     death_bound: float,
     tail_tol: float = DEFAULT_TAIL_TOL,

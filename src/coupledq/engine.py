@@ -29,7 +29,7 @@ from .allocation import (
     default_pd_box,
     lower_partial_limit,
 )
-from .ctmc import adaptive_stationary
+from .ctmc import LimitTable, TabulatedDeaths, adaptive_stationary
 from .errors import (
     NoConvergence,
     NoUniformLimit,
@@ -62,7 +62,6 @@ class Tolerances:
     uniform_tol: float = 1e-6
     sat_level: int = 64
     growth: float = 2.0
-    probe_cap: int = 32
     pd_box: Optional[int] = None
     start_box: int = 32
     state_cap: int = 50_000_000
@@ -201,7 +200,8 @@ class _LValue:
 
 
 class _PointCache:
-    """Per-arrival-rate-vector cache of saturated prefix solves."""
+    """Per-arrival-rate-vector cache of saturated prefix solves, the only
+    lambda-dependent work; the limits they read live in the engine's tables."""
 
     def __init__(self):
         self.dists = {}   # frozenset -> ("ok", dist, certified) | ("noconv",)
@@ -211,15 +211,23 @@ class _PointCache:
 class StabilityEngine:
     """Shared-state classifier for one allocation.
 
-    Saturation contexts and structure checks are cached across calls, so
-    sweeping a grid of arrival-rate points reuses all limit evaluations.
-    classify() itself is pure: results depend only on (rates, spec, tolerances).
+    The saturated limits ``ell(prefix, queue, u)`` behind every prefix solve
+    depend on the allocation alone, never on the arrival rates.  The engine
+    keeps one :class:`LimitTable` per prefix, one array per queue over the
+    largest cube solved so far, and builds every generator and saturated
+    average from slices of it.  Tables fill on first use and grow only when
+    a solve needs a larger box, so their memory is bounded by the largest
+    box solved.  Saturation contexts, structure checks and envelope bounds
+    are cached too; only the stationary solves are redone per point, so
+    build one engine per allocation and reuse it across a grid.  classify()
+    itself is pure: results depend only on (rates, spec, tolerances).
     """
 
     def __init__(self, spec: AllocationSpec, tolerances: Tolerances = Tolerances()):
         self.spec = spec
         self.tol = tolerances
         self._contexts = {}
+        self._tables = {}   # prefix -> LimitTable keyed by queue
         self._structure = None
         self._envelopes = {}
 
@@ -247,27 +255,31 @@ class StabilityEngine:
         pos = ctx.sigma.index(queue)
         return lower_partial_limit(self.spec, ctx, pos, state)
 
+    def _table(self, prefix: frozenset) -> LimitTable:
+        table = self._tables.get(prefix)
+        if table is None:
+            table = LimitTable(lambda q, u, _p=prefix: self._ell(_p, q, u), len(prefix))
+            self._tables[prefix] = table
+        return table
+
     def _L(self, rates: ArrivalRates, prefix: frozenset, queue: int,
            cache: _PointCache) -> _LValue:
         key = (prefix, queue)
         got = cache.lvals.get(key)
         if got is not None:
             return got
+        table = self._table(prefix)
         if not prefix:
-            val = _LValue(self._ell(prefix, queue, ()), trustworthy=True)
+            val = _LValue(float(table.values(queue, ())[0]), trustworthy=True)
             cache.lvals[key] = val
             return val
         entry = cache.dists.get(prefix)
         if entry is None:
-            order = sorted(prefix)
+            order = tuple(sorted(prefix))
             birth = tuple(rates[q] for q in order)
-
-            def death(k, u, _order=order, _p=prefix):
-                return self._ell(_p, _order[k], u)
-
             try:
                 dist, report = adaptive_stationary(
-                    birth, death,
+                    birth, TabulatedDeaths(table, order),
                     death_bound=self.spec.bound,
                     tail_tol=self.tol.tail_tol,
                     residual_tol=self.tol.residual_tol,
@@ -282,7 +294,7 @@ class StabilityEngine:
             val = _LValue(0.0, trustworthy=False, unstable_prefix=True)
         else:
             _, dist, certified = entry
-            value = dist.expect(lambda u: self._ell(prefix, queue, u))
+            value = float(dist.masses @ table.values(queue, dist.box))
             val = _LValue(value, trustworthy=certified)
         cache.lvals[key] = val
         return val

@@ -13,7 +13,6 @@ A scenario is a JSON document with the exact key set::
       },
       "bound": 1.5,                       # optional loosened rate bound
       "limit_tol": 1e-9,                  # optional
-      "probe_cap": 32,                    # optional
       "tolerances": {"margins_tol": 1e-4},# optional engine overrides
       "seed": 1234                        # optional
     }
@@ -160,7 +159,7 @@ def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
 
 _TOP_KEYS = {
     "name", "n_queues", "arrival_rates", "grid", "allocation",
-    "bound", "limit_tol", "probe_cap", "tolerances", "seed",
+    "bound", "limit_tol", "tolerances", "seed",
 }
 
 
@@ -175,8 +174,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     tol_kw = {}
     if "limit_tol" in data:
         tol_kw["limit_tol"] = float(data["limit_tol"])
-    if "probe_cap" in data:
-        tol_kw["probe_cap"] = int(data["probe_cap"])
     tol_block = data.get("tolerances", {})
     _require(isinstance(tol_block, dict), "tolerances must be an object")
     valid = {f.name for f in dataclasses.fields(Tolerances)}

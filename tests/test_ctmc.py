@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from coupledq.allocation import (
+    AllocationSpec,
     SaturationContext,
+    build_product_allocation,
     constant_allocation,
     exp_interference,
     log_gain,
@@ -15,13 +17,15 @@ from coupledq.allocation import (
     three_queue_table,
 )
 from coupledq.ctmc import (
+    LimitTable,
+    TabulatedDeaths,
     adaptive_stationary,
     build_truncated_generator,
     saturated_average_rate,
     solve_stationary,
     stationary_1d_closed_form,
 )
-from coupledq.errors import BoxTooLarge, DivergentSeries, NoConvergence
+from coupledq.errors import BoundViolation, BoxTooLarge, DivergentSeries, NoConvergence
 
 
 def make_three_queue(a23=2.0):
@@ -93,6 +97,77 @@ def test_box_cap():
         build_truncated_generator(
             (0.5, 0.5), lambda i, x: 1.0, (10_000, 10_000), death_bound=1.0
         )
+
+
+def _oracle_specs():
+    product = build_product_allocation(
+        gains=[log_gain(3.0)] * 3,
+        interference=[{1: exp_interference(2.0), 2: exp_interference(1.0)},
+                      {0: exp_interference(2.0)},
+                      {0: exp_interference(0.5), 1: exp_interference(2.0)}],
+    )
+
+    def black_box(i, x):
+        return (1.0 + 0.5 * (i + 1) / (1.0 + x[i])) * math.prod(
+            0.5 + 0.5 * math.exp(-3.0 * x[j]) for j in range(3) if j != i)
+
+    return {
+        "constant": constant_allocation((1.0, 0.7, 0.4)),
+        "busy-table": make_three_queue(a23=1.5),
+        "product": product,
+        "black-box": AllocationSpec(3, black_box, bound=2.5),
+    }
+
+
+def _both_paths(rates, fn, box, table, bound):
+    """(callback-path result or error, table-path result or error)."""
+    out = []
+    for deaths in (fn, TabulatedDeaths(table, tuple(range(len(rates))))):
+        try:
+            out.append(build_truncated_generator(rates, deaths, box, death_bound=bound))
+        except BoundViolation as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("name", ["constant", "busy-table", "product", "black-box"])
+@pytest.mark.parametrize("boxes", [[(24,), (48,), (24,)], [(5, 5), (9, 9), (5, 5)],
+                                   [(3, 3, 3), (4, 4, 4), (3, 3, 3)]])
+def test_tabulated_deaths_match_callback_oracle(name, boxes):
+    spec = _oracle_specs()[name]
+    dim = len(boxes[0])
+    rates = (0.4, 0.3, 0.2)[:dim]
+    ctx = SaturationContext((0, 1, 2), dim, limit_tol=1e-12)
+
+    def death(k, u):
+        return lower_partial_limit(spec, ctx, k, u)
+
+    def death_nan_at_empty(k, u):
+        # never consulted where u_k = 0: a table holds it, the generator ignores it
+        return math.nan if u[k] == 0 else death(k, u)
+
+    table = LimitTable(death_nan_at_empty, dim)
+    for box in boxes:  # grows the table, then reads a slice of it
+        ref, got = _both_paths(rates, death, box, table, spec.bound)
+        assert ref.box == got.box == box
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ref.matrix, attr), getattr(got.matrix, attr))
+        assert np.array_equal(ref.death_values, got.death_values)
+        assert np.array_equal(ref.boundary_mask, got.boundary_mask)
+        assert ref.uniformization_constant == got.uniformization_constant
+    assert set(table.arrays) == set(range(dim))
+    assert all(a.shape == (max(b[0] for b in boxes) + 1,) * dim
+               for a in table.arrays.values())
+
+    # out-of-range rates: both paths name the same first offending (i, x)
+    first = (1,) * dim
+    for bad_value in (-0.25, math.nan, spec.bound * 1.5):
+        def bad(k, u, _v=bad_value):
+            return _v if k == dim - 1 and u in (first, (2,) * dim) else death(k, u)
+
+        ref, got = _both_paths(rates, bad, boxes[0], LimitTable(bad, dim), spec.bound)
+        assert isinstance(ref, str) and ref == got
+        assert f"at (i={dim - 1}, x={first})" in ref
 
 
 # -- stationary solves -------------------------------------------------------------

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import coupledq.ctmc
+import coupledq.engine
 from coupledq.allocation import (
     AllocationSpec,
     ArrivalRates,
@@ -191,6 +193,51 @@ def test_sweep_records_errors():
     assert samples[0].region == "S"
     assert samples[1].region == "ERR"
     assert samples[1].error
+
+
+# a stable, a boundary, a one-queue-stable and an unstable point
+LIMIT_GRID = [(0.3, 0.3), (0.9, 0.5), (0.3, 1.0), (1.4, 1.4)]
+
+
+def test_sweep_reuses_limit_tables(monkeypatch):
+    calls = []
+    real = coupledq.engine.lower_partial_limit
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coupledq.engine, "lower_partial_limit", counting)
+    eng = StabilityEngine(base_station_pair(2.0))
+    first = eng.sweep(LIMIT_GRID)
+    assert calls
+    calls.clear()
+    second = eng.sweep(LIMIT_GRID)
+    assert calls == []
+    assert [s.region for s in first] == ["S", "B", "S1", "U"]
+    for a, b in zip(first, second):
+        fresh = StabilityEngine(base_station_pair(2.0)).classify(a.rates)
+        assert a.verdict.to_record() == b.verdict.to_record() == fresh.to_record()
+
+
+def test_limit_tables_bounded_by_largest_box(monkeypatch):
+    sides = {}
+    real = coupledq.ctmc.build_truncated_generator
+
+    def recording(rates, deaths, box, **kwargs):
+        gen = real(rates, deaths, box, **kwargs)
+        sides[gen.dim] = max(sides.get(gen.dim, 0), *gen.box)
+        return gen
+
+    monkeypatch.setattr(coupledq.ctmc, "build_truncated_generator", recording)
+    eng = StabilityEngine(base_station_pair(2.0))
+    eng.sweep(LIMIT_GRID)
+    assert sides[1] == 65_536
+    for prefix, table in eng._tables.items():
+        assert set(table.arrays) <= {0, 1}
+        for arr in table.arrays.values():
+            assert arr.ndim == len(prefix)
+            assert all(n <= sides[len(prefix)] + 1 for n in arr.shape)
 
 
 # -- cross-theory consistency ---------------------------------------------------------------

@@ -102,6 +102,17 @@ def test_tolerance_block():
         scenario_from_dict(doc)
 
 
+def test_probe_cap_rejected_in_both_spellings():
+    doc = dict(PRODUCT_DOC)
+    doc["probe_cap"] = 32
+    with pytest.raises(ScenarioError, match="unknown scenario keys"):
+        scenario_from_dict(doc)
+    doc = dict(PRODUCT_DOC)
+    doc["tolerances"] = {"probe_cap": 32}
+    with pytest.raises(ScenarioError, match="unknown tolerance 'probe_cap'"):
+        scenario_from_dict(doc)
+
+
 def test_load_scenario_file(tmp_path):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(PRODUCT_DOC))
