@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     BoundViolation,
     InvalidShape,
@@ -25,6 +27,8 @@ from .errors import (
 
 State = tuple  # tuple[int, ...]
 RateFn = Callable[[int, State], float]
+# array form of a RateFn: (i, X) -> rate_fn(i, row) for each row of the (m, n) array X
+ArrayRateFn = Callable[[int, np.ndarray], np.ndarray]
 # analytic saturated-limit evaluator: (sigma, prefix_len, i, prefix) -> value or None
 LimitFn = Callable[[tuple, int, int, State], Optional[float]]
 
@@ -33,6 +37,8 @@ DEFAULT_GROWTH = 2.0
 DEFAULT_LIMIT_TOL = 1e-9
 DEFAULT_PROBE_CAP = 32
 MAX_ESCALATIONS = 96
+# factor tables stop growing here; larger queue lengths are evaluated row by row
+FACTOR_TABLE_CAP = 1 << 20
 
 _MONO_SLACK = 1e-12  # absorbs float noise in composed rate functions
 
@@ -78,6 +84,9 @@ class AllocationSpec:
     limit of queue ``sigma[i]``'s rate when coordinates ``sigma[n:]`` are at
     infinity and the relabeled prefix occupancy is ``prefix``; returning
     ``None`` falls back to numeric escalation.
+
+    The builders also give the spec an array form of ``rate_fn`` that
+    :meth:`rates_at` uses; any other spec is evaluated there row by row.
     """
 
     n_queues: int
@@ -86,6 +95,7 @@ class AllocationSpec:
     analytic_limits: Optional[LimitFn] = None
     monotone_by_construction: bool = False
     _memo: dict = field(default_factory=dict, repr=False)
+    _array_fn: Optional[ArrayRateFn] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.n_queues < 1:
@@ -105,10 +115,59 @@ class AllocationSpec:
     def rate_unmemoized(self, i: int, x: State) -> float:
         v = float(self.rate_fn(i, x))
         if not math.isfinite(v) or v < 0.0 or v > self.bound:
-            raise BoundViolation(
-                f"rate_fn({i}, {x}) = {v!r} outside [0, {self.bound}]"
-            )
+            raise self._out_of_range(i, x, v)
         return v
+
+    def _out_of_range(self, i: int, x: State, v: float) -> BoundViolation:
+        return BoundViolation(f"rate_fn({i}, {x}) = {v!r} outside [0, {self.bound}]")
+
+    def rates_at(self, i: int, X) -> np.ndarray:
+        """Rates of queue ``i`` at every row of the ``(m, n)`` state array ``X``.
+
+        Equal bit for bit to ``rate_unmemoized(i, tuple(row))`` row by row,
+        validated the same way: the first bad row raises the
+        :class:`BoundViolation` that ``rate_unmemoized`` raises for it.
+        """
+        X = np.asarray(X)
+        if X.ndim != 2 or X.shape[1] != self.n_queues or X.dtype.kind not in "iu":
+            raise ValueError(
+                f"states must be an integer array of shape (m, {self.n_queues})"
+            )
+        if X.size and np.minimum.reduce(X, axis=None) < 0:
+            raise ValueError("queue lengths must be nonnegative")
+        if self._array_fn is None:
+            return np.array(
+                [self.rate_unmemoized(i, row) for row in map(tuple, X.tolist())],
+                dtype=float,
+            )
+        v = self._array_fn(i, X)
+        if v.size and not (np.minimum.reduce(v) >= 0.0
+                           and np.maximum.reduce(v) <= self.bound):
+            bad = int(np.argmin((v >= 0.0) & (v <= self.bound)))
+            raise self._out_of_range(i, tuple(X[bad].tolist()), float(v[bad]))
+        return v
+
+
+class _FactorTable:
+    """Values ``f(0), f(1), ...`` of a one-coordinate factor, filled on demand."""
+
+    def __init__(self, f: Callable[[int], float]):
+        self.f = f
+        self.values = np.empty(0)
+
+    def at(self, col: np.ndarray) -> np.ndarray:
+        """``f`` at each entry of ``col``, a column of nonnegative queue lengths."""
+        try:
+            return self.values[col]
+        except IndexError:  # some entry lies past the table
+            pass
+        top = int(col.max())
+        if top >= FACTOR_TABLE_CAP:
+            return np.array([float(self.f(x)) for x in col.tolist()])
+        size = min(max(top + 1, 2 * self.values.size, 64), FACTOR_TABLE_CAP)
+        new = [float(self.f(x)) for x in range(self.values.size, size)]
+        self.values = np.concatenate([self.values, new])
+        return self.values[col]
 
 
 def evaluate(spec: AllocationSpec, i: int, x) -> float:
@@ -406,12 +465,15 @@ def constant_allocation(mus) -> AllocationSpec:
     def rate(i, x, _mus=mus):
         return _mus[i]
 
+    def rates(i, X, _mus=mus):
+        return np.full(len(X), _mus[i])
+
     def limits(sigma, n, i, prefix, _mus=mus):
         return _mus[sigma[i]]
 
     return AllocationSpec(
         n_queues=len(mus), rate_fn=rate, bound=bound,
-        analytic_limits=limits, monotone_by_construction=True,
+        analytic_limits=limits, monotone_by_construction=True, _array_fn=rates,
     )
 
 
@@ -446,10 +508,19 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
                             f"{v2} for larger busy set {set(s2)}"
                         )
     bound = max(max(t.values()) for t in norm)
+    # queue i's rate by the bit mask of all busy queues (bit i ignored)
+    by_mask = tuple(
+        np.array([t[frozenset(j for j in range(n) if m >> j & 1 and j != i)]
+                  for m in range(2 ** n)])
+        for i, t in enumerate(norm)
+    )
 
     def rate(i, x, _t=tuple(norm)):
         busy = frozenset(j for j, c in enumerate(x) if c > 0 and j != i)
         return _t[i][busy]
+
+    def rates(i, X, _v=by_mask, _w=1 << np.arange(n)):
+        return _v[i][(X > 0) @ _w]
 
     def limits(sigma, m, i, prefix, _t=tuple(norm), _n=n):
         qi = sigma[i]
@@ -462,7 +533,7 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
 
     return AllocationSpec(
         n_queues=n, rate_fn=rate, bound=bound,
-        analytic_limits=limits, monotone_by_construction=True,
+        analytic_limits=limits, monotone_by_construction=True, _array_fn=rates,
     )
 
 
@@ -542,6 +613,17 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
             v *= f(x[j])
         return v
 
+    # one table per factor, multiplied in rate()'s order: bit for bit rate()
+    gain_tabs = tuple(_FactorTable(g) for g, _ in gains)
+    inter_tabs = tuple(tuple((j, _FactorTable(f)) for j, (f, _) in fm.items())
+                       for fm in inter)
+
+    def rates(i, X, _g=gain_tabs, _f=inter_tabs):
+        v = _g[i].at(X[:, i])
+        for j, tab in _f[i]:
+            v = v * tab.at(X[:, j])
+        return v
+
     def limits(sigma, m, i, prefix, _g=tuple(gains), _f=tuple(inter)):
         qi = sigma[i]
         sat = set(sigma[m:])
@@ -556,7 +638,7 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
 
     return AllocationSpec(
         n_queues=n, rate_fn=rate, bound=bound,
-        analytic_limits=limits, monotone_by_construction=True,
+        analytic_limits=limits, monotone_by_construction=True, _array_fn=rates,
     )
 
 

@@ -53,6 +53,13 @@ def _parse_kv(pairs) -> dict:
     return out
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_rates(text: str) -> tuple:
     try:
         return tuple(float(v) for v in text.split(","))
@@ -385,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="empirical stability probe")
     common(sp)
     sp.add_argument("--horizon", type=float, default=2000.0)
-    sp.add_argument("--replicas", type=int, default=32)
+    sp.add_argument("--replicas", type=_positive_int, default=32)
     sp.add_argument("--dump", help="write one sampled trajectory to this CSV")
     sp.add_argument("--sample-interval", type=float, default=1.0,
                     help="sampling interval for --dump")

@@ -153,6 +153,7 @@ def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
             n_queues=spec.n_queues, rate_fn=spec.rate_fn, bound=b,
             analytic_limits=spec.analytic_limits,
             monotone_by_construction=spec.monotone_by_construction,
+            _array_fn=spec._array_fn,
         )
     return spec
 

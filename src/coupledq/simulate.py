@@ -8,11 +8,14 @@ order-preserving transition table, which keeps both marginals exact while
 never letting the compared coordinates cross.
 
 Randomness comes from counter-based Philox streams: one stream per replica,
-derived deterministically from the base seed.
+derived deterministically from the base seed.  The stability probe advances
+its replicas in lockstep, each on its own stream, and reproduces event for
+event the paths ``simulate_path`` draws from the same streams.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -24,6 +27,7 @@ from .errors import HypothesisViolated
 
 HIST_CAP = 4096
 _BATCH = 8192
+_CHUNK = 256  # lockstep steps drawn and accounted at a time; divides _BATCH
 _RATE_SLACK = 1e-12
 
 
@@ -437,6 +441,218 @@ def random_hypothesis_pair(rng: np.random.Generator, max_queues: int = 3):
 
 
 @dataclass
+class _Replicas:
+    """Per-replica outcome of :func:`_lockstep`.
+
+    ``windows[w, i]`` holds queue ``i``'s time mass per level (overflow in
+    the last column) summed over every replica's segments settled while the
+    number ``c`` of checkpoints already recorded has
+    ``searchsorted(bounds, c) == w``.
+    """
+
+    final: np.ndarray       # (R, n) states at the horizon
+    area: np.ndarray        # (R, n) time integrals of the queue lengths
+    cp_state: np.ndarray    # (len(cps), R, n) states at the checkpoints
+    cp_area: np.ndarray     # (len(cps), R, n) time integrals at the checkpoints
+    windows: np.ndarray     # (len(bounds) + 1, n, HIST_CAP + 2)
+
+
+def _advance(t: float, end: float, c: int, cps: Sequence[float]):
+    """``simulate_path``'s ``advance`` from ``t`` to ``end`` with ``c``
+    checkpoints recorded: the pieces ``(segment, c)`` it settles and
+    ``(None, j)`` for each checkpoint ``j`` it records, in order, and the
+    time and checkpoint count after it."""
+    pieces = []
+    while c < len(cps) and cps[c] <= end + 1e-15:
+        seg = cps[c] - t
+        if seg > 0:
+            pieces.append((seg, c))
+        t = cps[c]
+        pieces.append((None, c))
+        c += 1
+    if end > t:
+        pieces.append((end - t, c))
+        t = end
+    return pieces, t, c
+
+
+class _ChunkDraws:
+    """The gaps and uniforms that each stream's ``_Draws`` returns for its
+    next ``_CHUNK`` events.  ``_Draws`` takes a batch of gaps and then a
+    batch of uniforms from its stream, so a clone advanced past the gaps
+    yields the uniforms."""
+
+    def __init__(self, streams: list, scale: float):
+        self.gap_rngs = self.uni_rngs = streams
+        self.scale = scale
+        self.drawn = 0
+        self._skip = np.empty(_BATCH)
+
+    def next(self, which, gaps: np.ndarray, unis: np.ndarray) -> None:
+        """Fill rows ``which`` of the ``(R, _CHUNK)`` arrays."""
+        if self.drawn % _BATCH == 0:
+            self.gap_rngs = self.uni_rngs
+            self.uni_rngs = [copy.deepcopy(g) for g in self.gap_rngs]
+            for r in which:
+                self.uni_rngs[r].standard_exponential(out=self._skip)
+        for r in which:
+            self.gap_rngs[r].standard_exponential(out=gaps[r])
+            self.uni_rngs[r].random(out=unis[r])
+        gaps *= self.scale
+        self.drawn += _CHUNK
+
+
+def _meet(row: np.ndarray, gaps: np.ndarray, c: int, cps: Sequence[float],
+          horizon: float):
+    """Steps of one replica's chunk that meet a checkpoint or the horizon.
+
+    ``row`` holds the chunk's event times ``t, t + gap, ...``; where
+    ``advance`` leaves the path on a checkpoint just past an event, the
+    later times are recomputed from it in place.  Returns the number of
+    event steps (``_CHUNK`` unless the horizon falls in the chunk) and
+    ``(step, pieces, checkpoint count after it)`` for every step that met
+    something."""
+    ends = row[1:]
+    pending = [*cps, math.inf]
+    met = []
+    while True:
+        k_end = int(np.searchsorted(ends, horizon))         # t + gap >= horizon
+        k_cp = int(np.searchsorted(ends + 1e-15, pending[c]))
+        if k_cp >= k_end:
+            break
+        pieces, t, c = _advance(float(row[k_cp]), float(ends[k_cp]), c, cps)
+        met.append((k_cp, pieces, c))
+        if t != ends[k_cp]:
+            row[k_cp + 1:] = np.cumsum(np.concatenate([[t], gaps[k_cp + 1:]]))
+    if k_end < len(ends):
+        t = float(row[k_end])
+        pieces, _, c = _advance(t, t + (horizon - t), c, cps)
+        pieces += [(None, j) for j in range(c, len(cps))]  # checkpoints at the horizon
+        met.append((k_end, pieces, len(cps)))
+    return k_end, met
+
+
+def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
+              cps: Sequence[float], bounds: Sequence[int],
+              replicas: int, seed: int) -> _Replicas:
+    """``replicas`` uniformized paths on ``_stream(seed, r)``, all advanced
+    by one event per step, with ``cps`` sorted and at most ``horizon``.
+
+    Each path is event for event the one ``simulate_path`` draws from the
+    same stream with the same checkpoints: the draws come in the same order,
+    and times, transitions, segments and areas use the same float operations
+    in the same order.  Only the shared window histograms add their segments
+    in another order.
+    """
+    rates = as_rates(rates)
+    n = spec.n_queues
+    if len(rates) != n:
+        raise ValueError("rate vector length mismatch")
+    start = tuple(int(c) for c in x0)
+    if len(start) != n or any(c < 0 for c in start):
+        raise ValueError(f"initial state {start} invalid")
+    R, C, B = replicas, _CHUNK, HIST_CAP + 2
+    lam = tuple(rates)
+    total_lam = sum(lam)
+    big = total_lam + n * spec.bound
+    pending = np.array([*cps, math.inf])
+    lam_steps = np.broadcast_to(np.array(lam), (R, C, n))
+    queue_bins = np.arange(n) * B
+
+    # states as (n, R), so that each queue's column X[:, i] is contiguous
+    XT = np.tile(np.array(start, dtype=np.int64)[:, None], (1, R))
+    X = XT.T
+    t = np.zeros(R)
+    count = np.zeros(R, dtype=np.int64)  # checkpoints recorded so far
+    active = np.ones(R, dtype=bool)
+    area = np.zeros((R, n))
+    cp_state = np.zeros((len(cps), R, n), dtype=np.int64)
+    cp_area = np.zeros((len(cps), R, n))
+    windows = np.zeros((len(bounds) + 1) * n * B)
+
+    draws = _ChunkDraws([_stream(seed, r) for r in range(R)], 1.0 / big)
+    G = np.empty((R, C))
+    U = np.empty((R, C))
+    S = np.empty((C, n, R), dtype=np.int64)  # the state during each step
+    M = np.empty((n + 1, R))
+    while active.any():
+        draws.next(np.flatnonzero(active), G, U)
+
+        # event times: t = t + gap, save where a checkpoint or the horizon
+        # is met; those steps become pieces settled as advance() does
+        T = np.cumsum(np.concatenate([t[:, None], G], axis=1), axis=1)
+        labels = np.repeat(count[:, None], C, axis=1)  # checkpoints before each step
+        last = np.where(active, C, 0)                  # event steps in the chunk
+        met = {}
+        meets = active & ((T[:, -1] + 1e-15 >= pending[count]) | (T[:, -1] >= horizon))
+        for r in np.flatnonzero(meets):
+            last[r], met[r] = _meet(T[r], G[r], int(count[r]), cps, horizon)
+            for k, _, c in met[r]:
+                labels[r, k + 1:] = c
+            count[r] = met[r][-1][2]
+        t = T[:, -1].copy()
+        live = np.arange(C) < last[:, None]
+        n_steps = min(C, int(last[active].max(initial=0)) + 1)
+        active &= last == C
+
+        # births do not depend on the state: v = u * big, then v -= lam[i]
+        v = U * big
+        is_birth = live & (v < total_lam)
+        born = np.subtract.accumulate(
+            np.concatenate([v[..., None], lam_steps], axis=2), axis=2)[..., 1:] < 0
+        born[..., 1:] ^= born[..., :-1]
+        born &= is_birth[..., None]
+        dB = born.transpose(1, 2, 0).astype(np.int64)
+        V0 = np.where(live & ~is_birth, v - total_lam, np.inf).T.copy()
+
+        # deaths: v -= total_lam, then v -= rate_i for each busy queue in order
+        for k in range(n_steps):
+            S[k] = XT
+            for i in range(n):
+                M[i + 1] = spec.rates_at(i, X)
+            M[0] = V0[k]
+            M[1:] *= XT > 0
+            below = np.subtract.accumulate(M) < 0  # v - r_0 - ... - r_i; row 0 is v >= 0
+            XT -= below[1:] ^ below[:-1]           # death at the first queue taking it below 0
+            XT += dB[k]
+
+        # accounting: the segments of plain steps at once, then the pieces
+        # of the steps that met something, in time order per replica
+        seg = np.where(live, T[:, 1:] - T[:, :-1], 0.0)
+        for r, steps in met.items():
+            for k, _, _ in steps:
+                seg[r, k] = 0.0
+        seg = seg[:, :n_steps].T
+        Sk = S[:n_steps].transpose(0, 2, 1)
+        wid = np.searchsorted(bounds, labels[:, :n_steps].T)
+        idx = (wid[..., None] * n * B + queue_bins) + np.minimum(Sk, B - 1)
+        windows += np.bincount(idx.ravel(),
+                               np.broadcast_to(seg[..., None], Sk.shape).ravel(),
+                               minlength=windows.size)
+        contrib = Sk * seg[..., None]
+        start_area = area
+        area = np.cumsum(np.concatenate([area[None], contrib]), axis=0)[-1]
+        for r, steps in met.items():
+            a, k0 = start_area[r], 0
+            for k, pieces, _ in steps:
+                a = np.cumsum(np.concatenate([a[None], contrib[k0:k, r]]), axis=0)[-1]
+                x = Sk[k, r]
+                for piece, j in pieces:
+                    if piece is None:
+                        cp_state[j, r] = x
+                        cp_area[j, r] = a
+                    else:
+                        a = a + x * piece
+                        w = int(np.searchsorted(bounds, j))
+                        windows[w * n * B + queue_bins + np.minimum(x, B - 1)] += piece
+                k0 = k + 1
+            area[r] = np.cumsum(np.concatenate([a[None], contrib[k0:, r]]), axis=0)[-1]
+
+    return _Replicas(final=X, area=area, cp_state=cp_state, cp_area=cp_area,
+                     windows=windows.reshape(len(bounds) + 1, n, B))
+
+
+@dataclass
 class ProbeDiagnostic:
     """Finite-horizon stability heuristic; never overrides the analytic engine.
 
@@ -470,6 +686,8 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     horizons = sorted(float(h) for h in horizons)
     if not horizons or horizons[0] <= 0:
         raise ValueError("horizons must be positive")
+    if replicas < 1:
+        raise ValueError(f"replicas must be at least 1, got {replicas}")
     warnings = []
     if replicas < 30:
         warnings.append(
@@ -483,35 +701,20 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     q1_idx = cps.index(t_q1)
     mid_idx = cps.index(t_mid)
 
-    early = np.zeros((n, HIST_CAP + 1))
-    early_over = np.zeros(n)
-    last = np.zeros((n, HIST_CAP + 1))
-    last_over = np.zeros(n)
-    slopes = np.zeros((replicas, n))
+    reps = _lockstep(rates, spec, x0, t_max, cps, (q1_idx, mid_idx), replicas, seed)
+    # drift estimated from the second-half increment: centered at zero for
+    # stable chains, at the escape slope for transient ones
+    slopes = (reps.final - reps.cp_state[mid_idx]) / (t_max - t_mid)
+    # cover window: second quarter of the paths, past the empty-start burn-in;
+    # escape window: second half
+    early, early_over = reps.windows[1, :, :-1], reps.windows[1, :, -1]
+    last, last_over = reps.windows[2, :, :-1], reps.windows[2, :, -1]
     mid_area = np.zeros(n)
     late_area = np.zeros(n)
     for r in range(replicas):
-        path = simulate_path(
-            rates, spec, x0, t_max, seed,
-            checkpoint_times=cps, _rng=_stream(seed, r),
-        )
-        # drift estimated from the second-half increment: centered at zero for
-        # stable chains, at the escape slope for transient ones
-        mid_cp = path.checkpoints[mid_idx]
-        slopes[r] = [
-            (path.final_state[i] - mid_cp[3][i]) / (t_max - t_mid)
-            for i in range(n)
-        ]
-        # cover window: second quarter of the path, past the empty-start burn-in
-        q1_cp = path.checkpoints[q1_idx]
-        early += mid_cp[1] - q1_cp[1]
-        early_over += mid_cp[2] - q1_cp[2]
-        # escape window: second half
-        last += path.histograms - mid_cp[1]
-        last_over += path.overflow - mid_cp[2]
-        mid_area += np.asarray(mid_cp[4]) - np.asarray(q1_cp[4])
-        total_area = np.asarray(path.time_average) * t_max
-        late_area += total_area - np.asarray(mid_cp[4])
+        mid_area += reps.cp_area[mid_idx, r] - reps.cp_area[q1_idx, r]
+        # area / t_max * t_max rounds as a path's time_average * t_max does
+        late_area += reps.area[r] / t_max * t_max - reps.cp_area[mid_idx, r]
 
     cover = []
     escape = []
@@ -527,7 +730,7 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
 
     mean = slopes.mean(axis=0)
     sd = slopes.std(axis=0, ddof=1) if replicas > 1 else np.zeros(n)
-    lcb = mean - 1.645 * sd / math.sqrt(max(replicas, 1))
+    lcb = mean - 1.645 * sd / math.sqrt(replicas)
 
     mid_mean = mid_area / (t_mid - t_q1) / replicas
     late_mean = late_area / (t_max - t_mid) / replicas

@@ -3,9 +3,11 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from coupledq.allocation import (
+    FACTOR_TABLE_CAP,
     AllocationSpec,
     ArrivalRates,
     SaturationContext,
@@ -19,6 +21,7 @@ from coupledq.allocation import (
     log_gain,
     lower_partial_limit,
     one_server_power_law,
+    poly_interference,
     relabel,
     three_queue_table,
 )
@@ -380,3 +383,72 @@ def test_product_rejects_increasing_interference():
             gains=[(lambda x: 1.0, 1.0), (lambda x: 1.0, 1.0)],
             interference=[{1: (lambda t: min(1.0 + t, 5.0), 1.0)}, {}],
         )
+
+
+# -- array rates --------------------------------------------------------------
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+RATES_AT_SPECS = {
+    "constant": lambda: constant_allocation((1.0, 2.5, 0.0)),
+    "busy-table": lambda: make_three_queue(a=(3.0, 2.5, 2.0), a_pair_val=1.5),
+    "product-exp": lambda: base_station_pair(2.0),
+    "product-poly": lambda: base_station_pair(0.7, "poly_interference"),
+    "product-3q": lambda: build_product_allocation(
+        [log_gain(2.0), log_gain(3.0), log_gain(1.5)],
+        [{j: exp_interference(0.5) for j in range(3) if j != 0},
+         {0: poly_interference(1.5)},
+         {1: exp_interference(1.0), 0: poly_interference(0.3)}]),
+    "relabel": lambda: relabel(base_station_pair(2.0), ArrivalRates((0.5, 0.4)), (1, 0))[0],
+    "black-box": lambda: strip_analytic(base_station_pair(1.0)),
+    "power-law": lambda: one_server_power_law(2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RATES_AT_SPECS))
+def test_rates_at_matches_scalar_bit_for_bit(name):
+    spec = RATES_AT_SPECS[name]()
+    rng = np.random.default_rng(7)
+    # small states first, then states past the factor tables filled so far
+    for top in (4, 40, 3000):
+        X = rng.integers(0, top, size=(64, spec.n_queues))
+        for i in range(spec.n_queues):
+            want = [spec.rate_unmemoized(i, tuple(int(c) for c in row)) for row in X]
+            assert np.array_equal(_bits(spec.rates_at(i, X)), _bits(want))
+        assert spec.rates_at(0, X[:0]).shape == (0,)
+    # queue lengths past the factor-table cap are evaluated row by row
+    X = np.array([[FACTOR_TABLE_CAP + 5] * spec.n_queues, [1] * spec.n_queues])
+    for i in range(spec.n_queues):
+        want = [spec.rate_unmemoized(i, tuple(int(c) for c in row)) for row in X]
+        assert np.array_equal(_bits(spec.rates_at(i, X)), _bits(want))
+
+
+def test_rates_at_rejects_bad_state_arrays():
+    spec = base_station_pair(2.0)
+    for bad in (np.zeros((3, 3), dtype=int), np.zeros((3, 2)), np.zeros(2, dtype=int),
+                np.array([[1, -1]])):
+        with pytest.raises(ValueError):
+            spec.rates_at(0, bad)
+
+
+def test_rates_at_raises_scalar_bound_violation_text():
+    def rate(i, x):
+        if x[0] == 2:
+            return float("nan")
+        return 2.0 if x[0] > 3 else 0.5
+
+    black_box = AllocationSpec(2, rate, bound=1.0)
+    jump = (lambda x: 1.0 if x < 2000 else 5.0, 1.0)  # past its limit beyond the probe range
+    table = build_product_allocation(
+        [jump, jump], [{1: exp_interference(1.0)}, {0: exp_interference(1.0)}])
+    cases = [(black_box, [[1, 0], [4, 1], [2, 5], [7, 7]], (4, 1)),
+             (black_box, [[1, 0], [2, 5], [4, 1]], (2, 5)),
+             (table, [[1, 0], [2500, 0], [3000, 1]], (2500, 0))]
+    for spec, rows, first_bad in cases:
+        with pytest.raises(BoundViolation) as scalar:
+            spec.rate_unmemoized(0, first_bad)
+        with pytest.raises(BoundViolation) as array:
+            spec.rates_at(0, np.array(rows))
+        assert str(array.value) == str(scalar.value)

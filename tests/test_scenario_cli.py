@@ -162,6 +162,14 @@ def test_cli_missing_scenario_exit_64(capsys):
     assert main(["analyze", "--rates", "0.5"]) == 64
 
 
+def test_cli_simulate_rejects_zero_replicas(capsys):
+    argv = ["simulate", "--scenario", "mm1", "--rates", "1.5", "--horizon", "100"]
+    assert main(argv + ["--replicas", "0"]) == 64
+    assert "--replicas" in capsys.readouterr().err
+    assert main(argv + ["--replicas", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["replicas"] == 4
+
+
 def test_cli_sweep_csv_and_svg_deterministic(tmp_path, capsys):
     args = [
         "sweep", "--scenario", "two_basestations", "--param", "gamma=2.0",

@@ -8,10 +8,13 @@ import pytest
 from coupledq.allocation import (
     AllocationSpec,
     SaturationContext,
+    base_station_pair,
     constant_allocation,
     lower_partial_limit,
+    one_server_power_law,
     three_queue_table,
 )
+from coupledq import simulate
 from coupledq.errors import HypothesisViolated
 from coupledq.simulate import (
     HIST_CAP,
@@ -200,3 +203,166 @@ def test_probe_is_deterministic():
     b = empirical_stability_probe((0.9,), spec, (0,), [100, 200], 16, 5)
     assert a.slope_mean == b.slope_mean
     assert a.escape_fraction == b.escape_fraction
+
+
+def test_probe_rejects_fewer_than_one_replica():
+    spec = constant_allocation((1.0,))
+    with pytest.raises(ValueError, match="replicas"):
+        empirical_stability_probe((1.5,), spec, (0,), [50, 100], 0, 3)
+    with pytest.raises(ValueError, match="replicas"):
+        empirical_stability_probe((1.5,), spec, (0,), [50, 100], -2, 3)
+
+
+# -- lockstep probe against one simulate_path per replica ---------------------------
+
+def _checkpoints(horizons):
+    """The probe's checkpoint layout: horizon, sorted checkpoints, and the
+    indices of the quarter and half checkpoints."""
+    horizons = sorted(float(h) for h in horizons)
+    t_max = horizons[-1]
+    cps = sorted(set(horizons) | {t_max / 4.0, t_max / 2.0})
+    return t_max, cps, (cps.index(t_max / 4.0), cps.index(t_max / 2.0))
+
+
+def _reference_probe(rates, spec, x0, horizons, replicas, seed):
+    """The probe as one ``simulate_path`` per replica on ``_stream(seed, r)``:
+    the oracle of the lockstep probe.  Returns the diagnostic's fields and
+    the paths."""
+    n = spec.n_queues
+    t_max, cps, (q1_idx, mid_idx) = _checkpoints(horizons)
+    t_mid = t_max / 2.0
+    t_q1 = t_max / 4.0
+
+    early = np.zeros((n, HIST_CAP + 1))
+    early_over = np.zeros(n)
+    last = np.zeros((n, HIST_CAP + 1))
+    last_over = np.zeros(n)
+    slopes = np.zeros((replicas, n))
+    mid_area = np.zeros(n)
+    late_area = np.zeros(n)
+    paths = []
+    for r in range(replicas):
+        path = simulate_path(
+            rates, spec, x0, t_max, seed,
+            checkpoint_times=cps, _rng=_stream(seed, r),
+        )
+        paths.append(path)
+        mid_cp = path.checkpoints[mid_idx]
+        slopes[r] = [
+            (path.final_state[i] - mid_cp[3][i]) / (t_max - t_mid)
+            for i in range(n)
+        ]
+        q1_cp = path.checkpoints[q1_idx]
+        early += mid_cp[1] - q1_cp[1]
+        early_over += mid_cp[2] - q1_cp[2]
+        last += path.histograms - mid_cp[1]
+        last_over += path.overflow - mid_cp[2]
+        mid_area += np.asarray(mid_cp[4]) - np.asarray(q1_cp[4])
+        total_area = np.asarray(path.time_average) * t_max
+        late_area += total_area - np.asarray(mid_cp[4])
+
+    cover = []
+    escape = []
+    for i in range(n):
+        total_early = early[i].sum() + early_over[i]
+        cum = np.cumsum(early[i])
+        k = min(int(np.searchsorted(cum, 0.999 * total_early)), HIST_CAP)
+        cover.append(k)
+        total_last = last[i].sum() + last_over[i]
+        above = last[i, k + 1:].sum() + last_over[i]
+        escape.append(above / total_last if total_last > 0 else 0.0)
+
+    mean = slopes.mean(axis=0)
+    sd = slopes.std(axis=0, ddof=1) if replicas > 1 else np.zeros(n)
+    lcb = mean - 1.645 * sd / math.sqrt(replicas)
+    ratio = (late_area / (t_max - t_mid) / replicas) / np.maximum(
+        mid_area / (t_mid - t_q1) / replicas, 1e-9)
+    drifting = [lcb[i] > 0 and ratio[i] > 1.7 for i in range(n)]
+    if any(drifting):
+        verdict = "looks_unstable"
+    elif all(e < 0.01 for e in escape):
+        verdict = "looks_stable"
+    else:
+        verdict = "inconclusive"
+    diag = dict(
+        verdict=verdict,
+        slope_mean=tuple(float(v) for v in mean),
+        slope_lcb=tuple(float(v) for v in lcb),
+        escape_fraction=tuple(float(e) for e in escape),
+        growth_ratio=tuple(float(v) for v in ratio),
+        cover_level=tuple(cover),
+    )
+    return diag, paths
+
+
+def _assert_lockstep_matches(spec, rates, x0, horizons, replicas, seed):
+    want, paths = _reference_probe(rates, spec, x0, horizons, replicas, seed)
+    got = empirical_stability_probe(rates, spec, x0, horizons, replicas, seed)
+    for key in ("verdict", "slope_mean", "slope_lcb", "growth_ratio", "cover_level"):
+        assert getattr(got, key) == want[key], key
+    for a, b in zip(got.escape_fraction, want["escape_fraction"]):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+    assert got.replicas == replicas
+
+    # replica by replica: the states and areas the diagnostic is made of
+    t_max, cps, bounds = _checkpoints(horizons)
+    reps = simulate._lockstep(rates, spec, x0, t_max, cps, bounds, replicas, seed)
+    for r, path in enumerate(paths):
+        assert tuple(int(c) for c in reps.final[r]) == path.final_state
+        assert tuple(reps.area[r] / t_max) == path.time_average
+        for j, cp in enumerate(path.checkpoints):
+            assert tuple(int(c) for c in reps.cp_state[j, r]) == cp[3]
+            assert tuple(reps.cp_area[j, r]) == cp[4]
+    # the window histograms, summed in another order
+    n = spec.n_queues
+    want_windows = np.zeros((3, n, HIST_CAP + 2))
+    for path in paths:
+        cum = [np.concatenate([h, o[:, None]], axis=1) for _, h, o, _, _ in path.checkpoints]
+        whole = np.concatenate([path.histograms, path.overflow[:, None]], axis=1)
+        want_windows[1] += cum[bounds[1]] - cum[bounds[0]]
+        want_windows[2] += whole - cum[bounds[1]]
+    np.testing.assert_allclose(reps.windows[1:], want_windows[1:],
+                               rtol=1e-12, atol=1e-12 * t_max * replicas)
+
+
+def _pair_rate(i, x):
+    return 1.0 + 0.5 / (1.0 + x[1 - i]) + 0.25 * (x[i] % 2)
+
+
+PROBE_CORPUS = {
+    "mm1-stable": (constant_allocation((1.0,)), (0.5,), (0,), (100, 200, 400), 16, 11),
+    "mm1-unstable": (constant_allocation((1.0,)), (1.5,), (0,), (100, 200, 400), 16, 11),
+    "mm1-critical": (constant_allocation((1.0,)), (1.0,), (0,), (100, 200, 400), 16, 11),
+    # queue lengths past HIST_CAP in the second half
+    "mm1-overflow": (constant_allocation((1.0,)), (1.5,), (0,), (12000,), 4, 12),
+    "bs-stable": (base_station_pair(2.0), (0.3, 0.3), (0, 0), (250, 500, 1000), 16, 990_001),
+    "bs-unstable": (base_station_pair(2.0), (1.2, 1.0), (0, 0), (250, 500, 1000), 16, 990_002),
+    "bs-boundary": (base_station_pair(2.0), (0.5, 0.5), (0, 0), (250, 500, 1000), 16, 990_003),
+    "three-queue": (make_three_queue(), (0.5, 1.2, 0.3), (0, 0, 0), (150, 300, 600), 12, 7),
+    "power-law": (one_server_power_law(2.0), (0.9,), (3,), (100, 200, 400), 16, 5),
+    "lambda-spec": (AllocationSpec(2, _pair_rate, bound=1.75), (0.6, 0.7), (2, 5),
+                    (100, 200, 400), 16, 13),
+    "tiny-checkpoints": (constant_allocation((1.0, 2.0)), (0.5, 0.9), (0, 0),
+                         (0.3, 1.7, 3.1), 32, 21),
+    "unit-checkpoints": (base_station_pair(2.0), (0.4, 0.6), (1, 0), (1.0, 2.0, 4.0), 32, 22),
+    "one-replica": (constant_allocation((1.0,)), (0.8,), (0,), (50, 100), 1, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_CORPUS))
+def test_lockstep_probe_matches_per_replica_reference(name):
+    spec, rates, x0, horizons, replicas, seed = PROBE_CORPUS[name]
+    _assert_lockstep_matches(spec, rates, x0, horizons, replicas, seed)
+
+
+def test_lockstep_checkpoint_just_past_an_event():
+    # A checkpoint less than 1e-15 past an event time passes the path's
+    # `c <= end + 1e-15` test at that event, and the path resumes from the
+    # checkpoint, not from the event time.  Here it is the quarter checkpoint.
+    spec = constant_allocation((1.0, 2.0))
+    rates, seed = (0.5, 0.9), 31
+    big = sum(rates) + 2 * spec.bound
+    end = float(_stream(seed, 0).exponential(scale=1.0 / big, size=1)[0])
+    c = end + 8e-16
+    assert end < c <= end + 1e-15
+    _assert_lockstep_matches(spec, rates, (0, 0), (2 * c, 4 * c), 32, seed)
