@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from typing import Optional
 
@@ -57,6 +58,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return value
 
 
@@ -391,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="empirical stability probe")
     common(sp)
-    sp.add_argument("--horizon", type=float, default=2000.0)
+    sp.add_argument("--horizon", type=_positive_float, default=2000.0)
     sp.add_argument("--replicas", type=_positive_int, default=32)
     sp.add_argument("--dump", help="write one sampled trajectory to this CSV")
-    sp.add_argument("--sample-interval", type=float, default=1.0,
+    sp.add_argument("--sample-interval", type=_positive_float, default=1.0,
                     help="sampling interval for --dump")
     sp.set_defaults(fn=cmd_simulate, scenario_required=True)
 

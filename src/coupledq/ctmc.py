@@ -3,8 +3,15 @@
 State spaces are boxes ``{0..T_1} x ... x {0..T_n}``; births are suppressed on
 the upper face (reflecting truncation), which keeps the generator conservative
 and biases mass inward where the boundary-mass certificate can see it.
-Stationary distributions come from a sparse direct solve by default, with a
-uniformized power iteration as an alternative backend under the same contract.
+Generators are assembled straight into canonical CSR.
+
+Stationary distributions come from ``solve_stationary``.  A 1-D chain (every
+saturated prefix of one queue) is reversible, so its law follows exactly from
+detailed balance, computed in log space from the top of the box; a chain of
+two or more dimensions gets a sparse LU solve grounded at one state.  Each
+result must pass the same residual check, and a failure falls through to the
+grounded LU solve and then to a uniformized power iteration, which is also
+available as an alternative backend under the same contract.
 """
 
 from __future__ import annotations
@@ -151,6 +158,42 @@ def _death_array(deaths: Deaths, coords: np.ndarray, busy: np.ndarray,
     return _tabulate(deaths, range(len(box)), coords, busy)
 
 
+def _assemble_csr(shape: tuple, rates, up: np.ndarray, down: np.ndarray,
+                  death_values: np.ndarray, out_rate: np.ndarray) -> sp.csr_matrix:
+    """Canonical CSR of the generator, written row by row in column order.
+
+    Strides strictly decrease along the coordinates (every side has at least
+    two states), so each row's columns ascend as deaths along coordinate
+    ``0, 1, ..., dim-1``, the diagonal, then births along ``dim-1, ..., 0``.
+    Births sit wherever ``up`` holds, deaths wherever ``down`` holds.  The
+    index dtype is the one scipy picks: int32 while it holds every index and
+    the entry count, int64 beyond.
+    """
+    count, dim = death_values.shape
+    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
+    nnz = count + int(np.count_nonzero(up)) + int(np.count_nonzero(down))
+    idx_dtype = np.int32 if max(nnz, count) <= np.iinfo(np.int32).max else np.int64
+    kinds = [(down[:, i], -strides[i], death_values[:, i]) for i in range(dim)]
+    kinds.append((True, 0, -out_rate))
+    kinds += [(up[:, i], strides[i], rates[i]) for i in reversed(range(dim))]
+
+    # one column per entry kind; row-major compression keeps the row order
+    idx = np.arange(count)
+    present = np.empty((count, len(kinds)), dtype=bool)
+    columns = np.empty((count, len(kinds)), dtype=idx_dtype)
+    values = np.empty((count, len(kinds)))
+    per_row = np.zeros(count, dtype=idx_dtype)
+    for k, (mask, offset, vals) in enumerate(kinds):
+        present[:, k] = mask
+        columns[:, k] = idx + offset
+        values[:, k] = vals
+        per_row += mask
+    indptr = np.zeros(count + 1, dtype=idx_dtype)
+    np.cumsum(per_row, out=indptr[1:])
+    return sp.csr_matrix((values[present], columns[present], indptr),
+                         shape=(count, count))
+
+
 def build_truncated_generator(
     rates,
     death_rate_fn: Deaths,
@@ -189,29 +232,15 @@ def build_truncated_generator(
         )
 
     # Each state's exit rate sums its births, then its deaths, in coordinate
-    # order; that order fixes the rounding of the diagonal.  Off-diagonal
-    # entries are unique per (row, col), so their order does not matter.
-    idx = np.arange(count)
-    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
-    rows_parts, cols_parts, data_parts = [], [], []
+    # order; that order fixes the rounding of the diagonal.
+    up = coords < np.asarray(box)
+    down = death_values > 0.0
     out_rate = np.zeros(count)
     for i in range(dim):
-        up = coords[:, i] < box[i]
-        rows_parts.append(idx[up])
-        cols_parts.append(idx[up] + strides[i])
-        data_parts.append(np.full(int(up.sum()), rates[i]))
-        out_rate += np.where(up, rates[i], 0.0)
+        out_rate += np.where(up[:, i], rates[i], 0.0)
     for i in range(dim):
-        down = death_values[:, i] > 0.0
-        rows_parts.append(idx[down])
-        cols_parts.append(idx[down] - strides[i])
-        data_parts.append(death_values[down, i])
         out_rate += death_values[:, i]
-    rows = np.concatenate(rows_parts + [idx])
-    cols = np.concatenate(cols_parts + [idx])
-    data = np.concatenate(data_parts + [-out_rate])
-
-    matrix = sp.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
+    matrix = _assemble_csr(shape, rates, up, down, death_values, out_rate)
     boundary_mask = (coords == np.asarray(box)).any(axis=1)
     uniformization = sum(rates) + dim * death_bound
     return TruncatedGenerator(
@@ -343,6 +372,35 @@ def _power_polish(matrix: sp.csr_matrix, pi: np.ndarray, lam: float,
     return pi, residual, sweeps
 
 
+def _detailed_balance_1d(gen: TruncatedGenerator) -> np.ndarray:
+    """Unnormalized law of a 1-D chain from detailed balance
+    ``w[k] lam = w[k+1] mu[k+1]``, run down from the top of the box in log
+    space: ``log w[k] = sum_{j>k} log(mu[j] / lam)``.
+
+    Scaling by the largest term keeps a top-heavy (unstable) chain finite,
+    and a zero death rate leaves exact zero mass below it.  A zero birth
+    rate gives a non-finite result, which the caller's check rejects.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        steps = np.log(gen.death_values[1:, 0] / gen.birth_rates[0])
+        log_w = np.zeros(gen.n_states)
+        log_w[:-1] = np.cumsum(steps[::-1])[::-1]
+        return np.exp(log_w - log_w.max())
+
+
+def _direct_candidates(gen: TruncatedGenerator):
+    """Unnormalized solutions in the order ``solve_stationary`` tries them:
+    detailed balance for a 1-D chain, then the LU solve grounded at the
+    origin (where a stable chain keeps its mass), then at the box corner
+    (where the load has pushed it).  Each is computed only when asked for."""
+    if gen.dim == 1:
+        yield _detailed_balance_1d(gen)
+    for ground in (0, gen.n_states - 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = _direct_solve(gen.matrix, ground)
+        yield raw
+
+
 def solve_stationary(gen: TruncatedGenerator, tol: float = DEFAULT_RESIDUAL_TOL,
                      method: str = "direct") -> StationaryDistribution:
     """Stationary distribution of the truncated chain, residual-checked.
@@ -351,6 +409,14 @@ def solve_stationary(gen: TruncatedGenerator, tol: float = DEFAULT_RESIDUAL_TOL,
     origin and the chain has a unique absorbing communicating class, so the
     solve is well posed; states outside that class receive mass zero
     automatically.
+
+    ``method="direct"`` tries, in order, until one normalized candidate has
+    residual ``max |pi Q|`` at most ``tol``: detailed balance when
+    ``gen.dim == 1``; the LU solve grounded at the origin; the LU solve
+    grounded at the box corner.  If none passes, the best candidate is
+    polished by uniformized power iteration, and :class:`SolveFailure` is
+    raised when that does not reach ``tol`` either.  ``method="power"``
+    runs the power iteration from the uniform law.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -366,11 +432,7 @@ def solve_stationary(gen: TruncatedGenerator, tol: float = DEFAULT_RESIDUAL_TOL,
 
     pi, residual = None, math.inf
     if method == "direct":
-        # ground where the mass is: origin for stable chains, box corner when
-        # the load has pushed the distribution outward
-        for ground in (0, count - 1):
-            with np.errstate(over="ignore", invalid="ignore"):
-                raw = _direct_solve(gen.matrix, ground)
+        for raw in _direct_candidates(gen):
             cand, cand_res = normalize(raw)
             if cand is not None and cand_res < residual:
                 pi, residual = cand, cand_res

@@ -97,6 +97,10 @@ def simulate_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
         raise ValueError(f"initial state {state} invalid")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
+    if sample_interval is not None and not (math.isfinite(sample_interval)
+                                            and sample_interval > 0):
+        raise ValueError(f"sample_interval must be positive and finite, "
+                         f"got {sample_interval!r}")
 
     lam = tuple(rates)
     total_lam = sum(lam)

@@ -1,14 +1,18 @@
 """Solver module: truncated generators, stationary solves, saturated averages."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from coupledq import ctmc
 from coupledq.allocation import (
     AllocationSpec,
     SaturationContext,
+    base_station_pair,
     build_product_allocation,
     constant_allocation,
     exp_interference,
@@ -17,6 +21,7 @@ from coupledq.allocation import (
     three_queue_table,
 )
 from coupledq.ctmc import (
+    DEFAULT_RESIDUAL_TOL,
     LimitTable,
     TabulatedDeaths,
     adaptive_stationary,
@@ -170,6 +175,57 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
         assert f"at (i={dim - 1}, x={first})" in ref
 
 
+def _coo_reference_matrix(gen):
+    """The generator assembled the way the solver once did, through COO
+    triplets and scipy's ``tocsr``; the oracle for the direct CSR assembly."""
+    box, dim, rates = gen.box, gen.dim, gen.birth_rates
+    shape = gen.shape_box
+    count = gen.n_states
+    coords = np.stack(np.unravel_index(np.arange(count), shape), axis=1)
+    idx = np.arange(count)
+    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
+    rows_parts, cols_parts, data_parts = [], [], []
+    out_rate = np.zeros(count)
+    for i in range(dim):
+        up = coords[:, i] < box[i]
+        rows_parts.append(idx[up])
+        cols_parts.append(idx[up] + strides[i])
+        data_parts.append(np.full(int(up.sum()), rates[i]))
+        out_rate += np.where(up, rates[i], 0.0)
+    for i in range(dim):
+        down = gen.death_values[:, i] > 0.0
+        rows_parts.append(idx[down])
+        cols_parts.append(idx[down] - strides[i])
+        data_parts.append(gen.death_values[down, i])
+        out_rate += gen.death_values[:, i]
+    rows = np.concatenate(rows_parts + [idx])
+    cols = np.concatenate(cols_parts + [idx])
+    data = np.concatenate(data_parts + [-out_rate])
+    return sp.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
+
+
+@pytest.mark.parametrize("box", [(1,), (7,), (300,), (1, 1), (6, 4), (1, 5),
+                                 (3, 3, 3), (2, 5, 3), (1, 1, 1)])
+def test_direct_csr_matches_coo_oracle_bit_for_bit(box):
+    def death(i, x):
+        # zero deaths inside the box (no entry) next to positive ones
+        if (3 * sum(x) + 5 * i) % 4 == 3:
+            return 0.0
+        return 1.0 + ((7 * x[i] + i) % 5) / 5.0
+
+    rates = (0.4, 0.7, 0.25)[:len(box)]
+    gen = build_truncated_generator(rates, death, box, death_bound=2.0)
+    busy = np.stack(np.unravel_index(np.arange(gen.n_states), gen.shape_box), axis=1) > 0
+    assert (busy & (gen.death_values == 0.0)).any()
+    ref = _coo_reference_matrix(gen)
+    assert type(gen.matrix) is type(ref)
+    assert gen.matrix.shape == ref.shape
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(gen.matrix, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # -- stationary solves -------------------------------------------------------------
 
 def test_mm1_stationary_matches_geometric():
@@ -234,6 +290,89 @@ def test_power_backend_agrees():
     direct = solve_stationary(gen, tol=1e-10, method="direct")
     power = solve_stationary(gen, tol=1e-10, method="power")
     assert np.abs(direct.masses - power.masses).max() < 1e-8
+
+
+_INTERIOR_ZEROS = {5, 17, 18}
+
+
+def _base_station_deaths():
+    # queue 0's saturated limit with queue 1 saturated, tabulated as the
+    # engine tabulates it
+    spec = base_station_pair(2.0)
+    ctx = SaturationContext((0, 1), 1)
+    table = LimitTable(lambda k, u: lower_partial_limit(spec, ctx, k, u), 1)
+    return TabulatedDeaths(table, (0,)), spec.bound
+
+
+ONE_D_CASES = {
+    # name: (lam, deaths, box, death bound); deaths None = the base station's
+    "mm1-rho-0.5": (0.5, lambda i, x: 1.0, 200, 1.0),
+    "mm1-rho-0.999": (0.999, lambda i, x: 1.0, 16384, 1.0),
+    "base-station-prefix": (0.5, None, 65536, None),
+    "top-heavy": (1.5, lambda i, x: 1.0, 4096, 1.0),
+    "interior-zero-deaths": (
+        0.7, lambda i, x: 0.0 if x[0] in _INTERIOR_ZEROS else 1.0 + 1.0 / x[0], 64, 2.0),
+    "underflowing-products": (1e-3, lambda i, x: 1.0, 1024, 1.0),
+    "underflowing-ratio": (10.0, lambda i, x: 5e-324 if x[0] == 7 else 20.0, 64, 20.0),
+}
+
+
+def _grounded_lu(gen, ground):
+    """The LU route the 1-D solve replaced: normalized solution and residual."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = np.maximum(ctmc._direct_solve(gen.matrix, ground), 0.0)
+    total = raw.sum()
+    if not (math.isfinite(total) and total > 0):
+        return None, math.inf
+    vec = raw / total
+    return vec, float(np.abs(gen.matrix.T @ vec).max())
+
+
+@pytest.mark.parametrize("name", list(ONE_D_CASES))
+def test_detailed_balance_1d_matches_grounded_lu(name, monkeypatch):
+    lam, deaths, box, bound = ONE_D_CASES[name]
+    if deaths is None:
+        deaths, bound = _base_station_deaths()
+    gen = build_truncated_generator((lam,), deaths, (box,), death_bound=bound)
+    tol = DEFAULT_RESIDUAL_TOL
+
+    def no_lu(matrix, ground):
+        raise AssertionError("the 1-D solve fell back to the LU route")
+
+    with monkeypatch.context() as m:
+        m.setattr(ctmc, "_direct_solve", no_lu)
+        dist = solve_stationary(gen, tol=tol)
+    assert dist.residual <= tol
+
+    x = np.arange(gen.n_states)
+    tests = np.stack([gen.death_values[:, 0], 1.0 / (1.0 + x)], axis=1)
+    compared = 0
+    for ground in (0, gen.n_states - 1):
+        ref, residual = _grounded_lu(gen, ground)
+        if residual > tol:   # this ground is ill-conditioned for this chain
+            continue
+        compared += 1
+        assert np.abs(dist.masses - ref).max() <= 1e-12
+        assert np.abs(dist.masses @ tests - ref @ tests).max() <= 1e-12
+    assert compared >= 1
+    if name == "interior-zero-deaths":
+        assert not dist.masses[:max(_INTERIOR_ZEROS)].any()
+
+
+@pytest.mark.parametrize("bad", ["nan", "inaccurate", "zero-birth"])
+def test_1d_solve_falls_back_to_grounded_lu(bad, monkeypatch):
+    gen = build_truncated_generator((0.6,), lambda i, x: 1.0, (100,), death_bound=1.0)
+    count = gen.n_states
+    if bad == "zero-birth":
+        # the detailed-balance route reads this rate; the LU route, the matrix
+        dist = solve_stationary(dataclasses.replace(gen, birth_rates=(0.0,)))
+    else:
+        fake = np.full(count, math.nan) if bad == "nan" else np.ones(count)
+        monkeypatch.setattr(ctmc, "_detailed_balance_1d", lambda g: fake)
+        dist = solve_stationary(gen)
+    ref, residual = _grounded_lu(gen, 0)
+    assert np.array_equal(dist.masses, ref)
+    assert dist.residual == residual <= DEFAULT_RESIDUAL_TOL
 
 
 # -- adaptive escalation ---------------------------------------------------------

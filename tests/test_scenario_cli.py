@@ -170,6 +170,29 @@ def test_cli_simulate_rejects_zero_replicas(capsys):
     assert json.loads(capsys.readouterr().out)["replicas"] == 4
 
 
+@pytest.mark.parametrize("flag", ["--horizon", "--sample-interval"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "ten"])
+def test_cli_simulate_rejects_bad_horizon_and_interval(flag, value, tmp_path,
+                                                       capsys, deadline):
+    dump = tmp_path / "path.csv"
+    argv = ["simulate", "--scenario", "mm1", "--rates", "0.5", "--horizon", "10",
+            "--replicas", "1", "--dump", str(dump)]
+    with deadline(2.0):
+        assert main(argv + [f"{flag}={value}"]) == 64
+    assert flag in capsys.readouterr().err
+    assert not dump.exists()
+
+
+def test_cli_simulate_dump_honours_sample_interval(tmp_path, capsys):
+    dump = tmp_path / "path.csv"
+    argv = ["simulate", "--scenario", "mm1", "--rates", "0.5", "--horizon", "10",
+            "--replicas", "1", "--dump", str(dump), "--sample-interval", "2.5"]
+    assert main(argv) == 0
+    assert "wrote" in capsys.readouterr().out
+    times = [float(line.split(",")[0]) for line in dump.read_text().splitlines()[1:]]
+    assert times == [0.0, 2.5, 5.0, 7.5, 10.0]
+
+
 def test_cli_sweep_csv_and_svg_deterministic(tmp_path, capsys):
     args = [
         "sweep", "--scenario", "two_basestations", "--param", "gamma=2.0",

@@ -87,6 +87,14 @@ def test_sample_interval_records_path():
     assert times == pytest.approx([10.0 * k for k in range(11)])
 
 
+@pytest.mark.parametrize("interval", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_sample_interval_must_be_positive_and_finite(interval, deadline):
+    # a negative interval used to append samples forever, zero to record none
+    spec = constant_allocation((1.0,))
+    with deadline(1.0), pytest.raises(ValueError, match="sample_interval"):
+        simulate_path((0.5,), spec, (0,), 10.0, seed=5, sample_interval=interval)
+
+
 def test_path_dump_csv(tmp_path):
     from coupledq.simulate import dump_path_csv
 
