@@ -8,8 +8,7 @@ the numerically solved busy/empty split of the saturated pair behind the
 third condition (it has no closed form).
 """
 
-from coupledq import SaturationContext, StabilityEngine, lower_partial_limit, three_queue_table
-from coupledq.ctmc import adaptive_stationary
+from coupledq import StabilityEngine, three_queue_table
 
 a = (3.0, 3.0, 3.0)
 a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
@@ -30,12 +29,7 @@ print(f"  {rates[0]} + {a_pair[(1, 2)]} * (1 - {rates[0]}) = "
 
 print("\nthe third threshold needs the stationary busy/empty split of queues")
 print("1 and 2 with queue 3 saturated (no closed form; solved numerically):")
-ctx = SaturationContext((0, 1, 2), 2)
-dist, report = adaptive_stationary(
-    (rates[0], rates[1]),
-    lambda k, u: lower_partial_limit(spec, ctx, k, u),
-    death_bound=spec.bound,
-)
+dist, report = engine.prefix_law(rates, (0, 1))
 g = dist.grid()
 p00, p01 = float(g[0, 0]), float(g[0, 1:].sum())
 p10, p11 = float(g[1:, 0].sum()), float(g[1:, 1:].sum())

@@ -4,10 +4,10 @@ Library layout:
 
 - :mod:`coupledq.allocation` -- service allocations, structural checks,
   saturated limit evaluation
-- :mod:`coupledq.ctmc` -- truncated generators, stationary solves, saturated
-  average service rates
-- :mod:`coupledq.engine` -- per-queue and system stability classification,
-  region sweeps
+- :mod:`coupledq.ctmc` -- truncated generators, stationary solves with box
+  escalation
+- :mod:`coupledq.engine` -- saturated prefix laws and averages, per-queue and
+  system stability classification, certificate checks, region sweeps
 - :mod:`coupledq.simulate` -- uniformized path and coupled-pair simulation,
   empirical stability probe
 - :mod:`coupledq.scenario` -- scenario files and built-in presets
@@ -40,7 +40,6 @@ from .ctmc import (
     TruncatedGenerator,
     adaptive_stationary,
     build_truncated_generator,
-    saturated_average_rate,
     solve_stationary,
     stationary_1d_closed_form,
 )
@@ -51,12 +50,7 @@ from .engine import (
     StabilityVerdict,
     SystemLabel,
     Tolerances,
-    check_unstable_at,
-    classify,
-    general_bounds,
     region_label,
-    sequential_prefix,
-    sweep,
     verify_certificate,
 )
 from .errors import (

@@ -35,7 +35,6 @@ LimitFn = Callable[[tuple, int, int, State], Optional[float]]
 DEFAULT_SAT_LEVEL = 64
 DEFAULT_GROWTH = 2.0
 DEFAULT_LIMIT_TOL = 1e-9
-DEFAULT_PROBE_CAP = 32
 MAX_ESCALATIONS = 96
 # factor tables stop growing here; larger queue lengths are evaluated row by row
 FACTOR_TABLE_CAP = 1 << 20
@@ -198,7 +197,6 @@ class SaturationContext:
     growth_factor: float = DEFAULT_GROWTH
     limit_tol: float = DEFAULT_LIMIT_TOL
     max_escalations: int = MAX_ESCALATIONS
-    certified: bool = False
     _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -256,15 +254,6 @@ class SaturationContext:
             f"stabilize within {self.limit_tol} after {self.max_escalations} escalations"
         )
 
-    def certify(self, spec: AllocationSpec, probe_states=None) -> None:
-        """Confirm escalation convergence on a probe box of prefix states."""
-        if probe_states is None:
-            probe_states = _probe_box(self.prefix_len, DEFAULT_PROBE_CAP)
-        for u in probe_states:
-            for i in range(spec.n_queues):
-                self.value(spec, i, u)
-        self.certified = True
-
 
 def _probe_box(dim: int, cap: int, budget: int = 256):
     """Prefix probe states: the box {0..c}^dim with c shrunk to fit the budget."""
@@ -279,7 +268,7 @@ def lower_partial_limit(spec: AllocationSpec, ctx: SaturationContext, i: int, pr
     ``sigma[prefix_len:]`` saturated, evaluated at the relabeled prefix state.
 
     Uses the allocation's analytic limit when available, otherwise the
-    context's certified numeric escalation.
+    context's numeric escalation.
     """
     prefix = tuple(int(c) for c in prefix)
     if spec.analytic_limits is not None:

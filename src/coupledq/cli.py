@@ -10,22 +10,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
 from typing import Optional
 
-import numpy as np
-
-from .allocation import lower_partial_limit, SaturationContext
-from .engine import (
-    Label,
-    StabilityEngine,
-    SystemLabel,
-    Tolerances,
-    region_label,
-)
-from .errors import CoupledQError, HypothesisViolated, ScenarioError
+from .engine import StabilityEngine, SystemLabel, Tolerances
+from .errors import CoupledQError, HypothesisViolated, NoConvergence, ScenarioError
 from .scenario import Scenario, builtin_scenario, resolve_scenario
 from .simulate import (
     empirical_stability_probe,
@@ -324,11 +316,7 @@ def cmd_three_queues(args) -> int:
     print(f"system: {verdict.system.value}")
     print(f"per-queue: {[l.value for l in verdict.per_queue]}")
 
-    import itertools as _it
-    from .ctmc import adaptive_stationary
-
-    cache = None
-    for sigma in _it.permutations(range(3)):
+    for sigma in itertools.permutations(range(3)):
         scan = engine.sequential_prefix(rates, sigma)
         pretty = "(" + ",".join(str(q + 1) for q in sigma) + ")"
         stage_txt = "; ".join(
@@ -339,15 +327,11 @@ def cmd_three_queues(args) -> int:
         print(f"permutation {pretty}: stable prefix depth {scan.n_max}; {stage_txt}")
 
     # identity-permutation saturated pair: empty/busy split of queues 1 and 2
-    ctx = SaturationContext((0, 1, 2), 2, limit_tol=scn.tolerances.limit_tol)
-
-    def death(k, u):
-        return lower_partial_limit(scn.spec, ctx, k, u)
-
-    dist, report = adaptive_stationary(
-        (rates[0], rates[1]), death, death_bound=scn.spec.bound,
-        tail_tol=scn.tolerances.tail_tol, residual_tol=scn.tolerances.residual_tol,
-    )
+    try:
+        dist, report = engine.prefix_law(rates, (0, 1))
+    except NoConvergence as exc:
+        print(f"saturated pair (queues 1, 2) not certified: {exc}")
+        return _verdict_exit(verdict.system)
     g = dist.grid()
     p00 = float(g[0, 0])
     p01 = float(g[0, 1:].sum())

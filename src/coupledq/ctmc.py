@@ -10,8 +10,9 @@ saturated prefix of one queue) is reversible, so its law follows exactly from
 detailed balance, computed in log space from the top of the box; a chain of
 two or more dimensions gets a sparse LU solve grounded at one state.  Each
 result must pass the same residual check, and a failure falls through to the
-grounded LU solve and then to a uniformized power iteration, which is also
-available as an alternative backend under the same contract.
+grounded LU solve and then to a uniformized power iteration that polishes the
+best candidate.  ``adaptive_stationary`` doubles the box until the tail is
+certified; the engine builds every saturated prefix law through it.
 """
 
 from __future__ import annotations
@@ -20,19 +21,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .allocation import (
-    AllocationSpec,
-    ArrivalRates,
-    SaturationContext,
-    as_rates,
-    lower_partial_limit,
-)
+from .allocation import as_rates
 from .errors import (
     BoundViolation,
     BoxTooLarge,
@@ -322,7 +317,6 @@ class BoxTrial:
 class SolveReport:
     history: list = field(default_factory=list)
     certified: bool = False
-    method: str = "direct"
 
     @property
     def boxes_tried(self):
@@ -401,8 +395,8 @@ def _direct_candidates(gen: TruncatedGenerator):
         yield raw
 
 
-def solve_stationary(gen: TruncatedGenerator, tol: float = DEFAULT_RESIDUAL_TOL,
-                     method: str = "direct") -> StationaryDistribution:
+def solve_stationary(gen: TruncatedGenerator,
+                     tol: float = DEFAULT_RESIDUAL_TOL) -> StationaryDistribution:
     """Stationary distribution of the truncated chain, residual-checked.
 
     With strictly positive birth rates the whole box is reachable from the
@@ -410,13 +404,12 @@ def solve_stationary(gen: TruncatedGenerator, tol: float = DEFAULT_RESIDUAL_TOL,
     solve is well posed; states outside that class receive mass zero
     automatically.
 
-    ``method="direct"`` tries, in order, until one normalized candidate has
-    residual ``max |pi Q|`` at most ``tol``: detailed balance when
-    ``gen.dim == 1``; the LU solve grounded at the origin; the LU solve
-    grounded at the box corner.  If none passes, the best candidate is
-    polished by uniformized power iteration, and :class:`SolveFailure` is
-    raised when that does not reach ``tol`` either.  ``method="power"``
-    runs the power iteration from the uniform law.
+    Candidates are tried in order until one, normalized, has residual
+    ``max |pi Q|`` at most ``tol``: detailed balance when ``gen.dim == 1``;
+    the LU solve grounded at the origin; the LU solve grounded at the box
+    corner.  If none passes, the best candidate is polished by uniformized
+    power iteration, and :class:`SolveFailure` is raised when that does not
+    reach ``tol`` either.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -431,21 +424,14 @@ def solve_stationary(gen: TruncatedGenerator, tol: float = DEFAULT_RESIDUAL_TOL,
         return vec, float(np.abs(gen.matrix.T @ vec).max())
 
     pi, residual = None, math.inf
-    if method == "direct":
-        for raw in _direct_candidates(gen):
-            cand, cand_res = normalize(raw)
-            if cand is not None and cand_res < residual:
-                pi, residual = cand, cand_res
-            if residual <= tol:
-                break
-        if pi is None:
-            pi = np.full(count, 1.0 / count)
-            residual = math.inf
-    elif method == "power":
+    for raw in _direct_candidates(gen):
+        cand, cand_res = normalize(raw)
+        if cand is not None and cand_res < residual:
+            pi, residual = cand, cand_res
+        if residual <= tol:
+            break
+    if pi is None:
         pi = np.full(count, 1.0 / count)
-        residual = math.inf
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     if residual > tol:
         pi, residual, _ = _power_polish(
@@ -459,12 +445,8 @@ def solve_stationary(gen: TruncatedGenerator, tol: float = DEFAULT_RESIDUAL_TOL,
     return StationaryDistribution(pi, gen.box, residual, boundary)
 
 
-def _functionals(gen: TruncatedGenerator, dist: StationaryDistribution,
-                 extra_fns: Sequence[Callable[[tuple], float]]) -> tuple:
-    vals = [float(dist.masses @ gen.death_values[:, i]) for i in range(gen.dim)]
-    for f in extra_fns:
-        vals.append(dist.expect(f))
-    return tuple(vals)
+def _functionals(gen: TruncatedGenerator, dist: StationaryDistribution) -> tuple:
+    return tuple(float(dist.masses @ gen.death_values[:, i]) for i in range(gen.dim))
 
 
 def adaptive_stationary(
@@ -476,13 +458,11 @@ def adaptive_stationary(
     residual_tol: float = DEFAULT_RESIDUAL_TOL,
     start_box: int = DEFAULT_START_BOX,
     state_cap: int = STATE_CAP,
-    extra_functionals: Sequence[Callable[[tuple], float]] = (),
-    method: str = "direct",
 ) -> tuple:
     """Escalate the truncation box (doubling) until the tail is certified.
 
     Certification requires boundary mass below ``tail_tol`` and the bounded
-    test functionals (the death rates, plus any extras) to move by less than
+    test functionals (the expected death rates) to move by less than
     ``tail_tol`` between consecutive boxes.  Hitting the state cap with
     boundary mass still large raises :class:`NoConvergence` -- the expected
     signal for an unstable chain, mapped by callers to a zero average rate.
@@ -493,14 +473,10 @@ def adaptive_stationary(
     n = len(rates)
     if n == 0:
         dist = StationaryDistribution(np.ones(1), (), 0.0, 0.0)
-        report = SolveReport(
-            history=[BoxTrial((), 1, 0.0, 0.0, tuple(f(()) for f in extra_functionals))],
-            certified=True,
-            method=method,
-        )
+        report = SolveReport(history=[BoxTrial((), 1, 0.0, 0.0, ())], certified=True)
         return dist, report
 
-    report = SolveReport(history=[], certified=False, method=method)
+    report = SolveReport(history=[], certified=False)
     prev = None
     dist = None
     t = start_box
@@ -517,8 +493,8 @@ def adaptive_stationary(
             rates, death_rate_fn, (t,) * n,
             death_bound=death_bound, state_cap=state_cap,
         )
-        dist = solve_stationary(gen, tol=residual_tol, method=method)
-        funcs = _functionals(gen, dist, extra_functionals)
+        dist = solve_stationary(gen, tol=residual_tol)
+        funcs = _functionals(gen, dist)
         report.history.append(
             BoxTrial(gen.box, count, dist.residual, dist.boundary_mass, funcs)
         )
@@ -540,62 +516,6 @@ def adaptive_stationary(
             return dist, report  # flagged: boundary small but functionals unsettled
         prev = funcs
         t *= 2
-
-
-def saturated_average_rate(
-    spec: AllocationSpec,
-    rates,
-    sigma,
-    n: int,
-    i: int,
-    *,
-    sat_level: int = 64,
-    growth: float = 2.0,
-    limit_tol: float = 1e-9,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    residual_tol: float = DEFAULT_RESIDUAL_TOL,
-    start_box: int = DEFAULT_START_BOX,
-    state_cap: int = STATE_CAP,
-    method: str = "direct",
-    context: Optional[SaturationContext] = None,
-) -> float:
-    """Average of queue ``sigma[i]``'s saturated rate limit under the
-    stationary law of the saturated prefix process.
-
-    The prefix process has birth rates ``lambda[sigma[0..n-1]]`` and death
-    rates given by the saturated limits of the first ``n`` relabeled queues.
-    Returns 0 exactly when the prefix process fails to certify a stationary
-    distribution (the instability convention).
-    """
-    sigma = tuple(sigma)
-    rates = as_rates(rates)
-    ctx = context if context is not None else SaturationContext(
-        sigma, n, sat_level=sat_level, growth_factor=growth, limit_tol=limit_tol
-    )
-    if n == 0:
-        return lower_partial_limit(spec, ctx, i, ())
-    birth = tuple(rates[sigma[k]] for k in range(n))
-
-    def death(k, u):
-        return lower_partial_limit(spec, ctx, k, u)
-
-    def target(u):
-        return lower_partial_limit(spec, ctx, i, u)
-
-    try:
-        dist, _report = adaptive_stationary(
-            birth, death,
-            death_bound=spec.bound,
-            tail_tol=tail_tol,
-            residual_tol=residual_tol,
-            start_box=start_box,
-            state_cap=state_cap,
-            extra_functionals=(target,),
-            method=method,
-        )
-    except NoConvergence:
-        return 0.0
-    return dist.expect(target)
 
 
 def stationary_1d_closed_form(

@@ -16,9 +16,12 @@ import math
 import time
 from dataclasses import dataclass, field, asdict
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
 
 from .allocation import (
+    DEFAULT_GROWTH,
+    DEFAULT_LIMIT_TOL,
+    DEFAULT_SAT_LEVEL,
     AllocationSpec,
     ArrivalRates,
     SaturationContext,
@@ -29,7 +32,15 @@ from .allocation import (
     default_pd_box,
     lower_partial_limit,
 )
-from .ctmc import LimitTable, TabulatedDeaths, adaptive_stationary
+from .ctmc import (
+    DEFAULT_RESIDUAL_TOL,
+    DEFAULT_START_BOX,
+    DEFAULT_TAIL_TOL,
+    STATE_CAP,
+    LimitTable,
+    TabulatedDeaths,
+    adaptive_stationary,
+)
 from .errors import (
     NoConvergence,
     NoUniformLimit,
@@ -56,15 +67,15 @@ class Tolerances:
     """All numeric knobs of the classification pipeline; everything explicit."""
 
     margins_tol: float = 1e-4
-    limit_tol: float = 1e-9
-    tail_tol: float = 1e-8
-    residual_tol: float = 1e-10
+    limit_tol: float = DEFAULT_LIMIT_TOL
+    tail_tol: float = DEFAULT_TAIL_TOL
+    residual_tol: float = DEFAULT_RESIDUAL_TOL
     uniform_tol: float = 1e-6
-    sat_level: int = 64
-    growth: float = 2.0
+    sat_level: int = DEFAULT_SAT_LEVEL
+    growth: float = DEFAULT_GROWTH
     pd_box: Optional[int] = None
-    start_box: int = 32
-    state_cap: int = 50_000_000
+    start_box: int = DEFAULT_START_BOX
+    state_cap: int = STATE_CAP
     permutation_cap: int = 6
     descent_steps: int = 20
     bounds_probe_cap: int = 8
@@ -204,7 +215,7 @@ class _PointCache:
     lambda-dependent work; the limits they read live in the engine's tables."""
 
     def __init__(self):
-        self.dists = {}   # frozenset -> ("ok", dist, certified) | ("noconv",)
+        self.laws = {}    # frozenset -> (dist, SolveReport), or None when unconverged
         self.lvals = {}   # (frozenset, queue) -> _LValue
 
 
@@ -262,6 +273,28 @@ class StabilityEngine:
             self._tables[prefix] = table
         return table
 
+    def prefix_law(self, rates, prefix) -> tuple:
+        """Stationary law of the saturated prefix process and its solve report.
+
+        The queues in ``prefix`` (in increasing order) arrive at their rates
+        in ``rates`` and are served at their saturated limits with every
+        other queue at infinity, read from the engine's limit tables.  The
+        box escalation follows the engine's tolerances; an escalation that
+        does not converge raises :class:`NoConvergence`.
+        """
+        rates = as_rates(rates)
+        prefix = frozenset(prefix)
+        order = tuple(sorted(prefix))
+        return adaptive_stationary(
+            tuple(rates[q] for q in order),
+            TabulatedDeaths(self._table(prefix), order),
+            death_bound=self.spec.bound,
+            tail_tol=self.tol.tail_tol,
+            residual_tol=self.tol.residual_tol,
+            start_box=self.tol.start_box,
+            state_cap=self.tol.state_cap,
+        )
+
     def _L(self, rates: ArrivalRates, prefix: frozenset, queue: int,
            cache: _PointCache) -> _LValue:
         key = (prefix, queue)
@@ -273,29 +306,18 @@ class StabilityEngine:
             val = _LValue(float(table.values(queue, ())[0]), trustworthy=True)
             cache.lvals[key] = val
             return val
-        entry = cache.dists.get(prefix)
-        if entry is None:
-            order = tuple(sorted(prefix))
-            birth = tuple(rates[q] for q in order)
+        if prefix not in cache.laws:
             try:
-                dist, report = adaptive_stationary(
-                    birth, TabulatedDeaths(table, order),
-                    death_bound=self.spec.bound,
-                    tail_tol=self.tol.tail_tol,
-                    residual_tol=self.tol.residual_tol,
-                    start_box=self.tol.start_box,
-                    state_cap=self.tol.state_cap,
-                )
-                entry = ("ok", dist, report.certified)
+                cache.laws[prefix] = self.prefix_law(rates, prefix)
             except NoConvergence:
-                entry = ("noconv",)
-            cache.dists[prefix] = entry
-        if entry[0] == "noconv":
+                cache.laws[prefix] = None
+        law = cache.laws[prefix]
+        if law is None:
             val = _LValue(0.0, trustworthy=False, unstable_prefix=True)
         else:
-            _, dist, certified = entry
+            dist, report = law
             value = float(dist.masses @ table.values(queue, dist.box))
-            val = _LValue(value, trustworthy=certified)
+            val = _LValue(value, trustworthy=report.certified)
         cache.lvals[key] = val
         return val
 
@@ -615,61 +637,30 @@ class StabilityEngine:
         return samples
 
 
-# -- functional wrappers ---------------------------------------------------------
+def verify_certificate(spec: AllocationSpec, rates, verdict: StabilityVerdict) -> bool:
+    """Recheck every certificate inequality on a fresh engine whose solves
+    start from twice the verdict's start box.
 
-def classify(rates, spec: AllocationSpec, tolerances: Tolerances = Tolerances()) -> StabilityVerdict:
-    return StabilityEngine(spec, tolerances).classify(rates)
-
-
-def general_bounds(rates, spec: AllocationSpec, tolerances: Tolerances = Tolerances()) -> list:
-    return StabilityEngine(spec, tolerances).general_bounds(rates)
-
-
-def sequential_prefix(rates, spec: AllocationSpec, sigma,
-                      tolerances: Tolerances = Tolerances()) -> PrefixScan:
-    return StabilityEngine(spec, tolerances).sequential_prefix(rates, sigma)
-
-
-def check_unstable_at(rates, spec: AllocationSpec, sigma, n: int,
-                      tolerances: Tolerances = Tolerances()) -> bool:
-    return StabilityEngine(spec, tolerances).check_unstable_at(rates, sigma, n)
-
-
-def sweep(rate_grid, spec: AllocationSpec, tolerances: Tolerances = Tolerances()) -> list:
-    return StabilityEngine(spec, tolerances).sweep(rate_grid)
-
-
-def verify_certificate(spec: AllocationSpec, rates, verdict: StabilityVerdict,
-                       box_scale: int = 2,
-                       tolerances: Tolerances = Tolerances()) -> bool:
-    """Recompute every certificate inequality with enlarged solve boxes and
-    confirm the directions are reproduced."""
-    from .ctmc import saturated_average_rate
-
+    The inequalities are rechecked at the certificate's rates: the witness
+    rates of a descent witness, ``rates`` otherwise.  (A descent certificate's
+    stage records keep the queried point's figures.)  A recomputed average
+    that is not certified confirms nothing.
+    """
     cert = verdict.certificate
     if verdict.system not in (SystemLabel.STABLE, SystemLabel.UNSTABLE):
         return True
     if cert is None or cert.kind == "envelope-bounds":
         return True
-    rates = as_rates(cert.witness_rates if cert.witness_rates else rates)
-    sigma = cert.sigma
-    tol = tolerances
+    tol = verdict.tolerances or Tolerances()
+    engine = StabilityEngine(spec, tol.replace(start_box=2 * tol.start_box))
+    at = as_rates(cert.witness_rates or rates)
+    cache = _PointCache()
     for rec in cert.stages:
-        L = saturated_average_rate(
-            spec, rates, sigma, rec.position, rec.position,
-            sat_level=tol.sat_level, growth=tol.growth, limit_tol=tol.limit_tol,
-            tail_tol=tol.tail_tol, residual_tol=tol.residual_tol,
-            start_box=tol.start_box * box_scale, state_cap=tol.state_cap,
-        )
-        if not rec.lam < L - tol.margins_tol:
+        L = engine._L(at, frozenset(cert.sigma[:rec.position]), rec.queue, cache)
+        if not (L.trustworthy and at[rec.queue] < L.value - tol.margins_tol):
             return False
     for rec in cert.excess:
-        L = saturated_average_rate(
-            spec, rates, sigma, cert.n, rec.position,
-            sat_level=tol.sat_level, growth=tol.growth, limit_tol=tol.limit_tol,
-            tail_tol=tol.tail_tol, residual_tol=tol.residual_tol,
-            start_box=tol.start_box * box_scale, state_cap=tol.state_cap,
-        )
-        if not rec.lam > L + tol.margins_tol:
+        L = engine._L(at, frozenset(cert.sigma[:cert.n]), rec.queue, cache)
+        if not (L.trustworthy and at[rec.queue] > L.value + tol.margins_tol):
             return False
     return True

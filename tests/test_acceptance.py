@@ -25,7 +25,6 @@ from coupledq.allocation import (
 )
 from coupledq.ctmc import (
     build_truncated_generator,
-    saturated_average_rate,
     solve_stationary,
     stationary_1d_closed_form,
 )
@@ -83,9 +82,10 @@ def test_criterion_2_stage2_closed_form():
     start = time.perf_counter()
     worst = 0.0
     for a23 in (1.0, 1.5, 3.0):
-        spec = make_three_queue(a23=a23)
+        engine = StabilityEngine(make_three_queue(a23=a23))
         for lam1 in (0.1, 0.3, 0.5, 0.7, 0.9):
-            got = saturated_average_rate(spec, (lam1, 0.5, 0.5), (0, 1, 2), 1, 1)
+            scan = engine.sequential_prefix((lam1, 0.5, 0.5), (0, 1, 2))
+            got = scan.stages[1].avg_rate
             want = lam1 + a23 * (1.0 - lam1)
             worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -167,10 +167,10 @@ def test_criterion_5_curve_oracle_agreement():
                 gains=[g, g],
                 interference=[{1: builder(gamma)}, {0: builder(gamma)}],
             )
+            engine = StabilityEngine(spec)
             for lam1 in lam_points:
-                engine_val = saturated_average_rate(
-                    spec, (float(lam1), 0.5), (0, 1), 1, 1
-                )
+                scan = engine.sequential_prefix((float(lam1), 0.5), (0, 1))
+                engine_val = scan.stages[1].avg_rate
                 oracle = _series_oracle_L12(float(lam1), gamma, family)
                 worst = max(worst, abs(engine_val - oracle))
     ok = worst < 1e-6

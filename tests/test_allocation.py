@@ -274,13 +274,6 @@ def test_saturated_limits_inherit_partial_monotonicity():
                     lower_partial_limit(spec, ctx, i, y) - 1e-12
 
 
-def test_certify_runs():
-    spec = make_three_queue()
-    ctx = SaturationContext((0, 1, 2), 1)
-    ctx.certify(spec)
-    assert ctx.certified
-
-
 # -- relabeling -------------------------------------------------------------------
 
 def test_relabel_identity():

@@ -11,6 +11,7 @@ import scipy.sparse as sp
 from coupledq import ctmc
 from coupledq.allocation import (
     AllocationSpec,
+    ArrivalRates,
     SaturationContext,
     base_station_pair,
     build_product_allocation,
@@ -26,10 +27,10 @@ from coupledq.ctmc import (
     TabulatedDeaths,
     adaptive_stationary,
     build_truncated_generator,
-    saturated_average_rate,
     solve_stationary,
     stationary_1d_closed_form,
 )
+from coupledq.engine import StabilityEngine, Tolerances, _PointCache
 from coupledq.errors import BoundViolation, BoxTooLarge, DivergentSeries, NoConvergence
 
 
@@ -37,6 +38,14 @@ def make_three_queue(a23=2.0):
     a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
     a_pair[(1, 2)] = a23
     return three_queue_table((3.0, 3.0, 3.0), a_pair)
+
+
+def engine_average(spec, rates, sigma, n, i, **tol):
+    """The engine's average of queue ``sigma[i]``'s saturated limit under the
+    law of the saturated prefix ``sigma[:n]``."""
+    engine = StabilityEngine(spec, Tolerances(**tol))
+    return engine._L(ArrivalRates(rates), frozenset(sigma[:n]), sigma[i],
+                     _PointCache()).value
 
 
 def geometric(rho, size):
@@ -286,10 +295,15 @@ def test_product_form_3d():
 
 
 def test_power_backend_agrees():
+    # the power polish, run from the uniform law, reaches the direct solve
     gen = build_truncated_generator((0.5,), lambda i, x: 1.0, (40,), death_bound=1.0)
-    direct = solve_stationary(gen, tol=1e-10, method="direct")
-    power = solve_stationary(gen, tol=1e-10, method="power")
-    assert np.abs(direct.masses - power.masses).max() < 1e-8
+    direct = solve_stationary(gen, tol=1e-10)
+    uniform = np.full(gen.n_states, 1.0 / gen.n_states)
+    power, residual, _ = ctmc._power_polish(
+        gen.matrix, uniform, gen.uniformization_constant, 1e-10, ctmc.SWEEP_BUDGET
+    )
+    assert residual <= 1e-10
+    assert np.abs(direct.masses - power).max() < 1e-8
 
 
 _INTERIOR_ZEROS = {5, 17, 18}
@@ -409,7 +423,7 @@ def test_adaptive_empty_prefix_convention():
 def test_constant_rates_average_is_exact():
     spec = constant_allocation((0.7, 1.3))
     for lam in (0.1, 0.4, 0.65):
-        val = saturated_average_rate(spec, (lam, 0.3), (0, 1), 1, 1)
+        val = engine_average(spec, (lam, 0.3), (0, 1), 1, 1)
         assert val == pytest.approx(1.3, abs=1e-12)
 
 
@@ -417,21 +431,21 @@ def test_three_queue_stage2_closed_form():
     # average service for queue 2 with queue 3 saturated: lam1 + a23 (1 - lam1)
     for lam1, a23 in ((0.5, 2.0), (0.3, 1.5)):
         spec = make_three_queue(a23=a23)
-        val = saturated_average_rate(spec, (lam1, 1.0, 0.3), (0, 1, 2), 1, 1)
+        val = engine_average(spec, (lam1, 1.0, 0.3), (0, 1, 2), 1, 1)
         assert val == pytest.approx(lam1 + a23 * (1 - lam1), abs=1e-6)
 
 
 def test_unstable_prefix_maps_to_zero():
     spec = constant_allocation((1.0, 1.0))
-    val = saturated_average_rate(
-        spec, (1.5, 0.3), (0, 1), 1, 1, state_cap=1 << 14
-    )
+    val = engine_average(spec, (1.5, 0.3), (0, 1), 1, 1, state_cap=1 << 14)
     assert val == 0.0
+    with pytest.raises(NoConvergence):
+        StabilityEngine(spec, Tolerances(state_cap=1 << 14)).prefix_law((1.5, 0.3), {0})
 
 
 def test_stage0_is_saturated_limit():
     spec = make_three_queue()
-    assert saturated_average_rate(spec, (0.5, 0.5, 0.5), (0, 1, 2), 0, 0) == 1.0
+    assert engine_average(spec, (0.5, 0.5, 0.5), (0, 1, 2), 0, 0) == 1.0
 
 
 # -- closed-form series -------------------------------------------------------------
@@ -473,7 +487,7 @@ def test_base_station_average_vs_series_oracle():
     spec_alloc = __import__("coupledq.allocation", fromlist=["base_station_pair"])
     spec = spec_alloc.base_station_pair(2.0)
     lam1 = 0.3
-    engine_val = saturated_average_rate(spec, (lam1, 0.5), (0, 1), 1, 1)
+    engine_val = engine_average(spec, (lam1, 0.5), (0, 1), 1, 1)
     g, _ = log_gain(3.0)
     h, _ = exp_interference(2.0)
     oracle_dist = stationary_1d_closed_form(lam1, lambda x: g(x) / 6.0)

@@ -11,8 +11,10 @@ import coupledq.engine
 from coupledq.allocation import (
     AllocationSpec,
     ArrivalRates,
+    SaturationContext,
     base_station_pair,
     constant_allocation,
+    lower_partial_limit,
     one_server_power_law,
     relabel,
     three_queue_table,
@@ -22,11 +24,10 @@ from coupledq.engine import (
     StabilityEngine,
     SystemLabel,
     Tolerances,
-    classify,
     region_label,
-    sweep,
     verify_certificate,
 )
+from coupledq.ctmc import adaptive_stationary
 from coupledq.errors import PermutationCapExceeded
 
 
@@ -121,7 +122,7 @@ def test_one_server_boundary_classification():
 
 
 def test_independent_pair_stable():
-    v = classify((0.5, 0.5), constant_allocation((1.0, 1.0)))
+    v = StabilityEngine(constant_allocation((1.0, 1.0))).classify((0.5, 0.5))
     assert v.system is SystemLabel.STABLE
     assert all(l is Label.STABLE for l in v.per_queue)
 
@@ -140,7 +141,7 @@ def test_base_station_quadrants(bs_engine):
 def test_permutation_cap():
     spec = constant_allocation((1.0,) * 7)
     with pytest.raises(PermutationCapExceeded):
-        classify((0.5,) * 7, spec)
+        StabilityEngine(spec).classify((0.5,) * 7)
 
 
 def test_hypotheses_unverified_falls_back_to_bounds():
@@ -149,7 +150,7 @@ def test_hypotheses_unverified_falls_back_to_bounds():
         lambda i, x: (min(0.5 + 0.2 * x[1], 2.0)) if i == 0 else 1.0,
         bound=2.0,
     )
-    v = classify((0.3, 0.5), spec)
+    v = StabilityEngine(spec).classify((0.3, 0.5))
     assert v.system in (SystemLabel.HYPOTHESES_UNVERIFIED, SystemLabel.STABLE)
     assert v.certificate.kind == "envelope-bounds"
 
@@ -291,7 +292,7 @@ def test_single_queue_reduces_to_birth_death_criterion():
         lam = rng.uniform(0.1, 2.2)
         if abs(lam - limit) < 5e-3:
             continue
-        v = classify((lam,), spec)
+        v = StabilityEngine(spec).classify((lam,))
         want = SystemLabel.STABLE if lam < limit else SystemLabel.UNSTABLE
         assert v.system is want, (lam, limit, v.system)
 
@@ -318,6 +319,38 @@ def test_weaker_interference_decay_enlarges_region(bs_engine):
 def test_certificate_soundness_doubled_boxes(tq_engine, bs_engine):
     spec3 = tq_engine.spec
     v = tq_engine.classify((0.5, 1.2, 0.3))
-    assert verify_certificate(spec3, (0.5, 1.2, 0.3), v, box_scale=2)
+    assert verify_certificate(spec3, (0.5, 1.2, 0.3), v)
     v = bs_engine.classify((0.3, 1.0))
-    assert verify_certificate(bs_engine.spec, (0.3, 1.0), v, box_scale=2)
+    assert verify_certificate(bs_engine.spec, (0.3, 1.0), v)
+
+
+def test_certificate_descent_witness_verifies(bs_engine):
+    # the witness sits one descent step below the queried point; its stage
+    # records keep the queried point's margin of zero
+    for pt in ((0.5, 0.6), (0.5, 1.4)):
+        v = bs_engine.classify(pt)
+        cert = v.certificate
+        assert v.system is SystemLabel.UNSTABLE and v.margin == 0.0
+        assert cert.witness_rates == (0.4998, pt[1] - 2e-4)
+        assert verify_certificate(bs_engine.spec, pt, v)
+
+
+def test_certificate_recheck_rejects_other_rates(bs_engine):
+    v = bs_engine.classify((0.45, 0.45))
+    assert verify_certificate(bs_engine.spec, (0.45, 0.45), v)
+    assert not verify_certificate(bs_engine.spec, (0.55, 0.55), v)
+
+
+def test_prefix_law_matches_hand_built_saturated_pair(tq_engine):
+    # reference: the generator built from per-state saturated-limit callbacks
+    spec = tq_engine.spec
+    rates = (0.5, 1.2, 0.3)
+    ctx = SaturationContext((0, 1, 2), 2)
+    ref, ref_report = adaptive_stationary(
+        rates[:2], lambda k, u: lower_partial_limit(spec, ctx, k, u),
+        death_bound=spec.bound,
+    )
+    dist, report = tq_engine.prefix_law(rates, (1, 0))
+    assert report.boxes_tried == ref_report.boxes_tried
+    assert report.certified and ref_report.certified
+    assert np.array_equal(dist.masses, ref.masses)

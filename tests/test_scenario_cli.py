@@ -284,6 +284,21 @@ def test_cli_three_queues_report(capsys):
     assert "permutation (1,2,3)" in out
 
 
+def test_cli_three_queues_saturated_pair_honours_tol(capsys):
+    rc = main(["three-queues", "--rates", "0.5,1.2,0.3", "--tol", "start_box=64"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "boxes tried: [(64, 64), (128, 128), (256, 256)]" in out
+
+    # boxes of 64^2 fit under the cap, 128^2 do not: the pair never certifies
+    rc = main(["three-queues", "--rates", "0.5,1.2,0.3", "--tol", "state_cap=5000"])
+    out = capsys.readouterr().out
+    assert rc == 0  # permutation (3,1,2) still certifies stability
+    assert "saturated pair (queues 1, 2) not certified: state cap 5000" in out
+    assert "stage-3 threshold" not in out
+    assert "(256, 256)" not in out
+
+
 def test_cli_three_queues_warns_on_bad_table(capsys):
     main(["three-queues", "--rates", "0.5,0.5,0.5", "--param", "a12=0.5"])
     assert "monotonicity hypothesis" in capsys.readouterr().out
