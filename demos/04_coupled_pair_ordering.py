@@ -37,7 +37,7 @@ print(f"   occupancy TV between coupled lower marginal and a free run: {tv:.4f}"
 print("\n3) three coupled queues below their saturated two-queue bound")
 a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
 spec = three_queue_table((3.0, 3.0, 3.0), a_pair)
-ctx = SaturationContext((0, 1, 2), 2)
+ctx = SaturationContext((0, 1))
 bound_spec = AllocationSpec(
     2, lambda k, u: lower_partial_limit(spec, ctx, k, u), bound=spec.bound
 )

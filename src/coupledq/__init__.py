@@ -25,13 +25,11 @@ from .allocation import (
     check_partially_decreasing,
     check_uniform_limits,
     constant_allocation,
-    evaluate,
     exp_interference,
     log_gain,
     lower_partial_limit,
     one_server_power_law,
     poly_interference,
-    relabel,
     three_queue_table,
 )
 from .ctmc import (
@@ -41,7 +39,6 @@ from .ctmc import (
     adaptive_stationary,
     build_truncated_generator,
     solve_stationary,
-    stationary_1d_closed_form,
 )
 from .engine import (
     Label,

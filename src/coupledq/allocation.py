@@ -29,8 +29,9 @@ State = tuple  # tuple[int, ...]
 RateFn = Callable[[int, State], float]
 # array form of a RateFn: (i, X) -> rate_fn(i, row) for each row of the (m, n) array X
 ArrayRateFn = Callable[[int, np.ndarray], np.ndarray]
-# analytic saturated-limit evaluator: (sigma, prefix_len, i, prefix) -> value or None
-LimitFn = Callable[[tuple, int, int, State], Optional[float]]
+# analytic saturated-limit evaluator: (prefix, queue, u) -> value or None, with
+# prefix the sorted unsaturated queues and u their occupancies in that order
+LimitFn = Callable[[tuple, int, State], Optional[float]]
 
 DEFAULT_SAT_LEVEL = 64
 DEFAULT_GROWTH = 2.0
@@ -79,10 +80,11 @@ class AllocationSpec:
     Instances are treated as immutable after construction and are safe to
     share across concurrent evaluations under the GIL.
 
-    ``analytic_limits(sigma, n, i, prefix)`` optionally returns the saturated
-    limit of queue ``sigma[i]``'s rate when coordinates ``sigma[n:]`` are at
-    infinity and the relabeled prefix occupancy is ``prefix``; returning
-    ``None`` falls back to numeric escalation.
+    ``analytic_limits(prefix, queue, u)`` optionally returns the saturated
+    limit of queue ``queue``'s rate when every queue outside ``prefix`` is at
+    infinity.  ``prefix`` is the sorted tuple of unsaturated queues and ``u``
+    holds their occupancies in that order; ``queue`` may lie inside or
+    outside ``prefix``.  Returning ``None`` falls back to numeric escalation.
 
     The builders also give the spec an array form of ``rate_fn`` that
     :meth:`rates_at` uses; any other spec is evaluated there row by row.
@@ -169,89 +171,61 @@ class _FactorTable:
         return self.values[col]
 
 
-def evaluate(spec: AllocationSpec, i: int, x) -> float:
-    """Service rate of queue ``i`` at state ``x`` (bounds-checked)."""
-    x = tuple(int(c) for c in x)
-    if not 0 <= i < spec.n_queues:
-        raise IndexError(f"queue index {i} out of range")
-    if len(x) != spec.n_queues or any(c < 0 for c in x):
-        raise ValueError(f"state {x} not in Z_+^{spec.n_queues}")
-    return spec.rate(i, x)
-
-
 @dataclass(eq=False)
 class SaturationContext:
-    """Evaluator for rate limits with a trailing coordinate block saturated.
+    """Evaluator for rate limits with every queue outside ``prefix`` saturated.
 
-    ``sigma`` relabels the queues; coordinates ``sigma[prefix_len:]`` are the
-    saturated ones.  Numeric values come from minimizing the rate over the
-    grid ``{R, R+1, ceil(R*growth)}`` per saturated coordinate and escalating
+    ``prefix`` is the set of unsaturated queues, kept as a sorted tuple.
+    Numeric values come from minimizing the rate over the grid
+    ``{R, R+1, ceil(R*growth)}`` per saturated coordinate and escalating
     ``R`` until two consecutive levels agree within ``limit_tol``.  The
     ``R+1`` probe catches parity-periodic rate functions that levels ``R``
     and ``2R`` alone would miss.
     """
 
-    sigma: tuple
-    prefix_len: int
+    prefix: tuple
     sat_level: int = DEFAULT_SAT_LEVEL
     growth_factor: float = DEFAULT_GROWTH
     limit_tol: float = DEFAULT_LIMIT_TOL
-    max_escalations: int = MAX_ESCALATIONS
-    _memo: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.sigma = tuple(self.sigma)
-        n = len(self.sigma)
-        if sorted(self.sigma) != list(range(n)):
-            raise ValueError(f"sigma {self.sigma} is not a permutation of 0..{n - 1}")
-        if not 0 <= self.prefix_len <= n:
-            raise ValueError("prefix_len out of range")
+        self.prefix = tuple(sorted(self.prefix))
+        if len(set(self.prefix)) != len(self.prefix) or any(q < 0 for q in self.prefix):
+            raise ValueError(f"prefix {self.prefix} must list distinct queue indices")
         if self.sat_level < 1 or self.growth_factor <= 1.0 or self.limit_tol <= 0:
             raise ValueError("bad saturation parameters")
 
     def _levels(self, r: int) -> tuple:
         return tuple(sorted({r, r + 1, max(r + 2, math.ceil(r * self.growth_factor))}))
 
-    def _grid_min(self, spec: AllocationSpec, i: int, prefix: State, r: int) -> float:
-        n, nq = self.prefix_len, spec.n_queues
-        base = [0] * nq
-        for k in range(n):
-            base[self.sigma[k]] = prefix[k]
-        sat_slots = [self.sigma[k] for k in range(n, nq)]
+    def _grid_min(self, spec: AllocationSpec, queue: int, u: State, r: int) -> float:
+        x = [0] * spec.n_queues
+        for q, c in zip(self.prefix, u):
+            x[q] = c
+        saturated = [q for q in range(spec.n_queues) if q not in self.prefix]
         best = math.inf
-        for combo in itertools.product(self._levels(r), repeat=len(sat_slots)):
-            for slot, v in zip(sat_slots, combo):
-                base[slot] = v
-            best = min(best, spec.rate(self.sigma[i], tuple(base)))
+        for combo in itertools.product(self._levels(r), repeat=len(saturated)):
+            for q, v in zip(saturated, combo):
+                x[q] = v
+            best = min(best, spec.rate(queue, tuple(x)))
         return best
 
-    def value(self, spec: AllocationSpec, i: int, prefix) -> float:
-        """Saturated limit of queue ``sigma[i]``'s rate at relabeled prefix state."""
-        prefix = tuple(int(c) for c in prefix)
-        if len(prefix) != self.prefix_len:
+    def value(self, spec: AllocationSpec, queue: int, u) -> float:
+        """Saturated limit of queue ``queue``'s rate with the prefix at ``u``."""
+        u = tuple(int(c) for c in u)
+        if len(u) != len(self.prefix):
             raise ValueError("prefix length mismatch")
-        if self.prefix_len == spec.n_queues:
-            # nothing saturated: plain relabeled evaluation
-            x = [0] * spec.n_queues
-            for k in range(spec.n_queues):
-                x[self.sigma[k]] = prefix[k]
-            return spec.rate(self.sigma[i], tuple(x))
-        key = (i, prefix)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         r = self.sat_level
-        prev = self._grid_min(spec, i, prefix, r)
-        for _ in range(self.max_escalations):
+        prev = self._grid_min(spec, queue, u, r)
+        for _ in range(MAX_ESCALATIONS):
             r = max(r + 1, math.ceil(r * self.growth_factor))
-            cur = self._grid_min(spec, i, prefix, r)
+            cur = self._grid_min(spec, queue, u, r)
             if abs(cur - prev) < self.limit_tol:
-                self._memo[key] = cur
                 return cur
             prev = cur
         raise SaturationNotConverged(
-            f"saturated limit for queue {self.sigma[i]} at prefix {prefix} did not "
-            f"stabilize within {self.limit_tol} after {self.max_escalations} escalations"
+            f"saturated limit for queue {queue} at prefix {self.prefix} = {u} did "
+            f"not stabilize within {self.limit_tol} after {MAX_ESCALATIONS} escalations"
         )
 
 
@@ -263,22 +237,22 @@ def _probe_box(dim: int, cap: int, budget: int = 256):
     return list(itertools.product(range(c + 1), repeat=dim))
 
 
-def lower_partial_limit(spec: AllocationSpec, ctx: SaturationContext, i: int, prefix) -> float:
-    """Worst-case limiting rate of queue ``sigma[i]`` with coordinates
-    ``sigma[prefix_len:]`` saturated, evaluated at the relabeled prefix state.
+def lower_partial_limit(spec: AllocationSpec, ctx: SaturationContext, queue: int, u) -> float:
+    """Worst-case limiting rate of queue ``queue`` with every queue outside
+    ``ctx.prefix`` saturated and the prefix queues at occupancies ``u``.
 
     Uses the allocation's analytic limit when available, otherwise the
     context's numeric escalation.
     """
-    prefix = tuple(int(c) for c in prefix)
+    u = tuple(int(c) for c in u)
     if spec.analytic_limits is not None:
-        v = spec.analytic_limits(ctx.sigma, ctx.prefix_len, i, prefix)
+        v = spec.analytic_limits(ctx.prefix, queue, u)
         if v is not None:
             v = float(v)
             if not (0.0 <= v <= spec.bound + _MONO_SLACK):
                 raise BoundViolation(f"analytic limit {v} outside [0, {spec.bound}]")
             return min(v, spec.bound)
-    return ctx.value(spec, i, prefix)
+    return ctx.value(spec, queue, u)
 
 
 @dataclass
@@ -404,42 +378,6 @@ def check_uniform_limits(
     )
 
 
-def relabel(spec: AllocationSpec, rates: ArrivalRates, sigma) -> tuple:
-    """Relabeled system: queue ``i`` of the result is queue ``sigma[i]`` of the
-    input, with states permuted to match.
-
-    Round trip with the inverse permutation is the identity pointwise.
-    """
-    sigma = tuple(sigma)
-    n = spec.n_queues
-    if sorted(sigma) != list(range(n)):
-        raise ValueError(f"sigma {sigma} is not a permutation of 0..{n - 1}")
-    rates = as_rates(rates)
-    inv = [0] * n
-    for k, j in enumerate(sigma):
-        inv[j] = k
-
-    def new_rate(i, x, _spec=spec, _sigma=sigma, _inv=tuple(inv)):
-        y = tuple(x[_inv[j]] for j in range(len(_inv)))
-        return _spec.rate(_sigma[i], y)
-
-    new_limits = None
-    if spec.analytic_limits is not None:
-        def new_limits(tau, m, i, prefix, _spec=spec, _sigma=sigma):
-            composed = tuple(_sigma[t] for t in tau)
-            return _spec.analytic_limits(composed, m, i, prefix)
-
-    new_spec = AllocationSpec(
-        n_queues=n,
-        rate_fn=new_rate,
-        bound=spec.bound,
-        analytic_limits=new_limits,
-        monotone_by_construction=spec.monotone_by_construction,
-    )
-    new_rates = ArrivalRates(tuple(rates[sigma[i]] for i in range(n)))
-    return new_spec, new_rates
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -457,8 +395,8 @@ def constant_allocation(mus) -> AllocationSpec:
     def rates(i, X, _mus=mus):
         return np.full(len(X), _mus[i])
 
-    def limits(sigma, n, i, prefix, _mus=mus):
-        return _mus[sigma[i]]
+    def limits(prefix, queue, u, _mus=mus):
+        return _mus[queue]
 
     return AllocationSpec(
         n_queues=len(mus), rate_fn=rate, bound=bound,
@@ -511,14 +449,9 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
     def rates(i, X, _v=by_mask, _w=1 << np.arange(n)):
         return _v[i][(X > 0) @ _w]
 
-    def limits(sigma, m, i, prefix, _t=tuple(norm), _n=n):
-        qi = sigma[i]
-        busy = set(sigma[m:])  # saturated coordinates are busy
-        busy.discard(qi)
-        for k in range(m):
-            if prefix[k] > 0 and sigma[k] != qi:
-                busy.add(sigma[k])
-        return _t[qi][frozenset(busy)]
+    def limits(prefix, queue, u, _t=tuple(norm), _n=n):
+        x = dict(zip(prefix, u))  # saturated queues are busy
+        return _t[queue][frozenset(j for j in range(_n) if j != queue and x.get(j, 1) > 0)]
 
     return AllocationSpec(
         n_queues=n, rate_fn=rate, bound=bound,
@@ -613,16 +546,11 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
             v = v * tab.at(X[:, j])
         return v
 
-    def limits(sigma, m, i, prefix, _g=tuple(gains), _f=tuple(inter)):
-        qi = sigma[i]
-        sat = set(sigma[m:])
-        pos = {sigma[k]: k for k in range(m)}
-        if qi in sat:
-            v = _g[qi][1]
-        else:
-            v = _g[qi][0](prefix[pos[qi]])
-        for j, (f, lim) in _f[qi].items():
-            v *= lim if j in sat else f(prefix[pos[j]])
+    def limits(prefix, queue, u, _g=tuple(gains), _f=tuple(inter)):
+        x = dict(zip(prefix, u))  # saturated queues take the factor limits
+        v = _g[queue][0](x[queue]) if queue in x else _g[queue][1]
+        for j, (f, lim) in _f[queue].items():
+            v *= f(x[j]) if j in x else lim
         return v
 
     return AllocationSpec(

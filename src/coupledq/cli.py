@@ -9,14 +9,13 @@ All configuration is explicit flags; no environment variables.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import math
 import sys
 from typing import Optional
 
-from .engine import StabilityEngine, SystemLabel, Tolerances
+from .engine import StabilityEngine, SystemLabel
 from .errors import CoupledQError, HypothesisViolated, NoConvergence, ScenarioError
 from .scenario import Scenario, builtin_scenario, resolve_scenario
 from .simulate import (
@@ -88,14 +87,10 @@ def _parse_grid(text: str, n: int):
 def _apply_overrides(scn: Scenario, args) -> Scenario:
     tol_kw = _parse_kv(getattr(args, "tol", None))
     if tol_kw:
-        valid = {f.name: f.type for f in dataclasses.fields(Tolerances)}
-        cast = {}
-        for k, v in tol_kw.items():
-            if k not in valid:
-                raise ScenarioError(f"unknown tolerance {k!r}")
-            current = getattr(scn.tolerances, k)
-            cast[k] = type(current)(float(v)) if isinstance(current, float) else int(v)
-        scn.tolerances = scn.tolerances.replace(**cast)
+        try:
+            scn.tolerances = scn.tolerances.replace(**tol_kw)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
     if getattr(args, "rates", None):
         scn.rates = _parse_rates(args.rates)
         if len(scn.rates) != scn.n_queues:

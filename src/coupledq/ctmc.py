@@ -31,7 +31,6 @@ from .allocation import as_rates
 from .errors import (
     BoundViolation,
     BoxTooLarge,
-    DivergentSeries,
     NoConvergence,
     SolveFailure,
 )
@@ -108,10 +107,6 @@ class TruncatedGenerator:
     @property
     def n_states(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def shape_box(self) -> tuple:
-        return tuple(t + 1 for t in self.box)
 
 
 def _box_tuple(box, dim) -> tuple:
@@ -266,42 +261,14 @@ class StationaryDistribution:
         if float(self.masses.min(initial=0.0)) < 0.0:
             raise SolveFailure("negative probability mass")
 
-    @property
-    def dim(self) -> int:
-        return len(self.box)
-
     def grid(self) -> np.ndarray:
         return self.masses.reshape(tuple(t + 1 for t in self.box))
 
     def states(self):
         return itertools.product(*(range(t + 1) for t in self.box))
 
-    def prob(self, state) -> float:
-        state = tuple(int(c) for c in state)
-        idx = 0
-        for c, t in zip(state, self.box):
-            if not 0 <= c <= t:
-                return 0.0
-            idx = idx * (t + 1) + c
-        return float(self.masses[idx])
-
     def expect(self, fn: Callable[[tuple], float]) -> float:
         return float(sum(fn(x) * m for x, m in zip(self.states(), self.masses.tolist())))
-
-    def marginal(self, i: int) -> np.ndarray:
-        g = self.grid()
-        axes = tuple(a for a in range(self.dim) if a != i)
-        return g.sum(axis=axes)
-
-    def dump_csv(self, fileobj) -> None:
-        fileobj.write(
-            f"# residual={self.residual:.6e} boundary_mass={self.boundary_mass:.6e}\n"
-        )
-        cols = ",".join(f"x_{k}" for k in range(self.dim))
-        fileobj.write(f"{cols},probability\n" if cols else "probability\n")
-        for x, m in zip(self.states(), self.masses.tolist()):
-            prefix = ",".join(str(c) for c in x)
-            fileobj.write(f"{prefix},{m:.17g}\n" if prefix else f"{m:.17g}\n")
 
 
 @dataclass
@@ -516,58 +483,3 @@ def adaptive_stationary(
             return dist, report  # flagged: boundary small but functionals unsettled
         prev = funcs
         t *= 2
-
-
-def stationary_1d_closed_form(
-    lam: float,
-    death_fn: Callable[[int], float],
-    cutoff: float = 1e-15,
-    max_terms: int = 2_000_000,
-    divergence_eps: float = 1e-9,
-) -> StationaryDistribution:
-    """Single-queue stationary law from the detailed-balance product formula.
-
-    Terms follow ``t(x) = t(x-1) * lam / death_fn(x)``; the series must pass a
-    ratio test (ratio below ``1 - divergence_eps`` beyond a probe index) and
-    is truncated once the geometric tail bound drops below ``cutoff``.
-    Intended as an independent oracle against the generator-based solver.
-    """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    terms = [1.0]
-    total = 1.0
-    bad_streak = 0
-    recent_ok = 0
-    x = 0
-    tail = 1.0
-    while True:
-        x += 1
-        d = float(death_fn(x))
-        if d <= 0 or not math.isfinite(d):
-            raise ValueError(f"death_fn({x}) = {d!r} must be strictly positive")
-        r = lam / d
-        t = terms[-1] * r
-        terms.append(t)
-        total += t
-        if x >= 64 and r >= 1.0 - divergence_eps:
-            bad_streak += 1
-            if bad_streak >= 16:
-                raise DivergentSeries(
-                    f"term ratio {r:.6g} at x={x} fails the ratio test"
-                )
-        else:
-            bad_streak = 0
-        recent_ok = recent_ok + 1 if r < 1.0 else 0
-        if x >= 64 and recent_ok >= 8:
-            tail = t * r / (1.0 - r)
-            if tail < cutoff * total:
-                break
-        if x >= max_terms:
-            raise DivergentSeries(f"series still unsettled after {max_terms} terms")
-    masses = np.asarray(terms) / total
-    # renormalize exactly after the float division
-    masses = masses / masses.sum()
-    return StationaryDistribution(
-        masses, (len(terms) - 1,), residual=0.0,
-        boundary_mass=float(tail / total),
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from enum import Enum
 from typing import Optional
 
@@ -62,9 +62,21 @@ class SystemLabel(str, Enum):
     HYPOTHESES_UNVERIFIED = "hypotheses-unverified"
 
 
+# smallest admissible value of each integer knob; every other knob is a
+# float that must be finite and positive (``growth``: above 1)
+_INT_FLOORS = {"sat_level": 1, "pd_box": 1, "start_box": 1, "state_cap": 1,
+               "permutation_cap": 1, "descent_steps": 0, "bounds_probe_cap": 0}
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    """All numeric knobs of the classification pipeline; everything explicit."""
+    """All numeric knobs of the classification pipeline; everything explicit.
+
+    Values are checked and normalized on construction: a number or numeric
+    string becomes a float, or an int for the integer knobs, and a value out
+    of range raises ``ValueError``.  ``pd_box`` may also be ``None`` (the
+    default box).
+    """
 
     margins_tol: float = 1e-4
     limit_tol: float = DEFAULT_LIMIT_TOL
@@ -80,8 +92,36 @@ class Tolerances:
     descent_steps: int = 20
     bounds_probe_cap: int = 8
 
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if v is None and f.name == "pd_box":
+                continue
+            try:
+                num = math.nan if isinstance(v, bool) else float(v)
+            except (TypeError, ValueError):
+                num = math.nan
+            floor = _INT_FLOORS.get(f.name)
+            if floor is None:
+                low = 1.0 if f.name == "growth" else 0.0
+                ok = math.isfinite(num) and num > low
+                need = f"a finite number above {low:g}"
+            else:
+                ok = num.is_integer() and num >= floor
+                need = f"an integer >= {floor}"
+            if not ok:
+                raise ValueError(f"tolerance {f.name} must be {need}, got {v!r}")
+            if floor is not None:
+                num = v if isinstance(v, int) else int(num)
+            object.__setattr__(self, f.name, num)
+
     def replace(self, **kw) -> "Tolerances":
+        """A copy with the given knobs changed; an unknown knob or a bad
+        value raises ``ValueError``."""
         data = asdict(self)
+        for k in kw:
+            if k not in data:
+                raise ValueError(f"unknown tolerance {k!r}")
         data.update(kw)
         return Tolerances(**data)
 
@@ -127,6 +167,17 @@ class QueueBounds:
 
 @dataclass
 class Certificate:
+    """The inequalities behind a verdict, each with both numeric sides.
+
+    ``sigma`` is the scanned permutation and ``n`` the depth of its stable
+    prefix.  ``stages`` hold the prefix inequalities ``lam < avg`` and
+    ``excess`` the saturated ones ``lam > avg``.  For a descent witness
+    (``witness_rates`` set), ``excess`` and ``witness_rates`` belong to the
+    witness point below the queried one, while ``stages`` keep the figures
+    of the scan at the queried point; :func:`verify_certificate` rechecks
+    both at the witness point.
+    """
+
     kind: str                       # "sequential" | "saturation-witness" | "envelope-bounds"
     sigma: Optional[tuple] = None
     n: Optional[int] = None
@@ -244,27 +295,20 @@ class StabilityEngine:
 
     # -- saturated limit plumbing ------------------------------------------
 
-    def _canon_sigma(self, prefix: frozenset) -> tuple:
-        rest = sorted(set(range(self.spec.n_queues)) - prefix)
-        return tuple(sorted(prefix)) + tuple(rest)
-
     def _ctx(self, prefix: frozenset) -> SaturationContext:
-        key = prefix
-        ctx = self._contexts.get(key)
+        ctx = self._contexts.get(prefix)
         if ctx is None:
             ctx = SaturationContext(
-                self._canon_sigma(prefix), len(prefix),
+                prefix,
                 sat_level=self.tol.sat_level,
                 growth_factor=self.tol.growth,
                 limit_tol=self.tol.limit_tol,
             )
-            self._contexts[key] = ctx
+            self._contexts[prefix] = ctx
         return ctx
 
-    def _ell(self, prefix: frozenset, queue: int, state) -> float:
-        ctx = self._ctx(prefix)
-        pos = ctx.sigma.index(queue)
-        return lower_partial_limit(self.spec, ctx, pos, state)
+    def _ell(self, prefix: frozenset, queue: int, u) -> float:
+        return lower_partial_limit(self.spec, self._ctx(prefix), queue, u)
 
     def _table(self, prefix: frozenset) -> LimitTable:
         table = self._tables.get(prefix)
@@ -470,13 +514,6 @@ class StabilityEngine:
             excess.append(StageRecord(pos, queue, rates[queue], lval.value,
                                       gap, lval.trustworthy))
         return excess
-
-    def check_unstable_at(self, rates, sigma, n: int,
-                          cache: Optional[_PointCache] = None) -> bool:
-        pd_ok, ul_ok, _ = self.structure()
-        if not (pd_ok and ul_ok):
-            return False
-        return self._unstable_at(rates, sigma, n, cache or _PointCache()) is not None
 
     # -- classification ---------------------------------------------------------
 

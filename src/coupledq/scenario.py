@@ -24,7 +24,6 @@ fixed at 1.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -172,16 +171,14 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     _require(isinstance(n, int) and n >= 1, "n_queues must be a positive integer")
     _require("allocation" in data, "scenario needs an allocation block")
 
-    tol_kw = {}
-    if "limit_tol" in data:
-        tol_kw["limit_tol"] = float(data["limit_tol"])
     tol_block = data.get("tolerances", {})
     _require(isinstance(tol_block, dict), "tolerances must be an object")
-    valid = {f.name for f in dataclasses.fields(Tolerances)}
-    for k, v in tol_block.items():
-        _require(k in valid, f"unknown tolerance {k!r}")
-        tol_kw[k] = type(getattr(Tolerances(), k))(v)
-    tolerances = Tolerances().replace(**tol_kw)
+    tol_kw = {"limit_tol": data["limit_tol"]} if "limit_tol" in data else {}
+    tol_kw.update(tol_block)
+    try:
+        tolerances = Tolerances().replace(**tol_kw)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
     spec = _build_allocation(n, data["allocation"], data.get("bound"))
 
@@ -293,27 +290,37 @@ def _mm1(params: dict) -> Scenario:
     )
 
 
+# name -> (factory, the parameter keys it reads)
 BUILTIN_SCENARIOS = {
-    "one_server_alpha": _one_server_alpha,
-    "two_basestations": _two_basestations,
-    "three_queues": _three_queues,
-    "mm1": _mm1,
+    "one_server_alpha": (_one_server_alpha, {"alpha", "lambda1", "lam"}),
+    "two_basestations": (_two_basestations,
+                         {"gamma", "form", "cap", "rates", "step", "hi"}),
+    "three_queues": (_three_queues, {"rates", "a1", "a2", "a3"} | {
+        f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}),
+    "mm1": (_mm1, {"lam", "mu"}),
 }
 
 
 def builtin_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     try:
-        factory = BUILTIN_SCENARIOS[name]
+        factory, keys = BUILTIN_SCENARIOS[name]
     except KeyError:
         raise ScenarioError(
             f"unknown built-in scenario {name!r}; available: "
             f"{', '.join(sorted(BUILTIN_SCENARIOS))}"
         ) from None
-    return factory(dict(params or {}))
+    params = dict(params or {})
+    unknown = set(params) - keys
+    _require(not unknown, f"unknown parameters {sorted(unknown)} for scenario "
+                          f"{name!r}; it reads {', '.join(sorted(keys))}")
+    return factory(params)
 
 
 def resolve_scenario(ref: str, params: Optional[dict] = None) -> Scenario:
-    """A built-in name, or a path to a JSON scenario file."""
+    """A built-in name, or a path to a JSON scenario file (which takes no
+    parameters)."""
     if ref in BUILTIN_SCENARIOS:
         return builtin_scenario(ref, params)
+    _require(not params, f"parameters {sorted(params or ())} apply to built-in "
+                         f"scenarios only, not to the file {ref!r}")
     return load_scenario(ref)

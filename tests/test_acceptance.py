@@ -23,11 +23,7 @@ from coupledq.allocation import (
     poly_interference,
     three_queue_table,
 )
-from coupledq.ctmc import (
-    build_truncated_generator,
-    solve_stationary,
-    stationary_1d_closed_form,
-)
+from coupledq.ctmc import build_truncated_generator, solve_stationary
 from coupledq.engine import Label, StabilityEngine, SystemLabel
 from coupledq.simulate import (
     empirical_stability_probe,
@@ -36,6 +32,7 @@ from coupledq.simulate import (
     simulate_path,
     _stream,
 )
+from oracles import prob, stationary_1d_closed_form
 
 
 pytestmark = pytest.mark.acceptance
@@ -96,7 +93,7 @@ def test_criterion_2_stage2_closed_form():
 
 def test_criterion_3_stage3_probabilities():
     spec = make_three_queue()
-    ctx = SaturationContext((0, 1, 2), 2)
+    ctx = SaturationContext((0, 1))
 
     def death(k, u):
         return lower_partial_limit(spec, ctx, k, u)
@@ -121,10 +118,10 @@ def test_criterion_3_stage3_probabilities():
 
 def test_criterion_4_corner_and_diagonal(bs_engine):
     spec = bs_engine.spec
-    ctx = SaturationContext((0, 1), 0)
+    ctx = SaturationContext(())
     corner_analytic = lower_partial_limit(spec, ctx, 0, ())
     blind = AllocationSpec(2, spec.rate_fn, spec.bound)
-    corner_numeric = lower_partial_limit(blind, SaturationContext((0, 1), 0), 0, ())
+    corner_numeric = lower_partial_limit(blind, SaturationContext(()), 0, ())
     corner_ok = abs(corner_analytic - 0.5) < 1e-9 and abs(corner_numeric - 0.5) < 1e-9
 
     last_stable = None
@@ -153,7 +150,7 @@ def _series_oracle_L12(lam1, gamma, family, cap=3.0):
     g, _ = log_gain(cap)
     h, _ = (exp_interference if family == "exp" else poly_interference)(gamma)
     dist = stationary_1d_closed_form(lam1, lambda x: g(x) / 6.0)
-    return cap * sum(h(x) * dist.prob((x,)) for x in range(dist.box[0] + 1))
+    return cap * sum(h(x) * prob(dist, (x,)) for x in range(dist.box[0] + 1))
 
 
 def test_criterion_5_curve_oracle_agreement():
@@ -197,7 +194,7 @@ def test_criterion_6_coupling_suite():
     two_hi = constant_allocation((1.0, 1.0))
     systems.append(((0.4, 0.5), two_lo, (0.6, 0.5), two_hi, (0, 0), (0, 0)))
     tq = make_three_queue()
-    ctx = SaturationContext((0, 1, 2), 2)
+    ctx = SaturationContext((0, 1))
     bound_spec = AllocationSpec(
         2, lambda k2, u: lower_partial_limit(tq, ctx, k2, u), bound=tq.bound
     )

@@ -16,13 +16,11 @@ from coupledq.allocation import (
     check_partially_decreasing,
     check_uniform_limits,
     constant_allocation,
-    evaluate,
     exp_interference,
     log_gain,
     lower_partial_limit,
     one_server_power_law,
     poly_interference,
-    relabel,
     three_queue_table,
 )
 from coupledq.errors import (
@@ -31,6 +29,7 @@ from coupledq.errors import (
     NoUniformLimit,
     SaturationNotConverged,
 )
+from oracles import relabel
 
 
 def make_three_queue(a=(3.0, 3.0, 3.0), a_pair_val=2.0, **over):
@@ -48,36 +47,36 @@ def strip_analytic(spec):
 
 def test_constant_evaluate():
     spec = constant_allocation((1.0, 2.0))
-    assert evaluate(spec, 1, (5, 0)) == 2.0
-    assert evaluate(spec, 0, (0, 0)) == 1.0
+    assert spec.rate(1, (5, 0)) == 2.0
+    assert spec.rate(0, (0, 0)) == 1.0
 
 
 def test_three_queue_case_table():
     spec = make_three_queue(a=(3.0, 3.0, 3.0), a_pair_val=2.0)
     # queue 3 with queue 1 busy and queue 2 empty serves at the pairwise rate
-    assert evaluate(spec, 2, (1, 0, 7)) == 2.0
+    assert spec.rate(2, (1, 0, 7)) == 2.0
     # both others busy: unit rate
-    assert evaluate(spec, 2, (1, 1, 7)) == 1.0
+    assert spec.rate(2, (1, 1, 7)) == 1.0
     # both others empty: solo rate
-    assert evaluate(spec, 2, (0, 0, 7)) == 3.0
+    assert spec.rate(2, (0, 0, 7)) == 3.0
 
 
 def test_product_zero_gain_at_empty():
     spec = base_station_pair(0.7)
     for x2 in (0, 3, 50):
-        assert evaluate(spec, 0, (0, x2)) == 0.0
+        assert spec.rate(0, (0, x2)) == 0.0
 
 
 def test_bound_violation_is_hard_error():
     bad = AllocationSpec(1, lambda i, x: -0.5, bound=1.0)
     with pytest.raises(BoundViolation):
-        evaluate(bad, 0, (0,))
+        bad.rate(0, (0,))
     over = AllocationSpec(1, lambda i, x: 2.0, bound=1.0)
     with pytest.raises(BoundViolation):
-        evaluate(over, 0, (3,))
+        over.rate(0, (3,))
     nan = AllocationSpec(1, lambda i, x: float("nan"), bound=1.0)
     with pytest.raises(BoundViolation):
-        evaluate(nan, 0, (3,))
+        nan.rate(0, (3,))
 
 
 def test_evaluation_is_memoized_and_deterministic():
@@ -188,39 +187,40 @@ def case_table_saturated_q2(spec, x1):
 
 def test_lower_partial_limit_three_queue():
     spec = make_three_queue(a_pair_val=2.0)
-    ctx = SaturationContext((0, 1, 2), 1)
+    ctx = SaturationContext((0,))
     assert lower_partial_limit(spec, ctx, 1, (0,)) == case_table_saturated_q2(spec, 0) == 2.0
     for x1 in (1, 2, 9):
         assert lower_partial_limit(spec, ctx, 1, (x1,)) == case_table_saturated_q2(spec, x1) == 1.0
 
 
 def test_lower_partial_limit_numeric_matches_analytic():
-    spec = make_three_queue()
+    # asymmetric rates, so a limit read for the wrong queue shows
+    spec = three_queue_table((3.0, 2.5, 2.2), {(0, 1): 2.5, (0, 2): 2.0, (1, 0): 1.5,
+                                               (1, 2): 2.0, (2, 0): 1.2, (2, 1): 1.8})
     blind = strip_analytic(spec)
-    for sigma in ((0, 1, 2), (2, 0, 1)):
-        for n in (0, 1, 2):
-            ctx_a = SaturationContext(sigma, n)
-            ctx_b = SaturationContext(sigma, n)
-            for i in range(3):
-                for prefix in itertools.product(range(3), repeat=n):
-                    va = lower_partial_limit(spec, ctx_a, i, prefix)
-                    vb = lower_partial_limit(blind, ctx_b, i, prefix)
+    for m in range(4):
+        for prefix in itertools.combinations(range(3), m):
+            ctx = SaturationContext(prefix)
+            for queue in range(3):
+                for u in itertools.product(range(3), repeat=m):
+                    va = lower_partial_limit(spec, ctx, queue, u)
+                    vb = lower_partial_limit(blind, ctx, queue, u)
                     assert va == pytest.approx(vb, abs=1e-9)
 
 
 def test_lower_partial_limit_product_analytic():
     spec = base_station_pair(2.0)
-    ctx = SaturationContext((0, 1), 1)
+    ctx = SaturationContext((0,))
     h = exp_interference(2.0)[0]
     for x1 in range(6):
         assert lower_partial_limit(spec, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-12)
-    ctx0 = SaturationContext((0, 1), 0)
+    ctx0 = SaturationContext(())
     assert lower_partial_limit(spec, ctx0, 0, ()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_lower_partial_limit_product_numeric_route():
     blind = strip_analytic(base_station_pair(2.0))
-    ctx = SaturationContext((0, 1), 1)
+    ctx = SaturationContext((0,))
     h = exp_interference(2.0)[0]
     for x1 in (0, 1, 4):
         assert lower_partial_limit(blind, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-7)
@@ -228,20 +228,20 @@ def test_lower_partial_limit_product_numeric_route():
 
 def test_lower_partial_limit_constant_n0():
     spec = constant_allocation((0.7, 1.3))
-    ctx = SaturationContext((0, 1), 0)
+    ctx = SaturationContext(())
     assert lower_partial_limit(spec, ctx, 1, ()) == 1.3
 
 
 def test_power_law_numeric_limit_is_one():
     spec = one_server_power_law(2.0)
-    ctx = SaturationContext((0,), 0)
+    ctx = SaturationContext(())
     assert lower_partial_limit(spec, ctx, 0, ()) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_saturation_not_converged_for_slow_tail():
     # 1/log decay stabilizes far too slowly for the default tolerance
     spec = AllocationSpec(1, lambda i, x: 1.0 + 1.0 / math.log(x[0] + 2.0), bound=3.0)
-    ctx = SaturationContext((0,), 0, max_escalations=12)
+    ctx = SaturationContext(())
     with pytest.raises(SaturationNotConverged):
         lower_partial_limit(spec, ctx, 0, ())
 
@@ -250,8 +250,8 @@ def test_prefix_consistency_inequality():
     # dropping one coordinate from the saturated set can only lower the limit
     spec = make_three_queue()
     tol = 1e-9
-    ctx1 = SaturationContext((0, 1, 2), 1)
-    ctx2 = SaturationContext((0, 1, 2), 2)
+    ctx1 = SaturationContext((0,))
+    ctx2 = SaturationContext((0, 1))
     for i in range(3):
         for x1 in range(4):
             v1 = lower_partial_limit(spec, ctx1, i, (x1,))
@@ -262,7 +262,7 @@ def test_prefix_consistency_inequality():
 
 def test_saturated_limits_inherit_partial_monotonicity():
     spec = make_three_queue()
-    ctx = SaturationContext((0, 1, 2), 2)
+    ctx = SaturationContext((0, 1))
     cap = 6
     for i in range(3):
         for x in itertools.product(range(cap + 1), repeat=2):
@@ -318,14 +318,14 @@ def test_relabel_transports_analytic_limits():
     sigma = (1, 2, 0)
     spec2, _ = relabel(spec, ArrivalRates((0.1, 0.2, 0.3)), sigma)
     blind2 = strip_analytic(spec2)
-    for n in (0, 1, 2):
-        ctx_a = SaturationContext((0, 1, 2), n)
-        ctx_b = SaturationContext((0, 1, 2), n)
-        for i in range(3):
-            for prefix in itertools.product(range(2), repeat=n):
-                assert lower_partial_limit(spec2, ctx_a, i, prefix) == pytest.approx(
-                    lower_partial_limit(blind2, ctx_b, i, prefix), abs=1e-9
-                )
+    for m in range(4):
+        for prefix in itertools.combinations(range(3), m):
+            ctx = SaturationContext(prefix)
+            for queue in range(3):
+                for u in itertools.product(range(2), repeat=m):
+                    assert lower_partial_limit(spec2, ctx, queue, u) == pytest.approx(
+                        lower_partial_limit(blind2, ctx, queue, u), abs=1e-9
+                    )
 
 
 # -- product builder ---------------------------------------------------------------
@@ -335,8 +335,8 @@ def test_product_constant_degenerate():
         gains=[(lambda x: 1.0, 1.0)] * 2,
         interference=[{1: (lambda t: 0.7, 0.7)}, {0: (lambda t: 1.3, 1.3)}],
     )
-    assert evaluate(spec, 0, (4, 9)) == pytest.approx(0.7)
-    assert evaluate(spec, 1, (4, 9)) == pytest.approx(1.3)
+    assert spec.rate(0, (4, 9)) == pytest.approx(0.7)
+    assert spec.rate(1, (4, 9)) == pytest.approx(1.3)
 
 
 def test_product_evaluates_exactly():
@@ -345,8 +345,8 @@ def test_product_evaluates_exactly():
     h, _ = exp_interference(gamma)
     spec = base_station_pair(gamma)
     for x in itertools.product(range(8), repeat=2):
-        assert evaluate(spec, 0, x) == g(x[0]) * h(x[1])
-        assert evaluate(spec, 1, x) == g(x[1]) * h(x[0])
+        assert spec.rate(0, x) == g(x[0]) * h(x[1])
+        assert spec.rate(1, x) == g(x[1]) * h(x[0])
 
 
 def test_product_structure_gates_pass():
@@ -357,7 +357,7 @@ def test_product_structure_gates_pass():
 
 def test_product_corner_value():
     spec = base_station_pair(2.0)
-    ctx = SaturationContext((0, 1), 0)
+    ctx = SaturationContext(())
     for i in range(2):
         assert lower_partial_limit(spec, ctx, i, ()) == pytest.approx(0.5, abs=1e-12)
 

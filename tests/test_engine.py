@@ -16,7 +16,6 @@ from coupledq.allocation import (
     constant_allocation,
     lower_partial_limit,
     one_server_power_law,
-    relabel,
     three_queue_table,
 )
 from coupledq.engine import (
@@ -24,11 +23,13 @@ from coupledq.engine import (
     StabilityEngine,
     SystemLabel,
     Tolerances,
+    _PointCache,
     region_label,
     verify_certificate,
 )
 from coupledq.ctmc import adaptive_stationary
 from coupledq.errors import PermutationCapExceeded
+from oracles import relabel
 
 
 def make_three_queue(a23=2.0):
@@ -95,20 +96,28 @@ def test_sequential_chain_stops_at_failure(tq_engine):
 
 # -- saturation witnesses ---------------------------------------------------------------
 
+def unstable_at(engine, rates, sigma, n):
+    """Whether ``classify``'s saturation witness test holds for the first
+    ``n`` queues of ``sigma``; the structure gate it sits behind must pass."""
+    pd_ok, ul_ok, _ = engine.structure()
+    assert pd_ok and ul_ok
+    return engine._unstable_at(rates, sigma, n, _PointCache()) is not None
+
+
 def test_unstable_single_queue_at_zero_prefix():
     eng = StabilityEngine(constant_allocation((1.0,)))
-    assert eng.check_unstable_at((1.3,), (0,), 0) is True
-    assert eng.check_unstable_at((0.7,), (0,), 0) is False
+    assert unstable_at(eng, (1.3,), (0,), 0) is True
+    assert unstable_at(eng, (0.7,), (0,), 0) is False
 
 
 def test_unstable_deep_point(bs_engine):
-    assert bs_engine.check_unstable_at((2.9, 2.9), (0, 1), 0) is True
+    assert unstable_at(bs_engine, (2.9, 2.9), (0, 1), 0) is True
 
 
 def test_stable_point_never_witnesses(bs_engine):
     for n in (0, 1):
         for sigma in ((0, 1), (1, 0)):
-            assert bs_engine.check_unstable_at((0.3, 0.3), sigma, n) is False
+            assert unstable_at(bs_engine, (0.3, 0.3), sigma, n) is False
 
 
 # -- full classification ---------------------------------------------------------------
@@ -345,7 +354,7 @@ def test_prefix_law_matches_hand_built_saturated_pair(tq_engine):
     # reference: the generator built from per-state saturated-limit callbacks
     spec = tq_engine.spec
     rates = (0.5, 1.2, 0.3)
-    ctx = SaturationContext((0, 1, 2), 2)
+    ctx = SaturationContext((0, 1))
     ref, ref_report = adaptive_stationary(
         rates[:2], lambda k, u: lower_partial_limit(spec, ctx, k, u),
         death_bound=spec.bound,

@@ -2,10 +2,10 @@
 
 import itertools
 import json
+import pathlib
 
 import pytest
 
-from coupledq.allocation import ArrivalRates, relabel
 from coupledq.cli import main
 from coupledq.engine import StabilityEngine
 from coupledq.errors import ScenarioError
@@ -140,6 +140,25 @@ def test_builtin_params():
     assert scn.grid is not None
 
 
+def test_params_nothing_reads_are_rejected(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="gama"):
+        builtin_scenario("two_basestations", {"gama": 0.01})
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(PRODUCT_DOC))
+    with pytest.raises(ScenarioError, match="built-in scenarios only"):
+        resolve_scenario(str(path), {"gamma": 1.0})
+    assert resolve_scenario(str(path), {}).rates == (0.3, 0.4)
+
+    analyze = ["analyze", "--rates", "0.3,0.4"]
+    assert main(analyze + ["--scenario", "two_basestations", "--param", "gama=0.01"]) == 64
+    assert "gama" in capsys.readouterr().err
+    assert main(analyze + ["--scenario", str(path), "--param", "gamma=0.01"]) == 64
+    assert "built-in scenarios only" in capsys.readouterr().err
+    pair = ["couple-check", "--scenario", "mm1", "--scenario-y", "mm1", "--events", "50"]
+    assert main(pair + ["--param", "mu=2"]) == 0
+    assert main(pair + ["--param", "nu=2"]) == 64
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_analyze_exit_codes(capsys):
@@ -160,6 +179,47 @@ def test_cli_malformed_scenario_exit_64(tmp_path, capsys):
 
 def test_cli_missing_scenario_exit_64(capsys):
     assert main(["analyze", "--rates", "0.5"]) == 64
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("cli", "margins_tol", "-1"),       # once scanned into a critical prefix
+    ("cli", "growth", "1.0"),
+    ("cli", "growth", "0.5"),
+    ("cli", "start_box", "1.5"),
+    ("cli", "pd_box", "0"),
+    ("cli", "tail_tol", "nan"),
+    ("cli", "limit_tol", "inf"),
+    ("cli", "sat_level", "0"),
+    ("cli", "state_cap", "many"),
+    ("cli", "permutation_cap", "0"),
+    ("cli", "descent_steps", "-1"),
+    ("cli", "bounds_probe_cap", "-2"),
+    ("file", "pd_box", 0),
+    ("file", "pd_box", 2.5),
+    ("file", "start_box", None),
+    ("file", "residual_tol", -1e-10),
+    ("file", "limit_tol", "tight"),
+])
+def test_cli_rejects_bad_tolerances(where, key, value, tmp_path, capsys, deadline):
+    if where == "cli":
+        argv = ["analyze", "--scenario", "two_basestations", "--rates", "0.5,0.5",
+                "--tol", f"{key}={value}"]
+    else:
+        doc = dict(PRODUCT_DOC, tolerances={key: value})
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        argv = ["analyze", "--scenario", str(path)]
+    with deadline(30):
+        assert main(argv) == 64
+    assert f"tolerance {key} must be" in capsys.readouterr().err
+
+
+def test_pd_box_from_a_scenario_file(tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(dict(PRODUCT_DOC, tolerances={"pd_box": 8})))
+    assert main(["analyze", "--scenario", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdict"]["tolerances"]["pd_box"] == 8
 
 
 def test_cli_simulate_rejects_zero_replicas(capsys):
@@ -216,6 +276,17 @@ def test_cli_sweep_csv_and_svg_deterministic(tmp_path, capsys):
     for code in PALETTE.values():
         pass  # palette must exist with fixed colors
     assert PALETTE["S"] == "#4caf50"
+
+
+def test_cli_sweep_matches_benchmark_region_map(tmp_path):
+    # every label and 9-digit margin of the 14 x 14 base-station grid
+    ref = pathlib.Path(__file__).parents[1] / "perfbench" / "refs" / "sweep_2q.csv"
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--scenario", "two_basestations", "--param", "gamma=2.0",
+        "--grid", "0.1:1.4:0.1", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_cli_sweep_single_point(tmp_path):

@@ -124,7 +124,7 @@ def test_coupled_mm1_pair_preserves_order():
 def test_coupled_three_queue_vs_saturated_bound():
     # full system below its two-queue saturated bound on the compared prefix
     spec = make_three_queue()
-    ctx = SaturationContext((0, 1, 2), 2)
+    ctx = SaturationContext((0, 1))
 
     def bound_rate(k, u):
         return lower_partial_limit(spec, ctx, k, u)
