@@ -61,9 +61,12 @@ def _positive_float(text: str) -> float:
 
 def _parse_rates(text: str) -> tuple:
     try:
-        return tuple(float(v) for v in text.split(","))
+        rates = tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ScenarioError(f"bad rate list {text!r}") from None
+    if not all(math.isfinite(r) and r > 0 for r in rates):
+        raise ScenarioError(f"rates must be positive and finite, got {text!r}")
+    return rates
 
 
 def _parse_grid(text: str, n: int):

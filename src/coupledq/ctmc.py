@@ -3,7 +3,8 @@
 State spaces are boxes ``{0..T_1} x ... x {0..T_n}``; births are suppressed on
 the upper face (reflecting truncation), which keeps the generator conservative
 and biases mass inward where the boundary-mass certificate can see it.
-Generators are assembled straight into canonical CSR.
+A generator keeps its death rates as an array; its canonical CSR matrix is
+assembled from them on first use and cached.
 
 Stationary distributions come from ``solve_stationary``.  A 1-D chain (every
 saturated prefix of one queue) is reversible, so its law follows exactly from
@@ -11,12 +12,16 @@ detailed balance, computed in log space from the top of the box; a chain of
 two or more dimensions gets a sparse LU solve grounded at one state.  Each
 result must pass the same residual check, and a failure falls through to the
 grounded LU solve and then to a uniformized power iteration that polishes the
-best candidate.  ``adaptive_stationary`` doubles the box until the tail is
-certified; the engine builds every saturated prefix law through it.
+best candidate.  A 1-D chain's residual comes from a three-term recurrence on
+its death array, so a detailed-balance law that passes never assembles the
+matrix; only the LU solves and the polish read it.  ``adaptive_stationary``
+doubles the box until the tail is certified; the engine builds every saturated
+prefix law through it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -93,20 +98,28 @@ Deaths = Union[DeathFn, TabulatedDeaths]
 
 @dataclass(eq=False)
 class TruncatedGenerator:
-    """Conservative rate matrix of a truncated multiclass birth-death chain."""
+    """Conservative rate matrix of a truncated multiclass birth-death chain.
+
+    The chain is held as its birth rates and death array; ``matrix``, the
+    canonical CSR generator, is assembled from them on first access and then
+    cached, so a solve that never reads it never pays for it.
+    """
 
     dim: int
     box: tuple
     birth_rates: tuple
     death_bound: float
     uniformization_constant: float
-    matrix: sp.csr_matrix
     death_values: np.ndarray      # (n_states, dim), zero where x_i = 0
     boundary_mask: np.ndarray     # bool, any coordinate at its cap
 
     @property
     def n_states(self) -> int:
-        return self.matrix.shape[0]
+        return self.death_values.shape[0]
+
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        return _assemble_csr(self.box, self.birth_rates, self.death_values)
 
 
 def _box_tuple(box, dim) -> tuple:
@@ -148,18 +161,32 @@ def _death_array(deaths: Deaths, coords: np.ndarray, busy: np.ndarray,
     return _tabulate(deaths, range(len(box)), coords, busy)
 
 
-def _assemble_csr(shape: tuple, rates, up: np.ndarray, down: np.ndarray,
-                  death_values: np.ndarray, out_rate: np.ndarray) -> sp.csr_matrix:
+def _out_rate(rates, up: np.ndarray, death_values: np.ndarray) -> np.ndarray:
+    """Each state's exit rate: its births, then its deaths, summed in
+    coordinate order; that order fixes the rounding of the diagonal."""
+    out = np.zeros(death_values.shape[0])
+    for i in range(len(rates)):
+        out += np.where(up[:, i], rates[i], 0.0)
+    for i in range(len(rates)):
+        out += death_values[:, i]
+    return out
+
+
+def _assemble_csr(box: tuple, rates, death_values: np.ndarray) -> sp.csr_matrix:
     """Canonical CSR of the generator, written row by row in column order.
 
     Strides strictly decrease along the coordinates (every side has at least
     two states), so each row's columns ascend as deaths along coordinate
     ``0, 1, ..., dim-1``, the diagonal, then births along ``dim-1, ..., 0``.
-    Births sit wherever ``up`` holds, deaths wherever ``down`` holds.  The
-    index dtype is the one scipy picks: int32 while it holds every index and
-    the entry count, int64 beyond.
+    Births sit below the upper face, deaths wherever the rate is positive.
+    The index dtype is the one scipy picks: int32 while it holds every index
+    and the entry count, int64 beyond.
     """
     count, dim = death_values.shape
+    shape = tuple(t + 1 for t in box)
+    up = _state_coords(shape) < np.asarray(box)
+    down = death_values > 0.0
+    out_rate = _out_rate(rates, up, death_values)
     strides = [math.prod(shape[i + 1:]) for i in range(dim)]
     nnz = count + int(np.count_nonzero(up)) + int(np.count_nonzero(down))
     idx_dtype = np.int32 if max(nnz, count) <= np.iinfo(np.int32).max else np.int64
@@ -221,16 +248,6 @@ def build_truncated_generator(
             f"outside [0, {death_bound}]"
         )
 
-    # Each state's exit rate sums its births, then its deaths, in coordinate
-    # order; that order fixes the rounding of the diagonal.
-    up = coords < np.asarray(box)
-    down = death_values > 0.0
-    out_rate = np.zeros(count)
-    for i in range(dim):
-        out_rate += np.where(up[:, i], rates[i], 0.0)
-    for i in range(dim):
-        out_rate += death_values[:, i]
-    matrix = _assemble_csr(shape, rates, up, down, death_values, out_rate)
     boundary_mask = (coords == np.asarray(box)).any(axis=1)
     uniformization = sum(rates) + dim * death_bound
     return TruncatedGenerator(
@@ -239,7 +256,6 @@ def build_truncated_generator(
         birth_rates=tuple(rates),
         death_bound=death_bound,
         uniformization_constant=uniformization,
-        matrix=matrix,
         death_values=death_values,
         boundary_mask=boundary_mask,
     )
@@ -333,6 +349,28 @@ def _power_polish(matrix: sp.csr_matrix, pi: np.ndarray, lam: float,
     return pi, residual, sweeps
 
 
+def _flux_1d(gen: TruncatedGenerator, pi: np.ndarray) -> np.ndarray:
+    """``pi Q`` of a 1-D chain from its death array, bit for bit what
+    ``gen.matrix.T @ pi`` returns: scipy's CSC matvec adds the entries of
+    column ``i`` of ``Q`` in row order, so ``y[i]`` is the birth from
+    ``i-1``, then the diagonal, then the death from ``i+1``."""
+    lam, mu = gen.birth_rates[0], gen.death_values[:, 0]
+    up = np.ones((len(pi), 1), dtype=bool)
+    up[-1] = False
+    out = _out_rate(gen.birth_rates, up, gen.death_values)
+    y = np.zeros(len(pi))
+    y[1:] = lam * pi[:-1]
+    y += (-out) * pi
+    y[:-1] += mu[1:] * pi[1:]
+    return y
+
+
+def _residual(gen: TruncatedGenerator, pi: np.ndarray) -> float:
+    """``max |pi Q|``; a 1-D chain never needs its matrix for it."""
+    flux = _flux_1d(gen, pi) if gen.dim == 1 else gen.matrix.T @ pi
+    return float(np.abs(flux).max())
+
+
 def _detailed_balance_1d(gen: TruncatedGenerator) -> np.ndarray:
     """Unnormalized law of a 1-D chain from detailed balance
     ``w[k] lam = w[k+1] mu[k+1]``, run down from the top of the box in log
@@ -388,7 +426,7 @@ def solve_stationary(gen: TruncatedGenerator,
         if not math.isfinite(total) or total <= 0:
             return None, math.inf
         vec = vec / total
-        return vec, float(np.abs(gen.matrix.T @ vec).max())
+        return vec, _residual(gen, vec)
 
     pi, residual = None, math.inf
     for raw in _direct_candidates(gen):

@@ -313,7 +313,10 @@ def builtin_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     unknown = set(params) - keys
     _require(not unknown, f"unknown parameters {sorted(unknown)} for scenario "
                           f"{name!r}; it reads {', '.join(sorted(keys))}")
-    return factory(params)
+    try:
+        return factory(params)
+    except (ValueError, TypeError) as exc:
+        raise ScenarioError(f"scenario {name!r}: {exc}") from None
 
 
 def resolve_scenario(ref: str, params: Optional[dict] = None) -> Scenario:

@@ -379,8 +379,11 @@ def test_1d_solve_falls_back_to_grounded_lu(bad, monkeypatch):
     gen = build_truncated_generator((0.6,), lambda i, x: 1.0, (100,), death_bound=1.0)
     count = gen.n_states
     if bad == "zero-birth":
-        # the detailed-balance route reads this rate; the LU route, the matrix
-        dist = solve_stationary(dataclasses.replace(gen, birth_rates=(0.0,)))
+        # detailed balance divides by the birth rate: lam = 0 gives a
+        # non-finite law; the matrix is built from the same zero rate
+        gen = dataclasses.replace(gen, birth_rates=(0.0,))
+        assert not np.isfinite(ctmc._detailed_balance_1d(gen)).all()
+        dist = solve_stationary(gen)
     else:
         fake = np.full(count, math.nan) if bad == "nan" else np.ones(count)
         monkeypatch.setattr(ctmc, "_detailed_balance_1d", lambda g: fake)
@@ -388,6 +391,86 @@ def test_1d_solve_falls_back_to_grounded_lu(bad, monkeypatch):
     ref, residual = _grounded_lu(gen, 0)
     assert np.array_equal(dist.masses, ref)
     assert dist.residual == residual <= DEFAULT_RESIDUAL_TOL
+
+
+def _random_1d_chain(rng):
+    """A 1-D generator with random rates: sides from 1 up, interior zero
+    and subnormal deaths mixed in."""
+    side = int(rng.choice([1, 2, 3, int(rng.integers(4, 300))]))
+    lam = float(rng.uniform(0.05, 3.0))
+    deaths = rng.uniform(0.0, 2.0, side + 1)
+    kinds = rng.random(side + 1)
+    deaths[kinds < 0.1] = 0.0
+    deaths[(kinds >= 0.1) & (kinds < 0.2)] = 5e-324
+    table = deaths.tolist()
+    return build_truncated_generator((lam,), lambda i, x: table[x[0]], (side,),
+                                     death_bound=2.0)
+
+
+def _probe_vectors(gen, rng):
+    """Normalized vectors to apply ``Q`` to: the detailed-balance law (where
+    finite), a random law and a law peaked on one state."""
+    count = gen.n_states
+    raw = [ctmc._detailed_balance_1d(gen), rng.random(count)]
+    peaked = np.full(count, 1e-300)
+    peaked[int(rng.integers(count))] = 1.0
+    raw.append(peaked)
+    for vec in raw:
+        vec = np.maximum(vec, 0.0)
+        total = vec.sum()
+        if math.isfinite(total) and total > 0:
+            yield vec / total
+
+
+def test_1d_flux_matches_csr_matvec_bit_for_bit():
+    # the CSR matvec stays the oracle for the 1-D recurrence
+    rng = np.random.default_rng(20101)
+    checked = 0
+    for _ in range(400):
+        gen = _random_1d_chain(rng)
+        for vec in _probe_vectors(gen, rng):
+            want = gen.matrix.T @ vec
+            got = ctmc._flux_1d(gen, vec)
+            assert np.array_equal(got, want)
+            assert (ctmc._residual(gen, vec).hex()
+                    == float(np.abs(want).max()).hex())
+            checked += 1
+    assert checked > 1000
+
+
+def _count_assemblies(monkeypatch):
+    calls = []
+    real = ctmc._assemble_csr
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(ctmc, "_assemble_csr", counting)
+    return calls
+
+
+def test_certified_1d_solve_never_assembles_csr(monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    gen = build_truncated_generator((0.5,), lambda i, x: 1.0, (40,), death_bound=1.0)
+    assert gen.n_states == 41 and not calls
+    _, report = adaptive_stationary((0.9,), lambda i, x: 1.0, death_bound=1.0)
+    assert report.certified and len(report.history) > 1
+    assert calls == []
+
+
+def test_lu_and_2d_solves_assemble_once_per_box(monkeypatch):
+    calls = _count_assemblies(monkeypatch)
+    _, report = adaptive_stationary((0.5, 0.4), lambda i, x: 1.0, death_bound=1.0)
+    assert report.certified
+    assert calls == report.boxes_tried
+
+    del calls[:]
+    monkeypatch.setattr(ctmc, "_detailed_balance_1d",
+                        lambda g: np.full(g.n_states, math.nan))
+    _, report = adaptive_stationary((0.9,), lambda i, x: 1.0, death_bound=1.0)
+    assert report.certified
+    assert calls == report.boxes_tried
 
 
 # -- adaptive escalation ---------------------------------------------------------

@@ -159,6 +159,36 @@ def test_params_nothing_reads_are_rejected(tmp_path, capsys):
     assert main(pair + ["--param", "nu=2"]) == 64
 
 
+@pytest.mark.parametrize("scenario, param, value, rates, message", [
+    ("two_basestations", "form", "bogus", "0.5,0.5", "unknown interference form"),
+    ("mm1", "mu", -1.0, "0.5", "service rates must be finite"),
+    ("two_basestations", "rates", 0.5, "0.5,0.5", "'two_basestations'"),
+])
+def test_param_the_factory_rejects_exit_64(scenario, param, value, rates, message,
+                                           capsys):
+    with pytest.raises(ScenarioError, match=message):
+        builtin_scenario(scenario, {param: value})
+    argv = ["analyze", "--scenario", scenario, "--param", f"{param}={value}",
+            "--rates", rates]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert "scenario error" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "three-queues", "simulate"])
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+def test_cli_rejects_rates_not_positive_and_finite(command, bad, capsys, deadline):
+    if command == "three-queues":
+        argv = [command, "--rates", f"0.5,{bad},0.3"]
+    else:
+        argv = [command, "--scenario", "two_basestations", "--rates", f"0.5,{bad}"]
+    if command == "simulate":
+        argv += ["--horizon", "10", "--replicas", "1"]
+    with deadline(5.0):
+        assert main(argv) == 64
+    assert "rates must be positive and finite" in capsys.readouterr().err
+
+
 # -- CLI ------------------------------------------------------------------------
 
 def test_cli_analyze_exit_codes(capsys):
