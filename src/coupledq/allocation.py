@@ -76,9 +76,9 @@ class AllocationSpec:
     """A family of bounded service-rate functions on Z_+^N.
 
     ``rate_fn(i, x)`` must be deterministic and stay in ``[0, bound]``; every
-    evaluation is validated and memoized (determinism makes the memo sound).
-    Instances are treated as immutable after construction and are safe to
-    share across concurrent evaluations under the GIL.
+    evaluation is validated, and none is cached.  Instances are treated as
+    immutable after construction and are safe to share across concurrent
+    evaluations under the GIL.
 
     ``analytic_limits(prefix, queue, u)`` optionally returns the saturated
     limit of queue ``queue``'s rate when every queue outside ``prefix`` is at
@@ -88,6 +88,8 @@ class AllocationSpec:
 
     The builders also give the spec an array form of ``rate_fn`` that
     :meth:`rates_at` uses; any other spec is evaluated there row by row.
+    The structure gates and the engine's envelope bounds evaluate whole
+    boxes of states through :meth:`rates_at`.
     """
 
     n_queues: int
@@ -95,7 +97,6 @@ class AllocationSpec:
     bound: float
     analytic_limits: Optional[LimitFn] = None
     monotone_by_construction: bool = False
-    _memo: dict = field(default_factory=dict, repr=False)
     _array_fn: Optional[ArrayRateFn] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -105,15 +106,11 @@ class AllocationSpec:
             raise ValueError("bound must be a positive finite real")
 
     def rate(self, i: int, x: State) -> float:
-        """Validated, memoized rate of queue ``i`` at state ``x``."""
-        key = (i, x)
-        v = self._memo.get(key)
-        if v is None:
-            v = self.rate_unmemoized(i, x)
-            self._memo[key] = v
-        return v
+        """Validated rate of queue ``i`` at state ``x``."""
+        return self.rate_unmemoized(i, x)
 
     def rate_unmemoized(self, i: int, x: State) -> float:
+        """The one scalar evaluation; :meth:`rate` is its public name."""
         v = float(self.rate_fn(i, x))
         if not math.isfinite(v) or v < 0.0 or v > self.bound:
             raise self._out_of_range(i, x, v)
@@ -150,11 +147,17 @@ class AllocationSpec:
 
 
 class _FactorTable:
-    """Values ``f(0), f(1), ...`` of a one-coordinate factor, filled on demand."""
+    """Values ``f(0), f(1), ...`` of a one-coordinate factor, filled on demand.
+
+    A fill at most doubles the table: entries further past its end, such as
+    the saturation levels of the uniform-limit check, are evaluated one by
+    one, until those calls have cost as much as filling up to them would.
+    """
 
     def __init__(self, f: Callable[[int], float]):
         self.f = f
         self.values = np.empty(0)
+        self.loose = 0  # entries evaluated one by one so far
 
     def at(self, col: np.ndarray) -> np.ndarray:
         """``f`` at each entry of ``col``, a column of nonnegative queue lengths."""
@@ -163,12 +166,15 @@ class _FactorTable:
         except IndexError:  # some entry lies past the table
             pass
         top = int(col.max())
-        if top >= FACTOR_TABLE_CAP:
-            return np.array([float(self.f(x)) for x in col.tolist()])
-        size = min(max(top + 1, 2 * self.values.size, 64), FACTOR_TABLE_CAP)
-        new = [float(self.f(x)) for x in range(self.values.size, size)]
-        self.values = np.concatenate([self.values, new])
-        return self.values[col]
+        if top < FACTOR_TABLE_CAP and (top < max(2 * self.values.size, 64)
+                                       or self.loose > top):
+            size = min(max(top + 1, 2 * self.values.size, 64), FACTOR_TABLE_CAP)
+            new = [float(self.f(x)) for x in range(self.values.size, size)]
+            self.values = np.concatenate([self.values, new])
+            return self.values[col]
+        keys, inverse = np.unique(col, return_inverse=True)
+        self.loose += keys.size
+        return np.array([float(self.f(x)) for x in keys.tolist()])[inverse]
 
 
 @dataclass(eq=False)
@@ -229,12 +235,23 @@ class SaturationContext:
         )
 
 
-def _probe_box(dim: int, cap: int, budget: int = 256):
-    """Prefix probe states: the box {0..c}^dim with c shrunk to fit the budget."""
-    if dim == 0:
-        return [()]
-    c = min(cap, max(1, int(round(budget ** (1.0 / dim))) - 1))
-    return list(itertools.product(range(c + 1), repeat=dim))
+def _probe_side(dim: int, cap: int, budget: int = 256) -> int:
+    """Side ``c + 1`` of the prefix probe box {0..c}^dim, with c shrunk so
+    the box fits the budget."""
+    return min(cap, max(1, int(round(budget ** (1.0 / max(dim, 1)))) - 1)) + 1
+
+
+def _state_grid(axes) -> np.ndarray:
+    """(count, dim) array of every state whose coordinate ``q`` runs over
+    ``axes[q]``, in ``itertools.product`` order.  An axis is a sequence of
+    queue lengths, or an int ``k`` standing for ``0..k-1``."""
+    axes = [np.arange(a) if np.ndim(a) == 0 else np.asarray(a, dtype=np.intp)
+            for a in axes]
+    n = len(axes)
+    X = np.empty([len(a) for a in axes] + [n], dtype=np.intp)
+    for q, a in enumerate(axes):
+        X[..., q] = a.reshape([-1 if k == q else 1 for k in range(n)])
+    return X.reshape(math.prod(X.shape[:-1]), n)
 
 
 def lower_partial_limit(spec: AllocationSpec, ctx: SaturationContext, queue: int, u) -> float:
@@ -281,8 +298,11 @@ def default_pd_box(n_queues: int, cap: int = 64) -> int:
 def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) -> StructureReport:
     """Exhaustively verify phi_i(x) >= phi_i(y) for x <= y, x_i = y_i on a box.
 
-    Single-coordinate increments suffice by transitivity.  Returns the first
-    counterexample when the property fails.
+    Single-coordinate increments suffice by transitivity.  Every rate on the
+    box is evaluated first, one :meth:`AllocationSpec.rates_at` call per
+    queue; a failing check reports the first counterexample ``(x, y, i)``
+    with ``y = x + e_j``, ordered by ``x`` in ``itertools.product`` order,
+    then ``j``, then ``i``.
     """
     if box is None:
         box = default_pd_box(spec.n_queues)
@@ -290,18 +310,26 @@ def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) 
         raise ValueError("box must be nonempty")
     n = spec.n_queues
     report = StructureReport(probe_box=(box,) * n, partially_decreasing=True)
-    for x in itertools.product(range(box + 1), repeat=n):
-        for j in range(n):
-            if x[j] >= box:
+    if n == 1:  # a single queue has no other coordinate to compare along
+        return report
+    shape = (box + 1,) * n
+    X = _state_grid(shape)
+    rates = [spec.rates_at(i, X).reshape(shape) for i in range(n)]
+    found = []  # (x, j, i) of each pair's first rise, x in product order
+    for j in range(n):
+        lower = (slice(None),) * j + (slice(None, -1),)
+        upper = (slice(None),) * j + (slice(1, None),)
+        for i in range(n):
+            if i == j:
                 continue
-            y = x[:j] + (x[j] + 1,) + x[j + 1:]
-            for i in range(n):
-                if i == j:
-                    continue
-                if spec.rate(i, x) < spec.rate(i, y) - _MONO_SLACK:
-                    report.partially_decreasing = False
-                    report.pd_counterexample = (x, y, i)
-                    return report
+            rise = rates[i][lower] < rates[i][upper] - _MONO_SLACK
+            if rise.any():
+                x = np.unravel_index(np.argmax(rise), rise.shape)
+                found.append((tuple(map(int, x)), j, i))
+    if found:
+        x, j, i = min(found)
+        report.partially_decreasing = False
+        report.pd_counterexample = (x, x[:j] + (x[j] + 1,) + x[j + 1:], i)
     return report
 
 
@@ -336,25 +364,18 @@ def check_uniform_limits(
     worst = 0.0
     for m in range(1, n + 1):  # size of the saturated subset
         for sat in itertools.combinations(range(n), m):
-            prefix_slots = [j for j in range(n) if j not in sat]
-            probes = _probe_box(len(prefix_slots), prefix_cap)
+            side = range(_probe_side(n - m, prefix_cap))
             residual = math.inf
             for r in schedule:
                 levels = sorted({r, r + 1, 2 * r})
+                axes = [levels if q in sat else side for q in range(n)]
+                X = _state_grid(axes)
                 spread = 0.0
-                for u in probes:
-                    base = [0] * n
-                    for slot, v in zip(prefix_slots, u):
-                        base[slot] = v
-                    for i in range(n):
-                        lo, hi = math.inf, -math.inf
-                        for combo in itertools.product(levels, repeat=m):
-                            for slot, v in zip(sat, combo):
-                                base[slot] = v
-                            val = spec.rate(i, tuple(base))
-                            lo = min(lo, val)
-                            hi = max(hi, val)
-                        spread = max(spread, hi - lo)
+                for i in range(n):
+                    v = spec.rates_at(i, X).reshape([len(a) for a in axes])
+                    # the spread over the saturation combos at each probe state
+                    lo, hi = v.min(axis=sat), v.max(axis=sat)
+                    spread = max(spread, float((hi - lo).max()))
                 residual = spread
                 if residual < tol:
                     break

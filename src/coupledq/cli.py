@@ -17,7 +17,7 @@ from typing import Optional
 
 from .engine import StabilityEngine, SystemLabel
 from .errors import CoupledQError, HypothesisViolated, NoConvergence, ScenarioError
-from .scenario import Scenario, builtin_scenario, resolve_scenario
+from .scenario import GridAxis, Scenario, builtin_scenario, resolve_scenario
 from .simulate import (
     empirical_stability_probe,
     random_hypothesis_pair,
@@ -70,8 +70,6 @@ def _parse_rates(text: str) -> tuple:
 
 
 def _parse_grid(text: str, n: int):
-    from .scenario import GridAxis
-
     axes = text.split(",")
     if len(axes) == 1 and n > 1:
         axes = axes * n
@@ -82,7 +80,10 @@ def _parse_grid(text: str, n: int):
         parts = ax.split(":")
         if len(parts) != 3:
             raise ScenarioError(f"grid axis {ax!r} is not MIN:MAX:STEP")
-        lo, hi, step = (float(p) for p in parts)
+        try:
+            lo, hi, step = (float(p) for p in parts)
+        except ValueError:
+            raise ScenarioError(f"grid axis {ax!r} is not numeric") from None
         out.append(GridAxis(lo, hi, step))
     return out
 
@@ -107,15 +108,19 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
     return scn
 
 
-def _scenario_from_args(args) -> Scenario:
-    params = _parse_kv(getattr(args, "param", None))
+def _typed_params(pairs) -> dict:
+    """``--param`` values: numbers where they parse as one, text otherwise."""
     typed = {}
-    for k, v in params.items():
+    for k, v in _parse_kv(pairs).items():
         try:
             typed[k] = float(v)
         except ValueError:
             typed[k] = v
-    scn = resolve_scenario(args.scenario, typed)
+    return typed
+
+
+def _scenario_from_args(args) -> Scenario:
+    scn = resolve_scenario(args.scenario, _typed_params(args.param))
     return _apply_overrides(scn, args)
 
 
@@ -242,9 +247,14 @@ def cmd_couple_check(args) -> int:
     rng = _stream(args.seed)
     total_violations = 0
     if args.scenario and args.scenario_y:
-        typed = _float_params(args.param)
+        typed = _typed_params(args.param)
         low = resolve_scenario(args.scenario, typed)
         high = resolve_scenario(args.scenario_y, typed)
+        for scn in (low, high):
+            if scn.rates is None:
+                raise ScenarioError(
+                    f"couple-check needs a single rate point; scenario "
+                    f"{scn.name!r} has none")
         try:
             rep = simulate_coupled_pair(
                 low.rates, low.spec, high.rates, high.spec,
@@ -280,18 +290,8 @@ def cmd_couple_check(args) -> int:
     return EXIT_STABLE if total_violations == 0 else EXIT_VIOLATIONS
 
 
-def _float_params(pairs) -> dict:
-    out = {}
-    for k, v in _parse_kv(pairs).items():
-        try:
-            out[k] = float(v)
-        except ValueError:
-            raise ScenarioError(f"parameter {k}={v!r} is not a number") from None
-    return out
-
-
 def cmd_three_queues(args) -> int:
-    typed = _float_params(args.param)
+    typed = _typed_params(args.param)
     rates = _parse_rates(args.rates)
     if len(rates) != 3:
         raise ScenarioError("three-queues needs exactly three rates")

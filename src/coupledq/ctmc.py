@@ -32,7 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .allocation import as_rates
+from .allocation import _state_grid, as_rates
 from .errors import (
     BoundViolation,
     BoxTooLarge,
@@ -74,7 +74,7 @@ class LimitTable:
 
     def _grow(self, key, old: Optional[np.ndarray], side: int) -> np.ndarray:
         shape = (side + 1,) * self.dim
-        coords = _state_coords(shape)
+        coords = _state_grid(shape)
         fresh = np.ones((len(coords), 1), dtype=bool)
         if old is not None:
             fresh[:, 0] = (coords >= old.shape[0]).any(axis=1)
@@ -131,14 +131,6 @@ def _box_tuple(box, dim) -> tuple:
     return box
 
 
-def _state_coords(shape: tuple) -> np.ndarray:
-    """(count, dim) coordinates of every state of ``shape``, in state order."""
-    count = math.prod(shape)
-    if not shape:
-        return np.zeros((count, 0), dtype=np.intp)
-    return np.stack(np.unravel_index(np.arange(count), shape), axis=1)
-
-
 def _tabulate(fn: DeathFn, keys, coords: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The one per-state loop: ``fn(keys[c], x)`` at every state ``x`` (a row
     of ``coords``) and column ``c`` where ``mask`` holds, state by state;
@@ -184,7 +176,7 @@ def _assemble_csr(box: tuple, rates, death_values: np.ndarray) -> sp.csr_matrix:
     """
     count, dim = death_values.shape
     shape = tuple(t + 1 for t in box)
-    up = _state_coords(shape) < np.asarray(box)
+    up = _state_grid(shape) < np.asarray(box)
     down = death_values > 0.0
     out_rate = _out_rate(rates, up, death_values)
     strides = [math.prod(shape[i + 1:]) for i in range(dim)]
@@ -233,7 +225,7 @@ def build_truncated_generator(
     if count > state_cap:
         raise BoxTooLarge(f"box {box} has {count} states, above cap {state_cap}")
 
-    coords = _state_coords(shape)
+    coords = _state_grid(shape)
     busy = coords > 0
     death_values = _death_array(death_rate_fn, coords, busy, box)
     slack = death_bound * 1e-12 + 1e-12

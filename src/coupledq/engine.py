@@ -14,9 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 from enum import Enum
 from typing import Optional
+
+import numpy as np
 
 from .allocation import (
     DEFAULT_GROWTH,
@@ -26,6 +28,7 @@ from .allocation import (
     ArrivalRates,
     SaturationContext,
     StructureReport,
+    _state_grid,
     as_rates,
     check_partially_decreasing,
     check_uniform_limits,
@@ -378,14 +381,8 @@ class StabilityEngine:
             except NoUniformLimit as exc:
                 ul = exc.report or StructureReport(uniform_limits=False)
                 ul_ok = False
-            merged = StructureReport(
-                probe_box=pd.probe_box,
-                partially_decreasing=pd.partially_decreasing,
-                pd_counterexample=pd.pd_counterexample,
-                uniform_limits=ul_ok,
-                worst_residual=ul.worst_residual,
-                guaranteed_by_shape=ul.guaranteed_by_shape,
-            )
+            merged = replace(pd, uniform_limits=ul_ok, worst_residual=ul.worst_residual,
+                             guaranteed_by_shape=ul.guaranteed_by_shape)
             self._structure = (bool(pd.partially_decreasing), ul_ok, merged)
         return self._structure
 
@@ -396,8 +393,7 @@ class StabilityEngine:
         if key in self._envelopes:
             return self._envelopes[key]
         spec, n = self.spec, self.spec.n_queues
-        pick = min if kind == "lower" else max
-        others = [j for j in range(n) if j != i]
+        pick = np.min if kind == "lower" else np.max
         pd_ok = self.structure()[0]
 
         if pd_ok:
@@ -406,31 +402,18 @@ class StabilityEngine:
             own_prefix = frozenset({i})
 
             def level_val(r):
-                vals = []
-                for own in sorted({r, r + 1, 2 * r}):
-                    if kind == "lower":
-                        vals.append(self._ell(own_prefix, i, (own,)))
-                    else:
-                        x = [0] * n
-                        x[i] = own
-                        vals.append(spec.rate(i, tuple(x)))
-                return pick(vals)
+                own = sorted({r, r + 1, 2 * r})
+                if kind == "lower":
+                    return min(self._ell(own_prefix, i, (v,)) for v in own)
+                X = _state_grid([own if j == i else 1 for j in range(n)])
+                return float(pick(spec.rates_at(i, X)))
         else:
             probe = list(range(self.tol.bounds_probe_cap + 1))
 
             def level_val(r):
-                own_levels = sorted({r, r + 1, 2 * r})
-                other_vals = probe + own_levels
-                best = None
-                for own in own_levels:
-                    for combo in itertools.product(other_vals, repeat=len(others)):
-                        x = [0] * n
-                        x[i] = own
-                        for j, v in zip(others, combo):
-                            x[j] = v
-                        val = spec.rate(i, tuple(x))
-                        best = val if best is None else pick(best, val)
-                return best
+                own = sorted({r, r + 1, 2 * r})
+                X = _state_grid([own if j == i else probe + own for j in range(n)])
+                return float(pick(spec.rates_at(i, X)))
 
         r = self.tol.sat_level
         prev = level_val(r)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .allocation import (
@@ -51,6 +51,11 @@ class GridAxis:
     step: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.step)):
+            raise ScenarioError(
+                f"grid axis {self.lo}:{self.hi}:{self.step} must be finite")
+        if self.lo <= 0:
+            raise ScenarioError(f"grid rates must be strictly positive, got {self.lo}")
         if self.step <= 0:
             raise ScenarioError(f"grid step must be positive, got {self.step}")
         if self.hi < self.lo:
@@ -148,12 +153,7 @@ def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
             b >= spec.bound - 1e-12,
             f"declared bound {b} below the allocation's natural bound {spec.bound}",
         )
-        spec = AllocationSpec(
-            n_queues=spec.n_queues, rate_fn=spec.rate_fn, bound=b,
-            analytic_limits=spec.analytic_limits,
-            monotone_by_construction=spec.monotone_by_construction,
-            _array_fn=spec._array_fn,
-        )
+        spec = replace(spec, bound=b)
     return spec
 
 
@@ -197,10 +197,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
                  f"grid must list {n} axes")
         grid = []
         for ax in raw:
-            _require(isinstance(ax, dict) and set(ax) <= {"min", "max", "step"},
-                     "grid axes use keys min/max/step")
-            grid.append(GridAxis(float(ax["min"]), float(ax["max"]), float(ax["step"])))
-        _require(all(ax.lo > 0 for ax in grid), "grid rates must be strictly positive")
+            _require(isinstance(ax, dict) and set(ax) == {"min", "max", "step"},
+                     "each grid axis needs the keys min, max and step")
+            try:
+                grid.append(GridAxis(*(float(ax[k]) for k in ("min", "max", "step"))))
+            except (TypeError, ValueError):
+                raise ScenarioError(f"grid axis {ax} is not numeric") from None
     _require(rates is not None or grid is not None,
              "scenario needs arrival_rates or a grid")
 

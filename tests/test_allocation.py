@@ -1,5 +1,6 @@
 """Allocation module: evaluation, structure checks, saturated limits, relabeling."""
 
+import dataclasses
 import itertools
 import math
 
@@ -9,10 +10,12 @@ import pytest
 from coupledq.allocation import (
     FACTOR_TABLE_CAP,
     AllocationSpec,
+    _FactorTable,
     ArrivalRates,
     SaturationContext,
     base_station_pair,
     build_product_allocation,
+    busy_table_allocation,
     check_partially_decreasing,
     check_uniform_limits,
     constant_allocation,
@@ -23,13 +26,18 @@ from coupledq.allocation import (
     poly_interference,
     three_queue_table,
 )
+from coupledq.engine import StabilityEngine
 from coupledq.errors import (
     BoundViolation,
     InvalidShape,
     NoUniformLimit,
     SaturationNotConverged,
 )
-from oracles import relabel
+from oracles import (
+    check_partially_decreasing_scalar,
+    check_uniform_limits_scalar,
+    relabel,
+)
 
 
 def make_three_queue(a=(3.0, 3.0, 3.0), a_pair_val=2.0, **over):
@@ -79,7 +87,7 @@ def test_bound_violation_is_hard_error():
         nan.rate(0, (3,))
 
 
-def test_evaluation_is_memoized_and_deterministic():
+def test_rate_evaluates_on_every_call():
     calls = []
 
     def rate(i, x):
@@ -87,8 +95,8 @@ def test_evaluation_is_memoized_and_deterministic():
         return 1.0
 
     spec = AllocationSpec(2, rate, bound=2.0)
-    assert spec.rate(0, (1, 2)) == spec.rate(0, (1, 2))
-    assert calls.count((0, (1, 2))) == 1
+    assert spec.rate(0, (1, 2)) == spec.rate(0, (1, 2)) == 1.0
+    assert calls == [(0, (1, 2))] * 2
 
 
 def test_arrival_rates_strictly_positive():
@@ -445,3 +453,141 @@ def test_rates_at_raises_scalar_bound_violation_text():
         with pytest.raises(BoundViolation) as array:
             spec.rates_at(0, np.array(rows))
         assert str(array.value) == str(scalar.value)
+
+
+# -- array structure gates against their scalar oracles -------------------------
+
+def _bumpy_table(seed):
+    """Black-box 3-queue rates on {0..4}^3: decreasing in the other queues
+    except for a few random bumps, so the first counterexample sits anywhere."""
+    rng = np.random.default_rng(seed)
+    X = np.stack(np.meshgrid(*[np.arange(5)] * 3, indexing="ij"), axis=-1)
+    tables = []
+    for i in range(3):
+        t = 1.0 / (1.0 + X.sum(axis=-1) - X[..., i])
+        for k in rng.integers(0, t.size, size=4):
+            t.flat[k] += 0.3
+        tables.append(t)
+    return AllocationSpec(3, lambda i, x, _t=tables: float(_t[i][x]), bound=2.0)
+
+
+def _three_queue_non_monotone():
+    a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
+    a_pair[(2, 1)] = 3.5  # queue 3 serves faster with queue 2 busy
+    return three_queue_table((3.0, 3.0, 3.0), a_pair, strict=False)
+
+
+GATE_SPECS = {
+    **RATES_AT_SPECS,
+    "busy-table-2q": lambda: busy_table_allocation(
+        [{frozenset(): 2.0, frozenset({1}): 1.0}, {frozenset(): 1.5, frozenset({0}): 0.5}]),
+    "three-queue-non-monotone": _three_queue_non_monotone,
+    "product-exp-slow": lambda: base_station_pair(0.05),
+    "oscillating": lambda: AllocationSpec(
+        2, lambda i, x: (1.5 if x[1] % 2 == 0 else 0.5) if i == 0 else 1.0, bound=2.0),
+    "increasing": lambda: AllocationSpec(
+        2, lambda i, x: min(1.0 + x[1], 5.0) if i == 0 else 1.0, bound=5.0),
+}
+# {0..63}^3 walked state by state takes seconds: 3-queue specs that pass the
+# check are compared on the small boxes only
+SMALL_BOX_ONLY = {"busy-table", "product-3q"}
+
+
+def _gate_outcome(check, spec, **kw):
+    try:
+        r = check(spec, **kw)
+    except NoUniformLimit as exc:
+        return ("no uniform limit", str(exc), exc.report.worst_residual.hex())
+    residual = None if r.worst_residual is None else r.worst_residual.hex()
+    return (r.probe_box, r.partially_decreasing, r.pd_counterexample,
+            r.uniform_limits, residual, r.guaranteed_by_shape)
+
+
+@pytest.mark.parametrize("black_box", [False, True], ids=["builder", "black-box"])
+@pytest.mark.parametrize("name", sorted(GATE_SPECS))
+def test_array_gates_match_scalar_oracles(name, black_box):
+    spec = GATE_SPECS[name]()
+    if black_box:
+        spec = strip_analytic(spec)
+    boxes = (1, 3, 6) if name in SMALL_BOX_ONLY else (None, 1, 3, 6)
+    for box in boxes:
+        assert _gate_outcome(check_partially_decreasing, spec, box=box) == \
+            _gate_outcome(check_partially_decreasing_scalar, spec, box=box)
+    for kw in ({}, {"tol": 1e-3, "prefix_cap": 2}, {"schedule": (4, 9, 30)}):
+        assert _gate_outcome(check_uniform_limits, spec, **kw) == \
+            _gate_outcome(check_uniform_limits_scalar, spec, **kw)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pd_counterexample_order_matches_scalar_walk(seed):
+    spec = _bumpy_table(seed)
+    array_twin = AllocationSpec(3, spec.rate_fn, spec.bound, _array_fn=lambda i, X: np.array(
+        [spec.rate_fn(i, tuple(row)) for row in X.tolist()]))
+    want = check_partially_decreasing_scalar(spec, box=4)
+    assert want.partially_decreasing is False
+    for s in (spec, array_twin):
+        got = check_partially_decreasing(s, box=4)
+        assert (got.partially_decreasing, got.pd_counterexample) == \
+            (False, want.pd_counterexample)
+
+
+def test_gates_raise_the_scalar_bound_violation():
+    def one_bad_state(bad):
+        return AllocationSpec(
+            2, lambda i, x: 9.0 if (i, x) == bad else 1.0 / (1.0 + x[1 - i]), bound=1.0)
+
+    for check, oracle, bad in (
+        (check_partially_decreasing, check_partially_decreasing_scalar, (1, (2, 3))),
+        (check_uniform_limits, check_uniform_limits_scalar, (0, (3, 128))),
+    ):
+        spec = one_bad_state(bad)
+        with pytest.raises(BoundViolation) as scalar:
+            oracle(spec)
+        with pytest.raises(BoundViolation) as array:
+            check(spec)
+        assert str(array.value) == str(scalar.value)
+        assert f"rate_fn({bad[0]}, {bad[1]})" in str(array.value)
+
+
+def test_fresh_three_queue_structure_is_fast_and_uncached(deadline):
+    spec = make_three_queue()
+    assert "_memo" not in {f.name for f in dataclasses.fields(AllocationSpec)}
+    assert not hasattr(spec, "_memo")
+    with deadline(2.0):
+        pd_ok, ul_ok, report = StabilityEngine(spec).structure()
+    assert pd_ok and ul_ok and report.probe_box == (63, 63, 63)
+
+
+def test_factor_table_evaluates_far_entries_one_by_one():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 1.0 / (1.0 + x)
+
+    table = _FactorTable(f)
+    assert np.array_equal(table.at(np.array([3, 0])), [0.25, 1.0])
+    assert table.values.size == 64 and len(calls) == 64
+    # saturation levels far past the table: one call per distinct entry, no fill
+    col = np.array([5, 4096, 4097, 8192, 4096])
+    assert np.array_equal(_bits(table.at(col)), _bits(1.0 / (1.0 + col)))
+    assert table.values.size == 64 and len(calls) == 64 + 4
+    # a lockstep walk one past the end doubles the table, as before
+    table.at(np.array([64]))
+    assert table.values.size == 128
+    # once one-by-one evaluations have cost as much as a fill, fill
+    del calls[:]
+    for _ in range(300):
+        table.at(np.array([300]))
+    assert table.values.size == 301
+    assert len(calls) < 3 * 301
+
+
+def test_poly_uniform_limit_check_does_not_fill_factor_tables(deadline):
+    spec = base_station_pair(0.7, "poly_interference")
+    with deadline(0.5):
+        assert check_uniform_limits(spec).uniform_limits
+    gain_tabs, inter_tabs = spec._array_fn.__defaults__
+    sizes = [t.values.size for t in gain_tabs] + \
+        [t.values.size for tabs in inter_tabs for _, t in tabs]
+    assert max(sizes) <= 128

@@ -29,7 +29,7 @@ from coupledq.engine import (
 )
 from coupledq.ctmc import adaptive_stationary
 from coupledq.errors import PermutationCapExceeded
-from oracles import relabel
+from oracles import envelope_scalar, relabel
 
 
 def make_three_queue(a23=2.0):
@@ -62,6 +62,30 @@ def test_general_bounds_two_valued_rate():
         assert out[0].label is want
         assert out[0].lower == pytest.approx(0.8)
         assert out[0].upper == pytest.approx(1.2)
+
+
+ENVELOPE_SPECS = {
+    "monotone": lambda: base_station_pair(0.05),
+    "monotone-black-box": lambda: AllocationSpec(2, base_station_pair(0.7).rate_fn, 3.0),
+    "two-valued": lambda: AllocationSpec(
+        2, lambda i, x: (1.2 if x[1] % 2 == 0 else 0.8) if i == 0 else 1.0, bound=1.2),
+    # the upper envelope is met at one (own, other) pair of saturation levels
+    "diagonal": lambda: AllocationSpec(
+        2, lambda i, x: 2.0 if x[1 - i] == x[i] + 1 else 1.0, bound=2.0),
+    "three-queue-non-monotone": lambda: three_queue_table(
+        (3.0, 1.5, 3.0), {(i, j): 2.0 for i in range(3) for j in range(3) if i != j},
+        strict=False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_SPECS))
+def test_envelope_bounds_match_scalar_oracle(name):
+    spec = ENVELOPE_SPECS[name]()
+    eng = StabilityEngine(spec, Tolerances(bounds_probe_cap=4))
+    assert eng.structure()[0] is name.startswith("monotone")
+    for i in range(spec.n_queues):
+        for kind in ("lower", "upper"):
+            assert eng._envelope(i, kind).hex() == envelope_scalar(eng, i, kind).hex()
 
 
 # -- sequential chains ---------------------------------------------------------------

@@ -80,6 +80,57 @@ def test_grid_axis_validation():
         GridAxis(0.5, 0.1, 0.1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("lo, hi, step, message", [
+    (0.1, NAN, 0.1, "finite"),
+    (0.1, 0.5, INF, "finite"),
+    (NAN, 0.5, 0.1, "finite"),
+    (0.1, INF, 0.1, "finite"),
+    (0.1, 0.5, NAN, "finite"),
+    (0.0, 1.0, 0.5, "strictly positive"),
+    (-0.5, 1.0, 0.5, "strictly positive"),
+])
+def test_grid_axis_rejects_non_finite_and_non_positive(lo, hi, step, message, deadline):
+    with deadline(2.0):
+        with pytest.raises(ScenarioError, match=message):
+            GridAxis(lo, hi, step)
+        doc = dict(PRODUCT_DOC)
+        doc.pop("arrival_rates")
+        doc["grid"] = [{"min": lo, "max": hi, "step": step}] * 2
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("axis", [
+    {"min": 0.1, "max": 0.3},
+    {"min": "abc", "max": 0.3, "step": 0.1},
+    {"min": None, "max": 0.3, "step": 0.1},
+])
+def test_scenario_grid_axis_needs_numeric_min_max_step(axis, tmp_path, capsys):
+    doc = dict(PRODUCT_DOC)
+    doc.pop("arrival_rates")
+    doc["grid"] = [axis, {"min": 0.1, "max": 0.3, "step": 0.1}]
+    with pytest.raises(ScenarioError, match="grid axis"):
+        scenario_from_dict(doc)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--scenario", str(path)]) == 64
+    assert "scenario error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [
+    "0.1:nan:0.1", "0.1:0.5:inf", "nan:0.5:0.1", "0.1:abc:0.1", "0:1:0.5",
+    "0.1:0.5",
+])
+def test_cli_sweep_rejects_bad_grid_axis(grid, capsys, deadline):
+    with deadline(5.0):
+        assert main(["sweep", "--scenario", "two_basestations", "--grid", grid]) == 64
+    captured = capsys.readouterr()
+    assert "scenario error" in captured.err and "ERR" not in captured.out
+
+
 def test_bound_override_must_cover():
     doc = dict(PRODUCT_DOC)
     doc["bound"] = 0.1
@@ -157,6 +208,24 @@ def test_params_nothing_reads_are_rejected(tmp_path, capsys):
     pair = ["couple-check", "--scenario", "mm1", "--scenario-y", "mm1", "--events", "50"]
     assert main(pair + ["--param", "mu=2"]) == 0
     assert main(pair + ["--param", "nu=2"]) == 64
+
+
+def test_cli_couple_check_takes_text_params(capsys):
+    # --param values parse the same way as for analyze: text stays text
+    pair = ["couple-check", "--scenario", "two_basestations", "--scenario-y",
+            "two_basestations", "--events", "50", "--param", "form=poly_interference"]
+    analyze = ["analyze", "--scenario", "two_basestations", "--rates", "0.3,0.3",
+               "--param", "form=poly_interference"]
+    assert main(analyze) == 0
+    capsys.readouterr()
+    # two_basestations has a grid, not a rate point: a usage error, not a crash
+    assert main(pair) == 64
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "single rate point" in err
+    assert main(["couple-check", "--scenario", "mm1", "--scenario-y", "mm1",
+                 "--events", "50", "--param", "mu=2", "--param", "lam=0.5"]) == 0
+    assert main(["three-queues", "--rates", "0.5,1.2,0.3", "--param", "a1=abc"]) == 64
+    assert "scenario error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario, param, value, rates, message", [
