@@ -151,13 +151,12 @@ class _FactorTable:
 
     A fill at most doubles the table: entries further past its end, such as
     the saturation levels of the uniform-limit check, are evaluated one by
-    one, until those calls have cost as much as filling up to them would.
+    one and not stored.
     """
 
     def __init__(self, f: Callable[[int], float]):
         self.f = f
         self.values = np.empty(0)
-        self.loose = 0  # entries evaluated one by one so far
 
     def at(self, col: np.ndarray) -> np.ndarray:
         """``f`` at each entry of ``col``, a column of nonnegative queue lengths."""
@@ -165,15 +164,12 @@ class _FactorTable:
             return self.values[col]
         except IndexError:  # some entry lies past the table
             pass
-        top = int(col.max())
-        if top < FACTOR_TABLE_CAP and (top < max(2 * self.values.size, 64)
-                                       or self.loose > top):
-            size = min(max(top + 1, 2 * self.values.size, 64), FACTOR_TABLE_CAP)
+        size = min(max(2 * self.values.size, 64), FACTOR_TABLE_CAP)
+        if int(col.max()) < size:
             new = [float(self.f(x)) for x in range(self.values.size, size)]
             self.values = np.concatenate([self.values, new])
             return self.values[col]
         keys, inverse = np.unique(col, return_inverse=True)
-        self.loose += keys.size
         return np.array([float(self.f(x)) for x in keys.tolist()])[inverse]
 
 
@@ -303,6 +299,11 @@ def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) 
     queue; a failing check reports the first counterexample ``(x, y, i)``
     with ``y = x + e_j``, ordered by ``x`` in ``itertools.product`` order,
     then ``j``, then ``i``.
+
+    An out-of-bound rate anywhere on the box raises :class:`BoundViolation`,
+    also when a counterexample comes before it in that order.  The message
+    names the lowest-numbered queue with a bad rate, at its first bad state
+    in ``itertools.product`` order.
     """
     if box is None:
         box = default_pd_box(spec.n_queues)
@@ -369,14 +370,10 @@ def check_uniform_limits(
             for r in schedule:
                 levels = sorted({r, r + 1, 2 * r})
                 axes = [levels if q in sat else side for q in range(n)]
-                X = _state_grid(axes)
-                spread = 0.0
-                for i in range(n):
-                    v = spec.rates_at(i, X).reshape([len(a) for a in axes])
-                    # the spread over the saturation combos at each probe state
-                    lo, hi = v.min(axis=sat), v.max(axis=sat)
-                    spread = max(spread, float((hi - lo).max()))
-                residual = spread
+                X, shape = _state_grid(axes), [len(a) for a in axes]
+                # the largest spread over the saturation combos at a probe state
+                residual = max(float(np.ptp(spec.rates_at(i, X).reshape(shape), axis=sat).max())
+                               for i in range(n))
                 if residual < tol:
                     break
             worst = max(worst, residual)

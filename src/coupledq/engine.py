@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, asdict
 from enum import Enum
 from typing import Optional
 
@@ -381,8 +381,14 @@ class StabilityEngine:
             except NoUniformLimit as exc:
                 ul = exc.report or StructureReport(uniform_limits=False)
                 ul_ok = False
-            merged = replace(pd, uniform_limits=ul_ok, worst_residual=ul.worst_residual,
-                             guaranteed_by_shape=ul.guaranteed_by_shape)
+            merged = StructureReport(
+                probe_box=pd.probe_box,
+                partially_decreasing=pd.partially_decreasing,
+                pd_counterexample=pd.pd_counterexample,
+                uniform_limits=ul_ok,
+                worst_residual=ul.worst_residual,
+                guaranteed_by_shape=ul.guaranteed_by_shape,
+            )
             self._structure = (bool(pd.partially_decreasing), ul_ok, merged)
         return self._structure
 
@@ -395,25 +401,19 @@ class StabilityEngine:
         spec, n = self.spec, self.spec.n_queues
         pick = np.min if kind == "lower" else np.max
         pd_ok = self.structure()[0]
+        own_prefix = frozenset({i})
+        # Monotone in the other coordinates, the inner extremum over them sits
+        # at their saturation limit (lower) or at zero (upper); otherwise the
+        # other coordinates run over a probe grid and the own levels.
+        probe = list(range(self.tol.bounds_probe_cap + 1))
 
-        if pd_ok:
-            # Monotone in the other coordinates: the inner extremum over them
-            # sits at their saturation limit (lower) or at zero (upper).
-            own_prefix = frozenset({i})
-
-            def level_val(r):
-                own = sorted({r, r + 1, 2 * r})
-                if kind == "lower":
-                    return min(self._ell(own_prefix, i, (v,)) for v in own)
-                X = _state_grid([own if j == i else 1 for j in range(n)])
-                return float(pick(spec.rates_at(i, X)))
-        else:
-            probe = list(range(self.tol.bounds_probe_cap + 1))
-
-            def level_val(r):
-                own = sorted({r, r + 1, 2 * r})
-                X = _state_grid([own if j == i else probe + own for j in range(n)])
-                return float(pick(spec.rates_at(i, X)))
+        def level_val(r):
+            own = sorted({r, r + 1, 2 * r})
+            if pd_ok and kind == "lower":
+                return min(self._ell(own_prefix, i, (v,)) for v in own)
+            others = [0] if pd_ok else probe + own
+            X = _state_grid([own if j == i else others for j in range(n)])
+            return float(pick(spec.rates_at(i, X)))
 
         r = self.tol.sat_level
         prev = level_val(r)

@@ -72,6 +72,10 @@ ENVELOPE_SPECS = {
     # the upper envelope is met at one (own, other) pair of saturation levels
     "diagonal": lambda: AllocationSpec(
         2, lambda i, x: 2.0 if x[1 - i] == x[i] + 1 else 1.0, bound=2.0),
+    # queue 0 serves faster as queue 1 grows: the lower envelope sits at an
+    # empty queue 1, not at its saturation limit
+    "rising": lambda: AllocationSpec(
+        2, lambda i, x: min(1.0 + x[1], 5.0) / 5.0 if i == 0 else 1.0, bound=1.0),
     "three-queue-non-monotone": lambda: three_queue_table(
         (3.0, 1.5, 3.0), {(i, j): 2.0 for i in range(3) for j in range(3) if i != j},
         strict=False),
