@@ -76,9 +76,12 @@ class AllocationSpec:
     """A family of bounded service-rate functions on Z_+^N.
 
     ``rate_fn(i, x)`` must be deterministic and stay in ``[0, bound]``; every
-    evaluation is validated, and none is cached.  Instances are treated as
-    immutable after construction and are safe to share across concurrent
-    evaluations under the GIL.
+    evaluation is validated, and none is cached.  The simulation probe's
+    lockstep is the one caller that validates later: it calls the array form
+    directly at each step and checks each chunk of steps at its end, before
+    accounting any of them (see ``simulate._lockstep``).  Instances are
+    treated as immutable after construction and are safe to share across
+    concurrent evaluations under the GIL.
 
     ``analytic_limits(prefix, queue, u)`` optionally returns the saturated
     limit of queue ``queue``'s rate when every queue outside ``prefix`` is at
@@ -139,11 +142,23 @@ class AllocationSpec:
                 dtype=float,
             )
         v = self._array_fn(i, X)
-        if v.size and not (np.minimum.reduce(v) >= 0.0
-                           and np.maximum.reduce(v) <= self.bound):
-            bad = int(np.argmin((v >= 0.0) & (v <= self.bound)))
-            raise self._out_of_range(i, tuple(X[bad].tolist()), float(v[bad]))
+        self._check_bounds(v[None], X.T, (i,))
         return v
+
+    def _check_bounds(self, V: np.ndarray, S: np.ndarray, queues) -> None:
+        """Raise :meth:`rate_unmemoized`'s :class:`BoundViolation` for the
+        first entry of ``V`` in C order outside ``[0, bound]``.
+
+        ``V[..., a, r]`` is the rate of queue ``queues[a]`` at the state
+        ``S[..., :, r]``; the leading axes of ``V`` and ``S`` agree.
+        """
+        if V.size and not (np.minimum.reduce(V, axis=None) >= 0.0
+                           and np.maximum.reduce(V, axis=None) <= self.bound):
+            *lead, a, r = np.unravel_index(
+                int(np.argmin((V >= 0.0) & (V <= self.bound))), V.shape)
+            x = S[(*lead, slice(None), r)]
+            raise self._out_of_range(queues[a], tuple(x.tolist()),
+                                     float(V[(*lead, a, r)]))
 
 
 class _FactorTable:

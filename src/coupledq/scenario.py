@@ -43,6 +43,9 @@ from .allocation import (
 from .engine import Tolerances
 from .errors import ScenarioError
 
+# the most points an axis, or a whole grid, may hold; checked before building
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass
 class GridAxis:
@@ -60,6 +63,10 @@ class GridAxis:
             raise ScenarioError(f"grid step must be positive, got {self.step}")
         if self.hi < self.lo:
             raise ScenarioError(f"grid range [{self.lo}, {self.hi}] is empty")
+        if (self.hi - self.lo) / self.step >= MAX_GRID_POINTS:
+            raise ScenarioError(
+                f"grid axis {self.lo}:{self.hi}:{self.step} has more than "
+                f"{MAX_GRID_POINTS} points")
 
     def values(self) -> list:
         out = []
@@ -91,6 +98,9 @@ class Scenario:
         if self.grid is None:
             raise ScenarioError(f"scenario {self.name!r} has no sweep grid")
         axes = [ax.values() for ax in self.grid]
+        if math.prod(len(vals) for vals in axes) > MAX_GRID_POINTS:
+            raise ScenarioError(f"grid of {' x '.join(str(len(v)) for v in axes)} "
+                                f"points has more than {MAX_GRID_POINTS}")
         points = [()]
         for vals in axes:
             points = [p + (v,) for p in points for v in vals]
@@ -100,6 +110,14 @@ class Scenario:
 def _require(cond, msg):
     if not cond:
         raise ScenarioError(msg)
+
+
+def _number(value, key: str, kind=float):
+    """``kind(value)``, or a :class:`ScenarioError` naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{key} must be a number, got {value!r}") from None
 
 
 def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
@@ -120,23 +138,26 @@ def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
                 and key[1] in "123" and key[0] != key[1],
                 f"a_ij key {key!r} must be a two-digit 1-based pair like '23'",
             )
-            a_pair[(int(key[0]) - 1, int(key[1]) - 1)] = float(val)
+            a_pair[(int(key[0]) - 1, int(key[1]) - 1)] = _number(val, f"a_ij {key!r}")
         for i in range(3):
             for j in range(3):
                 if i != j:
                     a_pair.setdefault((i, j), 1.0)
-        spec = three_queue_table(tuple(float(v) for v in a_i), a_pair, strict=False)
+        spec = three_queue_table(tuple(_number(v, "a_i") for v in a_i), a_pair,
+                                 strict=False)
     elif kind == "product":
         keys = set(block) - {"kind", "gain", "interference"}
         _require(not keys, f"unknown allocation keys {sorted(keys)}")
         gain = block.get("gain", {})
         inter = block.get("interference", {})
+        _require(isinstance(gain, dict) and isinstance(inter, dict),
+                 "gain and interference must be objects")
         gform = gain.get("form", "log_gain")
         _require(gform in GAIN_FORMS, f"unknown gain form {gform!r}")
-        cap = float(gain.get("cap", 3.0))
+        cap = _number(gain.get("cap", 3.0), "gain.cap")
         iform = inter.get("form")
         _require(iform in INTERFERENCE_FORMS, f"unknown interference form {iform!r}")
-        gamma = float(inter.get("gamma", 1.0))
+        gamma = _number(inter.get("gamma", 1.0), "interference.gamma")
         g = GAIN_FORMS[gform](cap)
         factor = INTERFERENCE_FORMS[iform](gamma)
         gains = [g] * n
@@ -148,7 +169,7 @@ def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
         raise ScenarioError(f"allocation kind must be 'table' or 'product', got {kind!r}")
 
     if bound_override is not None:
-        b = float(bound_override)
+        b = _number(bound_override, "bound")
         _require(
             b >= spec.bound - 1e-12,
             f"declared bound {b} below the allocation's natural bound {spec.bound}",
@@ -180,7 +201,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
-    spec = _build_allocation(n, data["allocation"], data.get("bound"))
+    try:
+        spec = _build_allocation(n, data["allocation"], data.get("bound"))
+    except (ValueError, TypeError, OverflowError) as exc:  # values the builders reject
+        raise ScenarioError(f"allocation: {exc}") from None
 
     rates = None
     grid = None
@@ -188,7 +212,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         raw = data["arrival_rates"]
         _require(isinstance(raw, list) and len(raw) == n,
                  f"arrival_rates must list {n} rates")
-        rates = tuple(float(v) for v in raw)
+        rates = tuple(_number(v, "arrival_rates") for v in raw)
         _require(all(v > 0 and math.isfinite(v) for v in rates),
                  "arrival rates must be strictly positive")
     if "grid" in data:
@@ -212,7 +236,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         rates=rates,
         grid=grid,
         tolerances=tolerances,
-        seed=int(data.get("seed", 20080447)),
+        seed=_number(data.get("seed", 20080447), "seed", int),
         params=dict(data.get("allocation", {})),
     )
 

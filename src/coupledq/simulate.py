@@ -547,6 +547,16 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     and times, transitions, segments and areas use the same float operations
     in the same order.  Only the shared window histograms add their segments
     in another order.
+
+    A spec with an array form is evaluated through it unchecked at each
+    step, and each chunk's rates are checked once, after its last step and
+    before any of its accounting, raising the ``BoundViolation`` of
+    :meth:`AllocationSpec.rates_at` for the first bad (step, queue,
+    replica).  A bad rate can only corrupt later states of the same chunk
+    (a NaN on an empty queue survives the zeroing and can take the queue to
+    -1); none of them is accounted or reported.  An exception the array form
+    raises on such a state is preceded by the check of the steps so far.  A
+    spec without an array form goes through ``rates_at`` at every step.
     """
     rates = as_rates(rates)
     n = spec.n_queues
@@ -578,7 +588,12 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     G = np.empty((R, C))
     U = np.empty((R, C))
     S = np.empty((C, n, R), dtype=np.int64)  # the state during each step
+    V = np.empty((C, n, R))                  # the rates during each step
     M = np.empty((n + 1, R))
+    busy = np.empty((n, R), dtype=bool)
+    below = np.empty((n + 1, R), dtype=bool)
+    died = np.empty((n, R), dtype=bool)
+    rate = spec.rates_at if spec._array_fn is None else spec._array_fn
     while active.any():
         draws.next(np.flatnonzero(active), G, U)
 
@@ -612,13 +627,22 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
         # deaths: v -= total_lam, then v -= rate_i for each busy queue in order
         for k in range(n_steps):
             S[k] = XT
-            for i in range(n):
-                M[i + 1] = spec.rates_at(i, X)
+            try:
+                for i in range(n):
+                    V[k, i] = rate(i, X)
+            except Exception:
+                V[k, i:] = 0.0  # a bad rate before the error is reported first
+                spec._check_bounds(V[:k + 1], S[:k + 1], range(n))
+                raise
             M[0] = V0[k]
-            M[1:] *= XT > 0
-            below = np.subtract.accumulate(M) < 0  # v - r_0 - ... - r_i; row 0 is v >= 0
-            XT -= below[1:] ^ below[:-1]           # death at the first queue taking it below 0
+            np.greater(XT, 0, out=busy)
+            np.multiply(V[k], busy, out=M[1:])
+            np.subtract.accumulate(M, out=M)  # v - r_0 - ... - r_i; row 0 is v >= 0
+            np.less(M, 0, out=below)
+            np.not_equal(below[1:], below[:-1], out=died)
+            XT -= died                        # death at the first queue taking it below 0
             XT += dB[k]
+        spec._check_bounds(V[:n_steps], S[:n_steps], range(n))
 
         # accounting: the segments of plain steps at once, then the pieces
         # of the steps that met something, in time order per replica

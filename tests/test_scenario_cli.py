@@ -10,6 +10,7 @@ from coupledq.cli import main
 from coupledq.engine import StabilityEngine
 from coupledq.errors import ScenarioError
 from coupledq.scenario import (
+    MAX_GRID_POINTS,
     GridAxis,
     builtin_scenario,
     load_scenario,
@@ -129,6 +130,34 @@ def test_cli_sweep_rejects_bad_grid_axis(grid, capsys, deadline):
         assert main(["sweep", "--scenario", "two_basestations", "--grid", grid]) == 64
     captured = capsys.readouterr()
     assert "scenario error" in captured.err and "ERR" not in captured.out
+
+
+def test_grid_axis_point_count_is_bounded(deadline):
+    with deadline(2.0):
+        axis = GridAxis(1.0, float(MAX_GRID_POINTS), 1.0)
+        assert len(axis.values()) == MAX_GRID_POINTS
+        with pytest.raises(ScenarioError, match="more than"):
+            GridAxis(1.0, MAX_GRID_POINTS + 1.0, 1.0)
+        with pytest.raises(ScenarioError, match="more than"):
+            GridAxis(0.1, 1e9, 1e-9)
+
+
+@pytest.mark.parametrize("grid", [
+    "0.1:1e9:1e-9",                                   # one axis too long
+    "0.1:100:0.001,0.1:100:0.001",                    # two fine axes, too many points
+])
+def test_cli_sweep_rejects_oversized_grid(grid, tmp_path, capsys, deadline):
+    with deadline(10.0):
+        assert main(["sweep", "--scenario", "two_basestations", "--grid", grid]) == 64
+        lo, hi, step = (float(v) for v in grid.split(",")[0].split(":"))
+        doc = dict(PRODUCT_DOC)
+        doc.pop("arrival_rates")
+        doc["grid"] = [{"min": lo, "max": hi, "step": step}] * 2
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--scenario", str(path)]) == 64
+    captured = capsys.readouterr()
+    assert captured.err.count("more than") == 2 and captured.out == ""
 
 
 def test_bound_override_must_cover():
@@ -274,6 +303,61 @@ def test_cli_malformed_scenario_exit_64(tmp_path, capsys):
     path.write_text("{oops")
     assert main(["analyze", "--scenario", str(path), "--rates", "0.5"]) == 64
     assert "scenario error" in capsys.readouterr().err
+
+
+def _set_key(doc, key, value):
+    doc = json.loads(json.dumps(doc))
+    *path, last = key.split(".")
+    block = doc
+    for part in path:
+        block = block[part]
+    if isinstance(block[last], list):
+        block[last][0] = value
+    else:
+        block[last] = value
+    return doc
+
+
+# a null bound means no override, so it is not among the bad values
+@pytest.mark.parametrize("doc, key, value", [
+    (doc, key, value)
+    for doc, key in [
+        (PRODUCT_DOC, "arrival_rates"),
+        (PRODUCT_DOC, "allocation.gain.cap"),
+        (PRODUCT_DOC, "allocation.interference.gamma"),
+        (dict(PRODUCT_DOC, bound=4.0), "bound"),
+        (dict(PRODUCT_DOC, seed=7), "seed"),
+        (TABLE_DOC, "arrival_rates"),
+        (TABLE_DOC, "allocation.a_i"),
+        (TABLE_DOC, "allocation.a_ij.23"),
+    ]
+    for value in ["abc", None, [1.0]]
+    if not (key == "bound" and value is None)
+])
+def test_cli_rejects_non_numeric_scenario_values(doc, key, value, tmp_path, capsys,
+                                                 deadline):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_set_key(doc, key, value)))
+    with deadline(10.0):
+        assert main(["analyze", "--scenario", str(path)]) == 64
+    err = capsys.readouterr().err
+    name = key.removeprefix("allocation.").replace(".23", " '23'")
+    assert "scenario error" in err and f"{name} must be a number" in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("allocation.gain.cap", "nan"),
+    ("allocation.gain.form", ["log_gain"]),
+    ("allocation.interference.gamma", -1.0),
+    ("bound", 1e400),
+])
+def test_cli_rejects_scenario_values_the_builders_reject(key, value, tmp_path, capsys,
+                                                        deadline):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_set_key(dict(PRODUCT_DOC, bound=4.0), key, value)))
+    with deadline(10.0):
+        assert main(["analyze", "--scenario", str(path)]) == 64
+    assert "scenario error: allocation:" in capsys.readouterr().err
 
 
 def test_cli_missing_scenario_exit_64(capsys):

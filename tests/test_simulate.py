@@ -1,5 +1,6 @@
 """Simulator: path law, coupling order preservation, marginal equivalence, probe."""
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from coupledq.allocation import (
     three_queue_table,
 )
 from coupledq import simulate
-from coupledq.errors import HypothesisViolated
+from coupledq.errors import BoundViolation, HypothesisViolated
 from coupledq.simulate import (
     HIST_CAP,
     empirical_stability_probe,
@@ -374,3 +375,88 @@ def test_lockstep_checkpoint_just_past_an_event():
     c = end + 8e-16
     assert end < c <= end + 1e-15
     _assert_lockstep_matches(spec, rates, (0, 0), (2 * c, 4 * c), 32, seed)
+
+
+# -- the lockstep's bound check against a per-event reference ----------------------
+
+def _first_bad_rate(rate, n, bound, rates, seed, replicas):
+    """Message of the first out-of-bound rate in (step, queue, replica)
+    order, where step ``k`` of a replica is the state after its first ``k``
+    events: each replica's events replayed one by one from
+    ``_Draws(_stream(seed, r))`` as ``simulate_path`` draws them, with every
+    queue's rate read at every state."""
+    lam = tuple(float(v) for v in rates)
+    total_lam = sum(lam)
+    big = total_lam + n * bound
+    found = []
+    for r in range(replicas):
+        draws = simulate._Draws(_stream(seed, r), 1.0 / big)
+        x = [0] * n
+        for k in itertools.count():
+            phi = [float(rate(i, tuple(x))) for i in range(n)]
+            bad = [i for i in range(n) if not 0.0 <= phi[i] <= bound]
+            if bad:
+                i = bad[0]
+                found.append((k, i, r, f"rate_fn({i}, {tuple(x)}) = {phi[i]!r} "
+                                       f"outside [0, {bound}]"))
+                break
+            v = draws.next()[1] * big
+            if v < total_lam:  # a birth, as in simulate_path
+                weights, step = lam, 1
+            else:              # a death at a busy queue, or a self-loop
+                v -= total_lam
+                weights, step = [p if c > 0 else 0.0 for p, c in zip(phi, x)], -1
+            for i in range(n):
+                v -= weights[i]
+                if v < 0:
+                    x[i] += step
+                    break
+    return min(found)[3]
+
+
+def _over_bound(i, x):
+    # queue 0 leaves [0, 2] once x_0 >= 4, queue 1 once x_0 + x_1 >= 5
+    if i == 0:
+        return 2.5 if x[0] >= 4 else 1.0
+    return 3.0 if x[0] + x[1] >= 5 else 1.0
+
+
+def _over_bound_array(i, X):
+    if i == 0:
+        return np.where(X[:, 0] >= 4, 2.5, 1.0)
+    return np.where(X[:, 0] + X[:, 1] >= 5, 3.0, 1.0)
+
+
+def _nan_when_busy(i, x):
+    # NaN on queue 1 once x_0 >= 3, also while queue 1 is empty
+    return math.nan if i == 1 and x[0] >= 3 else 1.0
+
+
+def _nan_when_busy_array(i, X):
+    # the NaN can take an empty queue to -1 later in the chunk; raising on
+    # such a state must not hide the NaN that came first
+    if (X < 0).any():
+        raise RuntimeError("negative queue length")
+    return np.where((X[:, 0] >= 3) & (i == 1), math.nan, 1.0)
+
+
+BOUND_CASES = {
+    "array": (_over_bound, _over_bound_array),
+    "black-box": (_over_bound, None),
+    "nan-array": (_nan_when_busy, _nan_when_busy_array),
+    "nan-black-box": (_nan_when_busy, None),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 9])
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_probe_reports_first_out_of_bound_rate(case, seed, deadline):
+    # seed 1: the first bad rate is replica 7's at step 6, before replica
+    # 0's and before queue 0's first bad rate; seed 9: both queues are bad
+    # at the first bad state, and queue 0 is named
+    rate, array_fn = BOUND_CASES[case]
+    spec = AllocationSpec(2, rate, bound=2.0, _array_fn=array_fn)
+    want = _first_bad_rate(rate, 2, 2.0, (0.9, 0.6), seed, 8)
+    with deadline(10.0), pytest.raises(BoundViolation) as err:
+        empirical_stability_probe((0.9, 0.6), spec, (0, 0), (50, 100), 8, seed)
+    assert str(err.value) == want
