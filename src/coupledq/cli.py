@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, rates=True):
+    def common(sp):
         sp.add_argument("--scenario", required=False,
                         help="built-in name or path to a JSON scenario file")
         sp.add_argument("--tol", action="append", metavar="KEY=VAL",
@@ -363,8 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--param", action="append", metavar="KEY=VAL",
                         help="built-in scenario parameter (repeatable)")
         sp.add_argument("--seed", type=int, default=None)
-        if rates:
-            sp.add_argument("--rates", help="comma-separated arrival rates")
+        sp.add_argument("--rates", help="comma-separated arrival rates")
 
     sp = sub.add_parser("analyze", help="classify a single rate point")
     common(sp)

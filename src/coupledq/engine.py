@@ -173,11 +173,12 @@ class Certificate:
     """The inequalities behind a verdict, each with both numeric sides.
 
     ``sigma`` is the scanned permutation and ``n`` the depth of its stable
-    prefix.  ``stages`` hold the prefix inequalities ``lam < avg`` and
-    ``excess`` the saturated ones ``lam > avg``.  For a descent witness
+    prefix.  ``stages`` hold the prefix inequalities ``lam < avg``; records
+    past ``n`` mark where the chain broke and claim nothing.  ``excess``
+    holds the saturated inequalities ``lam > avg``.  For a descent witness
     (``witness_rates`` set), ``excess`` and ``witness_rates`` belong to the
     witness point below the queried one, while ``stages`` keep the figures
-    of the scan at the queried point; :func:`verify_certificate` rechecks
+    of the scan at the queried point; :func:`verify_certificate` replays
     both at the witness point.
     """
 
@@ -261,7 +262,6 @@ def region_label(verdict: StabilityVerdict) -> str:
 class _LValue:
     value: float
     trustworthy: bool
-    unstable_prefix: bool = False
 
 
 class _PointCache:
@@ -360,7 +360,7 @@ class StabilityEngine:
                 cache.laws[prefix] = None
         law = cache.laws[prefix]
         if law is None:
-            val = _LValue(0.0, trustworthy=False, unstable_prefix=True)
+            val = _LValue(0.0, trustworthy=False)
         else:
             dist, report = law
             value = float(dist.masses @ table.values(queue, dist.box))
@@ -473,20 +473,15 @@ class StabilityEngine:
                 break
         return PrefixScan(sigma, n_max, stages)
 
-    def _unstable_at(self, rates, sigma, n: int, cache: _PointCache):
-        """Saturation witness test: first n queues stable with margin, all
-        later queues strictly exceeding their saturated average rate.
+    def _excess(self, rates, sigma, n: int, cache: _PointCache):
+        """Saturation witness test behind a scan of ``sigma`` whose first
+        ``n`` queues are stable with margin: every later queue strictly
+        exceeds its saturated average rate.
 
         Returns the list of excess records, or None when no witness."""
-        rates = as_rates(rates)
-        sigma = tuple(sigma)
-        nq = self.spec.n_queues
-        scan = self.sequential_prefix(rates, sigma, cache)
-        if scan.n_max < n:
-            return None
         prefix = frozenset(sigma[:n])
         excess = []
-        for pos in range(n, nq):
+        for pos in range(n, self.spec.n_queues):
             queue = sigma[pos]
             lval = self._L(rates, prefix, queue, cache)
             if not lval.trustworthy:
@@ -497,6 +492,17 @@ class StabilityEngine:
             excess.append(StageRecord(pos, queue, rates[queue], lval.value,
                                       gap, lval.trustworthy))
         return excess
+
+    def _witness(self, rates, scans, cache: _PointCache):
+        """The first saturation witness ``(sigma, n, excess)``, trying the
+        scans in order, each at depths ``n = 0 .. min(n_max, N - 1)``; None
+        when there is none."""
+        for scan in scans:
+            for n in range(min(scan.n_max, self.spec.n_queues - 1) + 1):
+                excess = self._excess(rates, scan.sigma, n, cache)
+                if excess is not None:
+                    return scan.sigma, n, excess
+        return None
 
     # -- classification ---------------------------------------------------------
 
@@ -545,16 +551,8 @@ class StabilityEngine:
 
         witness = None
         if ul_ok:
-            for sigma in perms:
-                for n in range(scans[sigma].n_max + 1):
-                    excess = self._unstable_at(rates, sigma, n, cache)
-                    if excess is not None:
-                        witness = (sigma, n, excess, None, None)
-                        break
-                if witness:
-                    break
-            if witness is None:
-                witness = self._descend(rates, perms)
+            witness = self._witness(rates, scans.values(), cache)
+            witness = (*witness, None, None) if witness else self._descend(rates, perms)
         else:
             notes.append("uniform-limit check failed: refusing instability claims")
 
@@ -607,18 +605,16 @@ class StabilityEngine:
     def _descend(self, rates: ArrivalRates, perms):
         """Search below the given point for a saturation witness; instability
         there transfers upward by stochastic dominance."""
-        nq = self.spec.n_queues
         for k in range(self.tol.descent_steps):
             r = self.tol.margins_tol * (2.0 ** k)
-            if r >= min(rates) :
+            if r >= min(rates):
                 return None
             tilde = tuple(l - r for l in rates)
             cache = _PointCache()
-            for sigma in perms:
-                for n in range(nq):
-                    excess = self._unstable_at(tilde, sigma, n, cache)
-                    if excess is not None:
-                        return (sigma, n, excess, tilde, r)
+            scans = (self.sequential_prefix(tilde, s, cache) for s in perms)
+            witness = self._witness(tilde, scans, cache)
+            if witness is not None:
+                return (*witness, tilde, r)
         return None
 
     def _aggregate_system(self, per_queue, pd_ok: bool, ul_ok: bool = True) -> SystemLabel:
@@ -658,29 +654,31 @@ class StabilityEngine:
 
 
 def verify_certificate(spec: AllocationSpec, rates, verdict: StabilityVerdict) -> bool:
-    """Recheck every certificate inequality on a fresh engine whose solves
-    start from twice the verdict's start box.
+    """Replay a definite verdict's certificate with the engine's own scan,
+    witness test and envelope bounds, on a fresh engine whose solves start
+    from twice the verdict's start box.
 
-    The inequalities are rechecked at the certificate's rates: the witness
-    rates of a descent witness, ``rates`` otherwise.  (A descent certificate's
-    stage records keep the queried point's figures.)  A recomputed average
-    that is not certified confirms nothing.
+    At the certificate's rates (the witness rates of a descent witness,
+    ``rates`` otherwise) the scan of ``sigma`` must reach depth ``n``, the
+    witness test must hold after it when there are excess records, and
+    every envelope bound must keep its label.  A definite verdict without a
+    certificate fails; an indeterminate one claims nothing and passes.
     """
     cert = verdict.certificate
     if verdict.system not in (SystemLabel.STABLE, SystemLabel.UNSTABLE):
         return True
-    if cert is None or cert.kind == "envelope-bounds":
-        return True
+    if cert is None:
+        return False
     tol = verdict.tolerances or Tolerances()
     engine = StabilityEngine(spec, tol.replace(start_box=2 * tol.start_box))
     at = as_rates(cert.witness_rates or rates)
-    cache = _PointCache()
-    for rec in cert.stages:
-        L = engine._L(at, frozenset(cert.sigma[:rec.position]), rec.queue, cache)
-        if not (L.trustworthy and at[rec.queue] < L.value - tol.margins_tol):
+    if cert.sigma is not None:
+        cache = _PointCache()
+        if engine.sequential_prefix(at, cert.sigma, cache).n_max < cert.n:
             return False
-    for rec in cert.excess:
-        L = engine._L(at, frozenset(cert.sigma[:cert.n]), rec.queue, cache)
-        if not (L.trustworthy and at[rec.queue] > L.value + tol.margins_tol):
+        if cert.excess and engine._excess(at, cert.sigma, cert.n, cache) is None:
             return False
-    return True
+    if not cert.bounds:
+        return True
+    labels = [b.label for b in engine.general_bounds(at)]
+    return all(labels[b.queue] is b.label for b in cert.bounds)

@@ -113,14 +113,19 @@ def _require(cond, msg):
 
 
 def _number(value, key: str, kind=float):
-    """``kind(value)``, or a :class:`ScenarioError` naming ``key``."""
+    """``kind(value)``, or a :class:`ScenarioError` naming ``key``.  A bool
+    is not a number, and ``kind=int`` takes whole numbers only."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
     try:
+        if isinstance(value, bool) or fraction:
+            raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
-        raise ScenarioError(f"{key} must be a number, got {value!r}") from None
+        need = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"{key} must be {need}, got {value!r}") from None
 
 
-def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
+def _build_allocation(n: int, block: dict, bound: Optional[float]) -> AllocationSpec:
     _require(isinstance(block, dict), "allocation must be an object")
     kind = block.get("kind")
     if kind == "table":
@@ -168,13 +173,12 @@ def _build_allocation(n: int, block: dict, bound_override) -> AllocationSpec:
     else:
         raise ScenarioError(f"allocation kind must be 'table' or 'product', got {kind!r}")
 
-    if bound_override is not None:
-        b = _number(bound_override, "bound")
+    if bound is not None:
         _require(
-            b >= spec.bound - 1e-12,
-            f"declared bound {b} below the allocation's natural bound {spec.bound}",
+            bound >= spec.bound - 1e-12,
+            f"declared bound {bound} below the allocation's natural bound {spec.bound}",
         )
-        spec = replace(spec, bound=b)
+        spec = replace(spec, bound=bound)
     return spec
 
 
@@ -189,7 +193,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     unknown = set(data) - _TOP_KEYS
     _require(not unknown, f"unknown scenario keys {sorted(unknown)}")
     n = data.get("n_queues")
-    _require(isinstance(n, int) and n >= 1, "n_queues must be a positive integer")
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+             "n_queues must be a positive integer")
     _require("allocation" in data, "scenario needs an allocation block")
 
     tol_block = data.get("tolerances", {})
@@ -201,8 +206,9 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
 
+    bound = _number(data["bound"], "bound") if "bound" in data else None
     try:
-        spec = _build_allocation(n, data["allocation"], data.get("bound"))
+        spec = _build_allocation(n, data["allocation"], bound)
     except (ValueError, TypeError, OverflowError) as exc:  # values the builders reject
         raise ScenarioError(f"allocation: {exc}") from None
 

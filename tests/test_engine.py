@@ -126,10 +126,15 @@ def test_sequential_chain_stops_at_failure(tq_engine):
 
 def unstable_at(engine, rates, sigma, n):
     """Whether ``classify``'s saturation witness test holds for the first
-    ``n`` queues of ``sigma``; the structure gate it sits behind must pass."""
+    ``n`` queues of ``sigma``: the scan reaches depth ``n`` and every later
+    queue exceeds its saturated average.  The structure gate it sits behind
+    must pass."""
     pd_ok, ul_ok, _ = engine.structure()
     assert pd_ok and ul_ok
-    return engine._unstable_at(rates, sigma, n, _PointCache()) is not None
+    cache = _PointCache()
+    if engine.sequential_prefix(rates, sigma, cache).n_max < n:
+        return False
+    return engine._excess(rates, sigma, n, cache) is not None
 
 
 def test_unstable_single_queue_at_zero_prefix():
@@ -181,12 +186,17 @@ def test_permutation_cap():
         StabilityEngine(spec).classify((0.5,) * 7)
 
 
-def test_hypotheses_unverified_falls_back_to_bounds():
-    spec = AllocationSpec(
+def rising_spec():
+    """Queue 0 serves faster as queue 1 grows: partial monotonicity fails."""
+    return AllocationSpec(
         2,
         lambda i, x: (min(0.5 + 0.2 * x[1], 2.0)) if i == 0 else 1.0,
         bound=2.0,
     )
+
+
+def test_hypotheses_unverified_falls_back_to_bounds():
+    spec = rising_spec()
     v = StabilityEngine(spec).classify((0.3, 0.5))
     assert v.system in (SystemLabel.HYPOTHESES_UNVERIFIED, SystemLabel.STABLE)
     assert v.certificate.kind == "envelope-bounds"
@@ -372,10 +382,28 @@ def test_certificate_descent_witness_verifies(bs_engine):
         assert verify_certificate(bs_engine.spec, pt, v)
 
 
+def test_certificate_uniform_limit_fallback_verifies():
+    # queue 0's rate nears its limit like 1/sqrt(x1), so the uniform-limit
+    # gate fails and instability comes from the envelope bounds alone; the
+    # certificate's scan breaks at queue 0, and that record claims nothing
+    spec = AllocationSpec(
+        2, lambda i, x: 1.0 + 1.0 / math.sqrt(1.0 + x[1]) if i == 0 else 1.0, bound=2.0)
+    v = StabilityEngine(spec).classify((2.5, 0.3))
+    cert = v.certificate
+    assert v.system is SystemLabel.UNSTABLE and cert.kind == "sequential"
+    assert len(cert.stages) > cert.n and cert.bounds
+    assert verify_certificate(spec, (2.5, 0.3), v)
+
+
 def test_certificate_recheck_rejects_other_rates(bs_engine):
-    v = bs_engine.classify((0.45, 0.45))
-    assert verify_certificate(bs_engine.spec, (0.45, 0.45), v)
-    assert not verify_certificate(bs_engine.spec, (0.55, 0.55), v)
+    # a sequential certificate, and an envelope-bounds one whose labels
+    # change at the other rates
+    for eng, at, other in [(bs_engine, (0.45, 0.45), (0.55, 0.55)),
+                           (StabilityEngine(rising_spec()), (0.3, 0.5), (1.9, 1.5))]:
+        v = eng.classify(at)
+        assert v.system in (SystemLabel.STABLE, SystemLabel.UNSTABLE)
+        assert verify_certificate(eng.spec, at, v)
+        assert not verify_certificate(eng.spec, other, v)
 
 
 def test_prefix_law_matches_hand_built_saturated_pair(tq_engine):

@@ -318,7 +318,8 @@ def _set_key(doc, key, value):
     return doc
 
 
-# a null bound means no override, so it is not among the bad values
+# values a lax parse would ignore or coerce (a null bound, a fractional or
+# boolean integer, a boolean number) follow the grid of non-numeric values
 @pytest.mark.parametrize("doc, key, value", [
     (doc, key, value)
     for doc, key in [
@@ -333,6 +334,12 @@ def _set_key(doc, key, value):
     ]
     for value in ["abc", None, [1.0]]
     if not (key == "bound" and value is None)
+] + [
+    (dict(PRODUCT_DOC, bound=4.0), "bound", None),
+    (dict(PRODUCT_DOC, seed=7), "seed", 1.5),
+    (dict(PRODUCT_DOC, seed=7), "seed", True),
+    (PRODUCT_DOC, "n_queues", True),
+    (PRODUCT_DOC, "allocation.gain.cap", True),
 ])
 def test_cli_rejects_non_numeric_scenario_values(doc, key, value, tmp_path, capsys,
                                                  deadline):
@@ -342,7 +349,8 @@ def test_cli_rejects_non_numeric_scenario_values(doc, key, value, tmp_path, caps
         assert main(["analyze", "--scenario", str(path)]) == 64
     err = capsys.readouterr().err
     name = key.removeprefix("allocation.").replace(".23", " '23'")
-    assert "scenario error" in err and f"{name} must be a number" in err
+    need = {"seed": "an integer", "n_queues": "a positive integer"}.get(key, "a number")
+    assert "scenario error" in err and f"{name} must be {need}" in err
 
 
 @pytest.mark.parametrize("key, value", [
@@ -470,6 +478,33 @@ def test_cli_sweep_matches_benchmark_region_map(tmp_path):
         "--grid", "0.1:1.4:0.1", "--out", str(out),
     ]) == 0
     assert out.read_bytes() == ref.read_bytes()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "data"
+SCENARIOS = pathlib.Path(__file__).parents[1] / "demos" / "scenarios"
+
+
+# Full-precision verdict records and reports, byte for byte.  Each file is
+# the command's stdout; a change that is meant to move these figures
+# rewrites the files with the same command and shows the moved bytes in its
+# diff.
+@pytest.mark.parametrize("argv, code, golden", [
+    (["analyze", "--scenario", str(SCENARIOS / "three_queues.json")], 0,
+     "analyze_three_queues.json"),
+    # a sequential certificate
+    (["analyze", "--scenario", "two_basestations", "--rates", "0.45,0.45"], 0,
+     "analyze_two_basestations_0.45_0.45.json"),
+    # a descent witness below the point
+    (["analyze", "--scenario", "two_basestations", "--rates", "0.5,0.6"], 1,
+     "analyze_two_basestations_0.5_0.6.json"),
+    # a saturation witness behind a stable prefix
+    (["analyze", "--scenario", "two_basestations", "--rates", "1.3,0.2"], 1,
+     "analyze_two_basestations_1.3_0.2.json"),
+    (["three-queues", "--rates", "0.5,1.2,0.3"], 0, "three_queues_0.5_1.2_0.3.txt"),
+])
+def test_cli_outputs_match_golden_files(argv, code, golden, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().out.encode() == (GOLDEN / golden).read_bytes()
 
 
 def test_cli_sweep_single_point(tmp_path):
