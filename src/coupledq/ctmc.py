@@ -17,6 +17,10 @@ its death array, so a detailed-balance law that passes never assembles the
 matrix; only the LU solves and the polish read it.  ``adaptive_stationary``
 doubles the box until the tail is certified; the engine builds every saturated
 prefix law through it.
+
+scipy is imported on first use, in ``_assemble_csr`` and ``_direct_solve``
+alone: only a chain of two or more dimensions, the LU fallback and the power
+polish load it.  Importing this module, and every 1-D prefix solve, does not.
 """
 
 from __future__ import annotations
@@ -26,11 +30,9 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .allocation import _state_grid, as_rates
 from .errors import (
@@ -39,6 +41,9 @@ from .errors import (
     NoConvergence,
     SolveFailure,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 STATE_CAP = 50_000_000
 SWEEP_BUDGET = 1_000_000
@@ -174,6 +179,8 @@ def _assemble_csr(box: tuple, rates, death_values: np.ndarray) -> sp.csr_matrix:
     The index dtype is the one scipy picks: int32 while it holds every index
     and the entry count, int64 beyond.
     """
+    import scipy.sparse as sp
+
     count, dim = death_values.shape
     shape = tuple(t + 1 for t in box)
     up = _state_grid(shape) < np.asarray(box)
@@ -307,6 +314,9 @@ def _direct_solve(matrix: sp.csr_matrix, ground: int) -> np.ndarray:
     stationary mass, so callers ground at the origin for stable chains and
     retry at the box corner when mass has drifted outward.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     count = matrix.shape[0]
     coo = matrix.tocoo()
     # transposed entries: row <- col, col <- row

@@ -20,13 +20,16 @@ A scenario is a JSON document with the exact key set::
 ``kind = "table"`` instead takes ``a_i`` (three solo rates) and ``a_ij``
 (pairwise rates keyed "12", "13", ..., 1-based), with the both-busy rate
 fixed at 1.
+
+Every value above that is a number must be a JSON number; a quoted number or
+a boolean is rejected, not coerced.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from .allocation import (
@@ -113,11 +116,12 @@ def _require(cond, msg):
 
 
 def _number(value, key: str, kind=float):
-    """``kind(value)``, or a :class:`ScenarioError` naming ``key``.  A bool
-    is not a number, and ``kind=int`` takes whole numbers only."""
+    """``kind(value)`` of a JSON number, or a :class:`ScenarioError` naming
+    ``key``.  A bool or a quoted number is not a number, and ``kind=int``
+    takes whole numbers only."""
     fraction = kind is int and isinstance(value, float) and not value.is_integer()
     try:
-        if isinstance(value, bool) or fraction:
+        if not isinstance(value, (int, float)) or isinstance(value, bool) or fraction:
             raise TypeError
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -201,6 +205,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     _require(isinstance(tol_block, dict), "tolerances must be an object")
     tol_kw = {"limit_tol": data["limit_tol"]} if "limit_tol" in data else {}
     tol_kw.update(tol_block)
+    knobs = {f.name for f in fields(Tolerances)}
+    for key, value in tol_kw.items():
+        if key in knobs and not (key == "pd_box" and value is None):
+            _number(value, f"tolerance {key}")
     try:
         tolerances = Tolerances().replace(**tol_kw)
     except ValueError as exc:
@@ -229,10 +237,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         for ax in raw:
             _require(isinstance(ax, dict) and set(ax) == {"min", "max", "step"},
                      "each grid axis needs the keys min, max and step")
-            try:
-                grid.append(GridAxis(*(float(ax[k]) for k in ("min", "max", "step"))))
-            except (TypeError, ValueError):
-                raise ScenarioError(f"grid axis {ax} is not numeric") from None
+            grid.append(GridAxis(*(_number(ax[k], f"grid axis {k}")
+                                   for k in ("min", "max", "step"))))
     _require(rates is not None or grid is not None,
              "scenario needs arrival_rates or a grid")
 

@@ -108,6 +108,9 @@ def test_grid_axis_rejects_non_finite_and_non_positive(lo, hi, step, message, de
     {"min": 0.1, "max": 0.3},
     {"min": "abc", "max": 0.3, "step": 0.1},
     {"min": None, "max": 0.3, "step": 0.1},
+    {"min": True, "max": True, "step": True},
+    {"min": 0.1, "max": "0.3", "step": 0.1},
+    {"min": 0.1, "max": 0.3, "step": False},
 ])
 def test_scenario_grid_axis_needs_numeric_min_max_step(axis, tmp_path, capsys):
     doc = dict(PRODUCT_DOC)
@@ -340,6 +343,12 @@ def _set_key(doc, key, value):
     (dict(PRODUCT_DOC, seed=7), "seed", True),
     (PRODUCT_DOC, "n_queues", True),
     (PRODUCT_DOC, "allocation.gain.cap", True),
+    (PRODUCT_DOC, "allocation.gain.cap", "nan"),
+    (PRODUCT_DOC, "arrival_rates", "0.3"),
+    (dict(PRODUCT_DOC, seed=7), "seed", "7"),
+    (PRODUCT_DOC, "allocation.gain.cap", "3"),
+    (TABLE_DOC, "allocation.a_ij.23", "2"),
+    (dict(PRODUCT_DOC, bound=4.0), "bound", "4"),
 ])
 def test_cli_rejects_non_numeric_scenario_values(doc, key, value, tmp_path, capsys,
                                                  deadline):
@@ -354,7 +363,7 @@ def test_cli_rejects_non_numeric_scenario_values(doc, key, value, tmp_path, caps
 
 
 @pytest.mark.parametrize("key, value", [
-    ("allocation.gain.cap", "nan"),
+    ("allocation.gain.cap", float("nan")),
     ("allocation.gain.form", ["log_gain"]),
     ("allocation.interference.gamma", -1.0),
     ("bound", 1e400),
@@ -390,13 +399,19 @@ def test_cli_missing_scenario_exit_64(capsys):
     ("file", "start_box", None),
     ("file", "residual_tol", -1e-10),
     ("file", "limit_tol", "tight"),
+    ("file", "margins_tol", "1e-3"),
+    ("file", "start_box", "32"),
+    ("file", "pd_box", "8"),
+    ("top", "limit_tol", "1e-9"),
+    ("top", "limit_tol", True),
 ])
 def test_cli_rejects_bad_tolerances(where, key, value, tmp_path, capsys, deadline):
     if where == "cli":
         argv = ["analyze", "--scenario", "two_basestations", "--rates", "0.5,0.5",
                 "--tol", f"{key}={value}"]
     else:
-        doc = dict(PRODUCT_DOC, tolerances={key: value})
+        block = {key: value} if where == "top" else {"tolerances": {key: value}}
+        doc = dict(PRODUCT_DOC, **block)
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(doc))
         argv = ["analyze", "--scenario", str(path)]
