@@ -2,7 +2,9 @@
 
 Subcommands: analyze, sweep, simulate, couple-check, three-queues.
 Exit codes: 0 stable, 1 unstable, 2 indeterminate; 3 ordering violations,
-4 coupling hypothesis violated; 64 usage or scenario errors, 70 internal.
+4 coupling hypothesis violated; 64 usage or scenario errors, 70 internal;
+141 (128 + SIGPIPE) when the reader of stdout goes away early, as in
+``coupledq analyze ... | head -1``, with nothing on stderr.
 All configuration is explicit flags; no environment variables.
 """
 
@@ -12,6 +14,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -33,6 +36,7 @@ EXIT_VIOLATIONS = 3
 EXIT_HYPOTHESIS = 4
 EXIT_USAGE = 64
 EXIT_INTERNAL = 70
+EXIT_PIPE = 141  # 128 + SIGPIPE
 
 
 def _parse_kv(pairs) -> dict:
@@ -389,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("couple-check",
                         help="order-preservation check on coupled pairs")
-    sp.add_argument("--pairs", type=int, default=100)
-    sp.add_argument("--events", type=int, default=1000)
+    sp.add_argument("--pairs", type=_positive_int, default=100)
+    sp.add_argument("--events", type=_positive_int, default=1000)
     sp.add_argument("--seed", type=int, default=20080447)
     sp.add_argument("--scenario", help="lower system (built-in or file)")
     sp.add_argument("--scenario-y", help="upper system (built-in or file)")
@@ -409,6 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the interpreter's
+        # final flush of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
+
+
+def _dispatch(argv: Optional[list]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -419,6 +437,8 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        raise
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE

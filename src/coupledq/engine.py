@@ -264,15 +264,6 @@ class _LValue:
     trustworthy: bool
 
 
-class _PointCache:
-    """Per-arrival-rate-vector cache of saturated prefix solves, the only
-    lambda-dependent work; the limits they read live in the engine's tables."""
-
-    def __init__(self):
-        self.laws = {}    # frozenset -> (dist, SolveReport), or None when unconverged
-        self.lvals = {}   # (frozenset, queue) -> _LValue
-
-
 class StabilityEngine:
     """Shared-state classifier for one allocation.
 
@@ -283,9 +274,16 @@ class StabilityEngine:
     average from slices of it.  Tables fill on first use and grow only when
     a solve needs a larger box, so their memory is bounded by the largest
     box solved.  Saturation contexts, structure checks and envelope bounds
-    are cached too; only the stationary solves are redone per point, so
-    build one engine per allocation and reuse it across a grid.  classify()
-    itself is pure: results depend only on (rates, spec, tolerances).
+    are cached too, so build one engine per allocation and reuse it across
+    a grid.
+
+    The stationary solves are the only work that depends on the arrival
+    rates.  The engine keeps the saturated prefix laws of one rate vector,
+    and the averages read from them, until a call arrives with another
+    vector; so every scan, witness test and :meth:`prefix_law` call at one
+    point solves each prefix once, and the memory held is the largest table
+    plus one point's laws.  classify() itself is pure: results depend only
+    on (rates, spec, tolerances).
     """
 
     def __init__(self, spec: AllocationSpec, tolerances: Tolerances = Tolerances()):
@@ -295,6 +293,9 @@ class StabilityEngine:
         self._tables = {}   # prefix -> LimitTable keyed by queue
         self._structure = None
         self._envelopes = {}
+        self._point = None  # the rate vector whose laws are kept
+        self._laws = {}     # prefix -> (dist, SolveReport), or the NoConvergence message
+        self._lvals = {}    # (prefix, queue) -> _LValue
 
     # -- saturated limit plumbing ------------------------------------------
 
@@ -320,6 +321,17 @@ class StabilityEngine:
             self._tables[prefix] = table
         return table
 
+    def _at(self, rates) -> ArrivalRates:
+        """``rates`` as :class:`ArrivalRates`, made the kept point: the laws
+        of any other vector are dropped.  The key is the normalized tuple,
+        so a plain tuple and an ``ArrivalRates`` of the same rates agree."""
+        rates = as_rates(rates)
+        if rates.rates != self._point:
+            self._point = rates.rates
+            self._laws = {}
+            self._lvals = {}
+        return rates
+
     def prefix_law(self, rates, prefix) -> tuple:
         """Stationary law of the saturated prefix process and its solve report.
 
@@ -327,45 +339,52 @@ class StabilityEngine:
         in ``rates`` and are served at their saturated limits with every
         other queue at infinity, read from the engine's limit tables.  The
         box escalation follows the engine's tolerances; an escalation that
-        does not converge raises :class:`NoConvergence`.
+        does not converge raises :class:`NoConvergence`.  The outcome is
+        kept with the point's other laws: a repeated call returns the same
+        law, or raises :class:`NoConvergence` again with the same message
+        (the unconverged law itself is not kept).
         """
-        rates = as_rates(rates)
+        rates = self._at(rates)
         prefix = frozenset(prefix)
-        order = tuple(sorted(prefix))
-        return adaptive_stationary(
-            tuple(rates[q] for q in order),
-            TabulatedDeaths(self._table(prefix), order),
-            death_bound=self.spec.bound,
-            tail_tol=self.tol.tail_tol,
-            residual_tol=self.tol.residual_tol,
-            start_box=self.tol.start_box,
-            state_cap=self.tol.state_cap,
-        )
+        law = self._laws.get(prefix)
+        if law is None:
+            order = tuple(sorted(prefix))
+            try:
+                law = adaptive_stationary(
+                    tuple(rates[q] for q in order),
+                    TabulatedDeaths(self._table(prefix), order),
+                    death_bound=self.spec.bound,
+                    tail_tol=self.tol.tail_tol,
+                    residual_tol=self.tol.residual_tol,
+                    start_box=self.tol.start_box,
+                    state_cap=self.tol.state_cap,
+                )
+            except NoConvergence as exc:
+                self._laws[prefix] = str(exc)
+                raise
+            self._laws[prefix] = law
+        if isinstance(law, str):
+            raise NoConvergence(law)
+        return law
 
-    def _L(self, rates: ArrivalRates, prefix: frozenset, queue: int,
-           cache: _PointCache) -> _LValue:
+    def _L(self, rates, prefix: frozenset, queue: int) -> _LValue:
+        rates = self._at(rates)
         key = (prefix, queue)
-        got = cache.lvals.get(key)
+        got = self._lvals.get(key)
         if got is not None:
             return got
         table = self._table(prefix)
         if not prefix:
             val = _LValue(float(table.values(queue, ())[0]), trustworthy=True)
-            cache.lvals[key] = val
-            return val
-        if prefix not in cache.laws:
-            try:
-                cache.laws[prefix] = self.prefix_law(rates, prefix)
-            except NoConvergence:
-                cache.laws[prefix] = None
-        law = cache.laws[prefix]
-        if law is None:
-            val = _LValue(0.0, trustworthy=False)
         else:
-            dist, report = law
-            value = float(dist.masses @ table.values(queue, dist.box))
-            val = _LValue(value, trustworthy=report.certified)
-        cache.lvals[key] = val
+            try:
+                dist, report = self.prefix_law(rates, prefix)
+            except NoConvergence:
+                val = _LValue(0.0, trustworthy=False)
+            else:
+                value = float(dist.masses @ table.values(queue, dist.box))
+                val = _LValue(value, trustworthy=report.certified)
+        self._lvals[key] = val
         return val
 
     # -- structure gates -----------------------------------------------------
@@ -451,19 +470,18 @@ class StabilityEngine:
 
     # -- sequential machinery --------------------------------------------------
 
-    def sequential_prefix(self, rates, sigma, cache: Optional[_PointCache] = None) -> PrefixScan:
+    def sequential_prefix(self, rates, sigma) -> PrefixScan:
         """Longest stable prefix of the permutation: consecutive queues whose
         arrival rate clears the saturated average rate with margin."""
         rates = as_rates(rates)
         sigma = tuple(sigma)
-        cache = cache or _PointCache()
         n = self.spec.n_queues
         stages = []
         n_max = 0
         for pos in range(n):
             queue = sigma[pos]
             prefix = frozenset(sigma[:pos])
-            lval = self._L(rates, prefix, queue, cache)
+            lval = self._L(rates, prefix, queue)
             margin = lval.value - rates[queue]
             stages.append(StageRecord(pos, queue, rates[queue], lval.value,
                                       margin, lval.trustworthy))
@@ -473,7 +491,7 @@ class StabilityEngine:
                 break
         return PrefixScan(sigma, n_max, stages)
 
-    def _excess(self, rates, sigma, n: int, cache: _PointCache):
+    def _excess(self, rates, sigma, n: int):
         """Saturation witness test behind a scan of ``sigma`` whose first
         ``n`` queues are stable with margin: every later queue strictly
         exceeds its saturated average rate.
@@ -483,7 +501,7 @@ class StabilityEngine:
         excess = []
         for pos in range(n, self.spec.n_queues):
             queue = sigma[pos]
-            lval = self._L(rates, prefix, queue, cache)
+            lval = self._L(rates, prefix, queue)
             if not lval.trustworthy:
                 return None
             gap = rates[queue] - lval.value
@@ -493,13 +511,13 @@ class StabilityEngine:
                                       gap, lval.trustworthy))
         return excess
 
-    def _witness(self, rates, scans, cache: _PointCache):
+    def _witness(self, rates, scans):
         """The first saturation witness ``(sigma, n, excess)``, trying the
         scans in order, each at depths ``n = 0 .. min(n_max, N - 1)``; None
         when there is none."""
         for scan in scans:
             for n in range(min(scan.n_max, self.spec.n_queues - 1) + 1):
-                excess = self._excess(rates, scan.sigma, n, cache)
+                excess = self._excess(rates, scan.sigma, n)
                 if excess is not None:
                     return scan.sigma, n, excess
         return None
@@ -534,11 +552,10 @@ class StabilityEngine:
                                     margin=self._bounds_margin(rates, t1),
                                     notes=tuple(notes), tolerances=self.tol)
 
-        cache = _PointCache()
         perms = list(itertools.permutations(range(nq)))
         scans = {}
         for sigma in perms:
-            scan = self.sequential_prefix(rates, sigma, cache)
+            scan = self.sequential_prefix(rates, sigma)
             scans[sigma] = scan
             if scan.n_max == nq:
                 cert = Certificate(kind="sequential", sigma=sigma, n=nq,
@@ -551,7 +568,7 @@ class StabilityEngine:
 
         witness = None
         if ul_ok:
-            witness = self._witness(rates, scans.values(), cache)
+            witness = self._witness(rates, scans.values())
             witness = (*witness, None, None) if witness else self._descend(rates, perms)
         else:
             notes.append("uniform-limit check failed: refusing instability claims")
@@ -565,8 +582,7 @@ class StabilityEngine:
         if witness is not None:
             sigma_w, n_w, excess, w_rates, w_r = witness
             unstable_queues.update(sigma_w[n_w:])
-            stage_part = scans.get(sigma_w)
-            stages = stage_part.stages[:n_w] if stage_part else []
+            stages = scans[sigma_w].stages[:n_w]
             cert = Certificate(kind="saturation-witness", sigma=sigma_w, n=n_w,
                                stages=stages, excess=excess,
                                witness_rates=w_rates, descent_r=w_r)
@@ -609,12 +625,11 @@ class StabilityEngine:
             r = self.tol.margins_tol * (2.0 ** k)
             if r >= min(rates):
                 return None
-            tilde = tuple(l - r for l in rates)
-            cache = _PointCache()
-            scans = (self.sequential_prefix(tilde, s, cache) for s in perms)
-            witness = self._witness(tilde, scans, cache)
+            tilde = as_rates(tuple(l - r for l in rates))
+            scans = (self.sequential_prefix(tilde, s) for s in perms)
+            witness = self._witness(tilde, scans)
             if witness is not None:
-                return (*witness, tilde, r)
+                return (*witness, tilde.rates, r)
         return None
 
     def _aggregate_system(self, per_queue, pd_ok: bool, ul_ok: bool = True) -> SystemLabel:
@@ -673,10 +688,9 @@ def verify_certificate(spec: AllocationSpec, rates, verdict: StabilityVerdict) -
     engine = StabilityEngine(spec, tol.replace(start_box=2 * tol.start_box))
     at = as_rates(cert.witness_rates or rates)
     if cert.sigma is not None:
-        cache = _PointCache()
-        if engine.sequential_prefix(at, cert.sigma, cache).n_max < cert.n:
+        if engine.sequential_prefix(at, cert.sigma).n_max < cert.n:
             return False
-        if cert.excess and engine._excess(at, cert.sigma, cert.n, cache) is None:
+        if cert.excess and engine._excess(at, cert.sigma, cert.n) is None:
             return False
     if not cert.bounds:
         return True

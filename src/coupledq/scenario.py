@@ -44,7 +44,7 @@ from .allocation import (
     three_queue_table,
 )
 from .engine import Tolerances
-from .errors import ScenarioError
+from .errors import InvalidShape, ScenarioError
 
 # the most points an axis, or a whole grid, may hold; checked before building
 MAX_GRID_POINTS = 100_000
@@ -108,6 +108,11 @@ class Scenario:
         for vals in axes:
             points = [p + (v,) for p in points for v in vals]
         return points
+
+
+# what the allocation builders raise for values they reject, e.g. a negative
+# interference gamma: its factor overflows, or increases on the probe range
+_REJECTED = (ValueError, TypeError, OverflowError, InvalidShape)
 
 
 def _require(cond, msg):
@@ -217,7 +222,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     bound = _number(data["bound"], "bound") if "bound" in data else None
     try:
         spec = _build_allocation(n, data["allocation"], bound)
-    except (ValueError, TypeError, OverflowError) as exc:  # values the builders reject
+    except _REJECTED as exc:
         raise ScenarioError(f"allocation: {exc}") from None
 
     rates = None
@@ -353,7 +358,7 @@ def builtin_scenario(name: str, params: Optional[dict] = None) -> Scenario:
                           f"{name!r}; it reads {', '.join(sorted(keys))}")
     try:
         return factory(params)
-    except (ValueError, TypeError) as exc:
+    except _REJECTED as exc:
         raise ScenarioError(f"scenario {name!r}: {exc}") from None
 
 

@@ -27,3 +27,21 @@ def _deadline(seconds: float):
 def deadline():
     """``with deadline(s): ...`` fails the test after ``s`` seconds."""
     return _deadline
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """The engine's saturated prefix solves, one ``(rates, prefix)`` entry
+    per ``adaptive_stationary`` call: the prefix's arrival rates and its
+    queues in increasing order."""
+    import coupledq.engine
+
+    calls = []
+    solve = coupledq.engine.adaptive_stationary
+
+    def counted(rates, deaths, **kwargs):
+        calls.append((tuple(rates), tuple(deaths.keys)))
+        return solve(rates, deaths, **kwargs)
+
+    monkeypatch.setattr(coupledq.engine, "adaptive_stationary", counted)
+    return calls

@@ -29,7 +29,7 @@ from coupledq.ctmc import (
     build_truncated_generator,
     solve_stationary,
 )
-from coupledq.engine import StabilityEngine, Tolerances, _PointCache
+from coupledq.engine import StabilityEngine, Tolerances
 from coupledq.errors import BoundViolation, BoxTooLarge, DivergentSeries, NoConvergence
 from oracles import marginal, prob, stationary_1d_closed_form
 
@@ -44,8 +44,7 @@ def engine_average(spec, rates, sigma, n, i, **tol):
     """The engine's average of queue ``sigma[i]``'s saturated limit under the
     law of the saturated prefix ``sigma[:n]``."""
     engine = StabilityEngine(spec, Tolerances(**tol))
-    return engine._L(ArrivalRates(rates), frozenset(sigma[:n]), sigma[i],
-                     _PointCache()).value
+    return engine._L(ArrivalRates(rates), frozenset(sigma[:n]), sigma[i]).value
 
 
 def geometric(rho, size):

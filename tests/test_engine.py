@@ -1,7 +1,9 @@
 """Classification engine: bounds, sequential chains, witnesses, verdicts, sweeps."""
 
+import csv
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -23,12 +25,12 @@ from coupledq.engine import (
     StabilityEngine,
     SystemLabel,
     Tolerances,
-    _PointCache,
     region_label,
     verify_certificate,
 )
+from coupledq.cli import main
 from coupledq.ctmc import adaptive_stationary
-from coupledq.errors import PermutationCapExceeded
+from coupledq.errors import NoConvergence, PermutationCapExceeded
 from oracles import envelope_scalar, relabel
 
 
@@ -131,10 +133,9 @@ def unstable_at(engine, rates, sigma, n):
     must pass."""
     pd_ok, ul_ok, _ = engine.structure()
     assert pd_ok and ul_ok
-    cache = _PointCache()
-    if engine.sequential_prefix(rates, sigma, cache).n_max < n:
+    if engine.sequential_prefix(rates, sigma).n_max < n:
         return False
-    return engine._excess(rates, sigma, n, cache) is not None
+    return engine._excess(rates, sigma, n) is not None
 
 
 def test_unstable_single_queue_at_zero_prefix():
@@ -419,3 +420,112 @@ def test_prefix_law_matches_hand_built_saturated_pair(tq_engine):
     assert report.boxes_tried == ref_report.boxes_tried
     assert report.certified and ref_report.certified
     assert np.array_equal(dist.masses, ref.masses)
+
+
+# -- one point's prefix laws ---------------------------------------------------------------
+
+def test_three_queue_report_solves_each_prefix_once(count_solves, capsys):
+    # classify, the six scans after it and the saturated pair's law share
+    # the point's five prefix solves
+    assert main(["three-queues", "--rates", "0.5,1.2,0.3"]) == 0
+    assert len(count_solves) == len(set(count_solves)) == 5
+
+
+def test_scans_and_laws_after_classify_reuse_its_solves(count_solves):
+    eng = StabilityEngine(base_station_pair(2.0))
+    v = eng.classify((0.3, 1.0))
+    assert v.certificate.witness_rates is None
+    solved = [prefix for _, prefix in count_solves]
+    assert solved == [(0,)]
+    count_solves.clear()
+    # the point is keyed by its rates, whatever the container
+    for rates in ((0.3, 1.0), ArrivalRates((0.3, 1.0))):
+        for sigma in itertools.permutations(range(2)):
+            eng.sequential_prefix(rates, sigma)
+        for prefix in solved:
+            eng.prefix_law(rates, prefix)
+    assert count_solves == []
+
+
+def test_other_rates_resolve_and_so_does_a_return(count_solves):
+    eng = StabilityEngine(base_station_pair(2.0))
+    for pt in ((0.3, 1.0), (1.3, 0.2), (0.3, 1.0)):
+        eng.classify(pt)
+    assert count_solves == [((0.3,), (0,)), ((0.2,), (1,)), ((0.3,), (0,))]
+
+
+def test_repeated_no_convergence_solves_once(count_solves):
+    eng = StabilityEngine(constant_allocation((1.0, 1.0)), Tolerances(state_cap=1 << 14))
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NoConvergence) as exc:
+            eng.prefix_law((1.5, 0.3), {0})
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] and "state cap" in messages[0]
+    assert eng._L((1.5, 0.3), frozenset({0}), 1).value == 0.0
+    assert len(count_solves) == 1
+
+
+def test_descent_witness_solves_as_before(count_solves):
+    # the scans at the point solve nothing; the descent's one step below it
+    # solves queue 0's prefix once
+    v = StabilityEngine(base_station_pair(2.0)).classify((0.5, 0.6))
+    assert v.certificate.witness_rates is not None
+    assert count_solves == [((0.4998,), (0,))]
+
+
+def test_region_map_solve_count(count_solves):
+    # a fresh engine over the benchmark grid in file order: 138 solves of
+    # 32 distinct (rates, prefix) keys, and the reference labels and margins
+    ref = pathlib.Path(__file__).parents[1] / "perfbench" / "refs" / "sweep_2q.csv"
+    with open(ref, encoding="utf-8", newline="") as f:
+        rows = list(csv.DictReader(f))
+    eng = StabilityEngine(base_station_pair(2.0))
+    for row in rows:
+        v = eng.classify((float(row["lambda_1"]), float(row["lambda_2"])))
+        margin = "" if v.margin is None else f"{v.margin:.9g}"
+        assert [region_label(v), margin] == [row["label"], row["margin"]]
+    assert len(count_solves) == 138
+    assert len(set(count_solves)) == 32
+
+
+# -- random black-box specs ---------------------------------------------------------------
+
+def clipped_linear_spec(rng):
+    """A black-box 2-queue spec: queue i serves at ``base[i]`` less a share
+    of the other queue's occupancy, clipped at that queue's saturation
+    level and at a floor; partially decreasing by construction."""
+    base = rng.uniform(0.5, 2.0, size=2)
+    weights = rng.uniform(0.0, 0.6, size=(2, 2)) * base[:, None]
+    np.fill_diagonal(weights, 0.0)
+    sat = rng.integers(1, 9, size=2)
+
+    def rate(i, x):
+        v = base[i]
+        for k in range(2):
+            v -= weights[i, k] * min(x[k], sat[k]) / sat[k]
+        return max(v, 0.1)
+
+    return AllocationSpec(2, rate, bound=float(base.max())), base
+
+
+def test_random_black_box_pairs(deadline):
+    # every definite verdict rechecks, a stable point stays stable at 0.9x
+    # its rates, and swapping the queues swaps the labels
+    rng = np.random.default_rng(2024)
+    definite = 0
+    with deadline(90.0):
+        for _ in range(20):
+            spec, base = clipped_linear_spec(rng)
+            swapped_spec, _ = relabel(spec, (1.0, 1.0), (1, 0))
+            eng, swapped = StabilityEngine(spec), StabilityEngine(swapped_spec)
+            for _ in range(6):
+                rates = tuple(float(v) for v in rng.uniform(0.05, 1.4, size=2) * base)
+                v = eng.classify(rates)
+                definite += v.system in (SystemLabel.STABLE, SystemLabel.UNSTABLE)
+                assert verify_certificate(spec, rates, v), rates
+                if v.system is SystemLabel.STABLE:
+                    lower = eng.classify(tuple(0.9 * r for r in rates))
+                    assert lower.system is SystemLabel.STABLE, rates
+                assert swapped.classify(rates[::-1]).per_queue == v.per_queue[::-1], rates
+    assert definite >= 100

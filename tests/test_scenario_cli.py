@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -264,6 +267,9 @@ def test_cli_couple_check_takes_text_params(capsys):
     ("two_basestations", "form", "bogus", "0.5,0.5", "unknown interference form"),
     ("mm1", "mu", -1.0, "0.5", "service rates must be finite"),
     ("two_basestations", "rates", 0.5, "0.5,0.5", "'two_basestations'"),
+    # a negative gamma: the interference factor overflows, or increases
+    ("two_basestations", "gamma", -1.0, "0.3,0.4", "math range error"),
+    ("two_basestations", "gamma", -0.01, "0.3,0.4", "increases on the probe range"),
 ])
 def test_param_the_factory_rejects_exit_64(scenario, param, value, rates, message,
                                            capsys):
@@ -367,6 +373,7 @@ def test_cli_rejects_non_numeric_scenario_values(doc, key, value, tmp_path, caps
     ("allocation.gain.form", ["log_gain"]),
     ("allocation.interference.gamma", -1.0),
     ("bound", 1e400),
+    ("allocation.interference.gamma", -0.01),
 ])
 def test_cli_rejects_scenario_values_the_builders_reject(key, value, tmp_path, capsys,
                                                         deadline):
@@ -375,6 +382,34 @@ def test_cli_rejects_scenario_values_the_builders_reject(key, value, tmp_path, c
     with deadline(10.0):
         assert main(["analyze", "--scenario", str(path)]) == 64
     assert "scenario error: allocation:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--pairs", "--events"])
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_cli_couple_check_needs_positive_counts(flag, value, capsys):
+    # a check over no pairs or no events would report success having
+    # checked nothing
+    assert main(["couple-check", flag, value]) == 64
+    assert f"must be at least 1, got {value}" in capsys.readouterr().err
+
+
+def test_cli_closed_pipe_exits_141_quietly(deadline):
+    # The reader takes one line and goes away, as `| head -1` does.  The CSV
+    # is larger than the pipe holds, so later writes find the pipe closed;
+    # stdout is block-buffered, as it is in a plain run.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[1] / "src")
+    argv = [sys.executable, "-m", "coupledq.cli", "sweep", "--scenario",
+            "two_basestations", "--grid", "3:12:0.1"]
+    with deadline(60.0):
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert first == b"lambda_1,lambda_2,label,margin\n"
+    assert (code, err) == (141, b"")
 
 
 def test_cli_missing_scenario_exit_64(capsys):
