@@ -599,13 +599,21 @@ def log_gain(cap: float = 3.0):
     return (lambda x: min(cap, math.log1p(x)), cap)
 
 
+def _check_gamma(gamma: float) -> None:
+    # at gamma = 0 the factor stays at 1/2 and never reaches its limit 1/6
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 def exp_interference(gamma: float):
     """Interference factor 1 / (6 - 4 exp(-gamma t)): decreasing to 1/6."""
+    _check_gamma(gamma)
     return (lambda t: 1.0 / (6.0 - 4.0 * math.exp(-gamma * t)), 1.0 / 6.0)
 
 
 def poly_interference(gamma: float):
     """Interference factor 1 / (6 - 4 (1+t)^-gamma): decreasing to 1/6."""
+    _check_gamma(gamma)
     return (lambda t: 1.0 / (6.0 - 4.0 * (1.0 + t) ** (-gamma)), 1.0 / 6.0)
 
 

@@ -17,16 +17,27 @@ A scenario is a JSON document with the exact key set::
       "seed": 1234                        # optional
     }
 
-``kind = "table"`` instead takes ``a_i`` (three solo rates) and ``a_ij``
-(pairwise rates keyed "12", "13", ..., 1-based), with the both-busy rate
-fixed at 1.
+The allocation kinds:
+
+- ``product``: gain times pairwise interference, as above; ``gamma > 0``;
+- ``table``: three queues, ``a_i`` (three solo rates) and ``a_ij`` (pairwise
+  rates keyed "12", "13", ..., 1-based, default 1), with the both-busy rate
+  fixed at 1;
+- ``constant``: ``mu``, one fixed service rate per queue;
+- ``power_law``: one queue served at ``(1 + 1/x)^alpha``.
 
 Every value above that is a number must be a JSON number; a quoted number or
 a boolean is rejected, not coerced.
+
+Each built-in preset is a function from its ``--param`` values to such a
+document, so presets and files are read by the same code and get the same
+checks.  :class:`Scenario` itself checks its arrival rates and grid, also
+when a command-line flag replaces them.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -36,10 +47,8 @@ from .allocation import (
     GAIN_FORMS,
     INTERFERENCE_FORMS,
     AllocationSpec,
-    base_station_pair,
     build_product_allocation,
     constant_allocation,
-    log_gain,
     one_server_power_law,
     three_queue_table,
 )
@@ -83,7 +92,7 @@ class GridAxis:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     name: str
     spec: AllocationSpec
@@ -91,7 +100,19 @@ class Scenario:
     grid: Optional[list] = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     seed: int = 20080447
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # the allocation block
+
+    def __post_init__(self):
+        n = self.n_queues
+        _require(self.rates is not None or self.grid is not None,
+                 "scenario needs arrival_rates or a grid")
+        if self.rates is not None:
+            _require(len(self.rates) == n,
+                     f"scenario has {n} queues, got {len(self.rates)} rates")
+            _require(all(math.isfinite(r) and r > 0 for r in self.rates),
+                     f"arrival rates must be positive and finite, got {list(self.rates)}")
+        _require(self.grid is None or len(self.grid) == n,
+                 f"scenario has {n} queues, got {len(self.grid or ())} grid axes")
 
     @property
     def n_queues(self) -> int:
@@ -111,7 +132,7 @@ class Scenario:
 
 
 # what the allocation builders raise for values they reject, e.g. a negative
-# interference gamma: its factor overflows, or increases on the probe range
+# service rate or a non-positive interference gamma
 _REJECTED = (ValueError, TypeError, OverflowError, InvalidShape)
 
 
@@ -134,34 +155,41 @@ def _number(value, key: str, kind=float):
         raise ScenarioError(f"{key} must be {need}, got {value!r}") from None
 
 
+# allocation kind -> the keys its block may hold besides "kind"
+_ALLOCATION_KEYS = {
+    "table": {"a_i", "a_ij"},
+    "product": {"gain", "interference"},
+    "constant": {"mu"},
+    "power_law": {"alpha"},
+}
+# the table kind's pairwise-rate keys, 1-based: "12", "13", "21", ...
+_PAIRS = [i + j for i, j in itertools.permutations("123", 2)]
+
+
 def _build_allocation(n: int, block: dict, bound: Optional[float]) -> AllocationSpec:
     _require(isinstance(block, dict), "allocation must be an object")
     kind = block.get("kind")
+    _require(isinstance(kind, str) and kind in _ALLOCATION_KEYS,
+             f"allocation kind must be one of {', '.join(_ALLOCATION_KEYS)}, "
+             f"got {kind!r}")
+    keys = set(block) - {"kind"} - _ALLOCATION_KEYS[kind]
+    _require(not keys, f"unknown allocation keys {sorted(keys)}")
     if kind == "table":
         _require(n == 3, "table allocations describe exactly three queues")
-        keys = set(block) - {"kind", "a_i", "a_ij"}
-        _require(not keys, f"unknown allocation keys {sorted(keys)}")
         a_i = block.get("a_i")
         _require(isinstance(a_i, list) and len(a_i) == 3, "a_i must list three rates")
         a_ij_raw = block.get("a_ij", {})
         _require(isinstance(a_ij_raw, dict), "a_ij must map 'ij' pairs to rates")
         a_pair = {}
         for key, val in a_ij_raw.items():
-            _require(
-                isinstance(key, str) and len(key) == 2 and key[0] in "123"
-                and key[1] in "123" and key[0] != key[1],
-                f"a_ij key {key!r} must be a two-digit 1-based pair like '23'",
-            )
+            _require(key in _PAIRS,
+                     f"a_ij key {key!r} must be a two-digit 1-based pair like '23'")
             a_pair[(int(key[0]) - 1, int(key[1]) - 1)] = _number(val, f"a_ij {key!r}")
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    a_pair.setdefault((i, j), 1.0)
+        for ij in itertools.permutations(range(3), 2):
+            a_pair.setdefault(ij, 1.0)
         spec = three_queue_table(tuple(_number(v, "a_i") for v in a_i), a_pair,
                                  strict=False)
     elif kind == "product":
-        keys = set(block) - {"kind", "gain", "interference"}
-        _require(not keys, f"unknown allocation keys {sorted(keys)}")
         gain = block.get("gain", {})
         inter = block.get("interference", {})
         _require(isinstance(gain, dict) and isinstance(inter, dict),
@@ -179,8 +207,13 @@ def _build_allocation(n: int, block: dict, bound: Optional[float]) -> Allocation
             {j: factor for j in range(n) if j != i} for i in range(n)
         ]
         spec = build_product_allocation(gains, interference)
+    elif kind == "constant":
+        mu = block.get("mu")
+        _require(isinstance(mu, list) and len(mu) == n, f"mu must list {n} rates")
+        spec = constant_allocation([_number(v, "mu") for v in mu])
     else:
-        raise ScenarioError(f"allocation kind must be 'table' or 'product', got {kind!r}")
+        _require(n == 1, "power_law allocations describe exactly one queue")
+        spec = one_server_power_law(_number(block.get("alpha"), "alpha"))
 
     if bound is not None:
         _require(
@@ -229,23 +262,17 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     grid = None
     if "arrival_rates" in data:
         raw = data["arrival_rates"]
-        _require(isinstance(raw, list) and len(raw) == n,
-                 f"arrival_rates must list {n} rates")
+        _require(isinstance(raw, (list, tuple)), "arrival_rates must be a list")
         rates = tuple(_number(v, "arrival_rates") for v in raw)
-        _require(all(v > 0 and math.isfinite(v) for v in rates),
-                 "arrival rates must be strictly positive")
     if "grid" in data:
         raw = data["grid"]
-        _require(isinstance(raw, list) and len(raw) == n,
-                 f"grid must list {n} axes")
+        _require(isinstance(raw, list), "grid must be a list of axes")
         grid = []
         for ax in raw:
             _require(isinstance(ax, dict) and set(ax) == {"min", "max", "step"},
                      "each grid axis needs the keys min, max and step")
             grid.append(GridAxis(*(_number(ax[k], f"grid axis {k}")
                                    for k in ("min", "max", "step"))))
-    _require(rates is not None or grid is not None,
-             "scenario needs arrival_rates or a grid")
 
     return Scenario(
         name=str(data.get("name", name)),
@@ -272,81 +299,57 @@ def load_scenario(path: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Built-in presets
+# Built-in presets: each turns its parameters into a scenario document
 # ---------------------------------------------------------------------------
 
-def _one_server_alpha(params: dict) -> Scenario:
-    alpha = float(params.get("alpha", 2.0))
-    lam = float(params.get("lambda1", params.get("lam", 0.9)))
-    return Scenario(
-        name="one_server_alpha",
-        spec=one_server_power_law(alpha),
-        rates=(lam,),
-        params={"alpha": alpha},
-    )
+def _one_server_alpha(params: dict) -> dict:
+    _require(not {"lam", "lambda1"} <= set(params),
+             "lam and lambda1 both set the arrival rate; give one of them")
+    return {"n_queues": 1,
+            "arrival_rates": [params.get("lambda1", params.get("lam", 0.9))],
+            "allocation": {"kind": "power_law", "alpha": params.get("alpha", 2.0)}}
 
 
-def _two_basestations(params: dict) -> Scenario:
-    gamma = float(params.get("gamma", 2.0))
-    form = str(params.get("form", "exp_interference"))
-    cap = float(params.get("cap", 3.0))
-    lam = params.get("rates")
-    rates = tuple(float(v) for v in lam) if lam is not None else None
-    grid = None
-    if rates is None:
-        step = float(params.get("step", 0.05))
-        hi = float(params.get("hi", 1.45))
-        grid = [GridAxis(step, hi, step), GridAxis(step, hi, step)]
-    return Scenario(
-        name="two_basestations",
-        spec=base_station_pair(gamma, form=form, cap=cap),
-        rates=rates,
-        grid=grid,
-        params={"gamma": gamma, "form": form, "cap": cap},
-    )
+def _two_basestations(params: dict) -> dict:
+    doc = {"n_queues": 2, "allocation": {
+        "kind": "product",
+        "gain": {"form": "log_gain", "cap": params.get("cap", 3.0)},
+        "interference": {"form": params.get("form", "exp_interference"),
+                         "gamma": params.get("gamma", 2.0)}}}
+    if params.get("rates") is not None:
+        doc["arrival_rates"] = params["rates"]
+    else:
+        step = params.get("step", 0.05)
+        doc["grid"] = [{"min": step, "max": params.get("hi", 1.45), "step": step}] * 2
+    return doc
 
 
-def _three_queues(params: dict) -> Scenario:
-    a = tuple(float(params.get(f"a{i}", 3.0)) for i in (1, 2, 3))
-    a_pair = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                a_pair[(i, j)] = float(params.get(f"a{i + 1}{j + 1}", 2.0))
-    lam = params.get("rates", (0.5, 1.2, 0.3))
-    return Scenario(
-        name="three_queues",
-        spec=three_queue_table(a, a_pair, strict=False),
-        rates=tuple(float(v) for v in lam),
-        params={"a": a, "a_pair": {f"{i+1}{j+1}": v for (i, j), v in a_pair.items()}},
-    )
+def _three_queues(params: dict) -> dict:
+    return {"n_queues": 3, "arrival_rates": params.get("rates", [0.5, 1.2, 0.3]),
+            "allocation": {"kind": "table",
+                           "a_i": [params.get(f"a{i}", 3.0) for i in (1, 2, 3)],
+                           "a_ij": {ij: params.get(f"a{ij}", 2.0) for ij in _PAIRS}}}
 
 
-def _mm1(params: dict) -> Scenario:
-    lam = float(params.get("lam", 0.5))
-    mu = float(params.get("mu", 1.0))
-    return Scenario(
-        name="mm1",
-        spec=constant_allocation((mu,)),
-        rates=(lam,),
-        params={"mu": mu},
-    )
+def _mm1(params: dict) -> dict:
+    return {"n_queues": 1, "arrival_rates": [params.get("lam", 0.5)],
+            "allocation": {"kind": "constant", "mu": [params.get("mu", 1.0)]}}
 
 
-# name -> (factory, the parameter keys it reads)
+# name -> (document builder, the parameter keys it reads)
 BUILTIN_SCENARIOS = {
     "one_server_alpha": (_one_server_alpha, {"alpha", "lambda1", "lam"}),
     "two_basestations": (_two_basestations,
                          {"gamma", "form", "cap", "rates", "step", "hi"}),
-    "three_queues": (_three_queues, {"rates", "a1", "a2", "a3"} | {
-        f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) if i != j}),
+    "three_queues": (_three_queues,
+                     {"rates", "a1", "a2", "a3"} | {f"a{ij}" for ij in _PAIRS}),
     "mm1": (_mm1, {"lam", "mu"}),
 }
 
 
 def builtin_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     try:
-        factory, keys = BUILTIN_SCENARIOS[name]
+        document, keys = BUILTIN_SCENARIOS[name]
     except KeyError:
         raise ScenarioError(
             f"unknown built-in scenario {name!r}; available: "
@@ -357,8 +360,8 @@ def builtin_scenario(name: str, params: Optional[dict] = None) -> Scenario:
     _require(not unknown, f"unknown parameters {sorted(unknown)} for scenario "
                           f"{name!r}; it reads {', '.join(sorted(keys))}")
     try:
-        return factory(params)
-    except _REJECTED as exc:
+        return scenario_from_dict(document(params), name)
+    except ScenarioError as exc:
         raise ScenarioError(f"scenario {name!r}: {exc}") from None
 
 

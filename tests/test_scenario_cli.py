@@ -1,5 +1,6 @@
 """Scenario files and the command-line front end."""
 
+import dataclasses
 import itertools
 import json
 import os
@@ -9,12 +10,14 @@ import sys
 
 import pytest
 
+from coupledq.allocation import INTERFERENCE_FORMS
 from coupledq.cli import main
 from coupledq.engine import StabilityEngine
 from coupledq.errors import ScenarioError
 from coupledq.scenario import (
     MAX_GRID_POINTS,
     GridAxis,
+    Scenario,
     builtin_scenario,
     load_scenario,
     resolve_scenario,
@@ -226,6 +229,91 @@ def test_builtin_params():
     assert scn.grid is not None
 
 
+def test_builtin_params_are_the_allocation_block():
+    scn = builtin_scenario("three_queues", {"a1": 2.5, "a23": 1.5})
+    assert scn.params["kind"] == "table"
+    assert scn.params["a_i"] == [2.5, 3.0, 3.0]
+    assert scn.params["a_ij"] == {"12": 2.0, "13": 2.0, "21": 2.0, "23": 1.5,
+                                  "31": 2.0, "32": 2.0}
+    assert builtin_scenario("mm1", {"mu": 2.0}).params == {"kind": "constant",
+                                                           "mu": [2.0]}
+
+
+def test_preset_rates_must_match_its_queues():
+    with pytest.raises(ScenarioError, match="'two_basestations'.*2 queues, got 1 rates"):
+        builtin_scenario("two_basestations", {"rates": (0.3,)})
+    assert builtin_scenario("two_basestations", {"rates": (0.3, 0.4)}).rates == (0.3, 0.4)
+
+
+def test_scenario_checks_its_rates_and_grid():
+    spec = scenario_from_dict(dict(PRODUCT_DOC)).spec
+    axis = GridAxis(0.1, 0.3, 0.1)
+    with pytest.raises(ScenarioError, match="arrival_rates or a grid"):
+        Scenario("s", spec)
+    with pytest.raises(ScenarioError, match="2 queues, got 3 rates"):
+        Scenario("s", spec, rates=(0.3, 0.4, 0.5))
+    with pytest.raises(ScenarioError, match="2 queues, got 1 grid axes"):
+        Scenario("s", spec, grid=[axis])
+    for bad in (0.0, -1.0, NAN, INF):
+        with pytest.raises(ScenarioError, match="rates must be positive and finite"):
+            Scenario("s", spec, rates=(0.3, bad))
+    scn = Scenario("s", spec, rates=(0.3, 0.4))
+    with pytest.raises(ScenarioError, match="rates must be positive and finite"):
+        dataclasses.replace(scn, rates=(0.3, -0.4))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scn.rates = (0.3, -0.4)
+    assert dataclasses.replace(scn, grid=[axis, axis]).grid == [axis, axis]
+
+
+@pytest.mark.parametrize("n, allocation, message", [
+    (1, {"kind": "constant"}, "mu must list 1 rates"),
+    (1, {"kind": "constant", "mu": [1.0, 2.0]}, "mu must list 1 rates"),
+    (1, {"kind": "constant", "mu": ["1"]}, "mu must be a number"),
+    (1, {"kind": "constant", "mu": [-1.0]}, "allocation: service rates must be finite"),
+    (1, {"kind": "constant", "mu": [1.0], "lam": 0.5}, "unknown allocation keys"),
+    (1, {"kind": "power_law"}, "alpha must be a number, got None"),
+    (1, {"kind": "power_law", "alpha": True}, "alpha must be a number"),
+    (1, {"kind": "power_law", "alpha": -1.0}, "allocation: alpha must be nonnegative"),
+    (1, {"kind": "power_law", "alpha": 2.0, "mu": [1.0]}, "unknown allocation keys"),
+    (2, {"kind": "power_law", "alpha": 2.0}, "exactly one queue"),
+    (1, {"kind": "queue"}, "allocation kind must be"),
+])
+def test_constant_and_power_law_kinds_check_their_keys(n, allocation, message):
+    doc = {"n_queues": n, "arrival_rates": [0.5] * n, "allocation": allocation}
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("name, params, doc", [
+    ("mm1", {"mu": 2.0, "lam": 1.5},
+     {"n_queues": 1, "arrival_rates": [1.5],
+      "allocation": {"kind": "constant", "mu": [2.0]}}),
+    ("one_server_alpha", {"alpha": 0.5},
+     {"n_queues": 1, "arrival_rates": [0.9],
+      "allocation": {"kind": "power_law", "alpha": 0.5}}),
+])
+def test_one_queue_presets_are_scenario_documents(name, params, doc, tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    argv = [a for k, v in params.items() for a in ("--param", f"{k}={v}")]
+    assert main(["analyze", "--scenario", name, *argv]) == 0
+    preset = json.loads(capsys.readouterr().out)
+    assert main(["analyze", "--scenario", str(path)]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    assert preset.pop("scenario") == name and from_file.pop("scenario") == str(path)
+    assert preset == from_file
+
+
+def test_lam_and_lambda1_together_are_rejected(capsys):
+    with pytest.raises(ScenarioError, match="lam and lambda1"):
+        builtin_scenario("one_server_alpha", {"lam": 0.5, "lambda1": 0.7})
+    argv = ["analyze", "--scenario", "one_server_alpha", "--param", "lam=0.5",
+            "--param", "lambda1=0.7"]
+    assert main(argv) == 64
+    err = capsys.readouterr().err
+    assert "scenario error" in err and "lam and lambda1" in err
+
+
 def test_params_nothing_reads_are_rejected(tmp_path, capsys):
     with pytest.raises(ScenarioError, match="gama"):
         builtin_scenario("two_basestations", {"gama": 0.01})
@@ -267,19 +355,43 @@ def test_cli_couple_check_takes_text_params(capsys):
     ("two_basestations", "form", "bogus", "0.5,0.5", "unknown interference form"),
     ("mm1", "mu", -1.0, "0.5", "service rates must be finite"),
     ("two_basestations", "rates", 0.5, "0.5,0.5", "'two_basestations'"),
-    # a negative gamma: the interference factor overflows, or increases
-    ("two_basestations", "gamma", -1.0, "0.3,0.4", "math range error"),
-    ("two_basestations", "gamma", -0.01, "0.3,0.4", "increases on the probe range"),
+    ("two_basestations", "gamma", -1.0, "0.3,0.4", "gamma must be positive"),
+    ("two_basestations", "gamma", -0.01, "0.3,0.4", "gamma must be positive"),
+    ("two_basestations", "gamma", 0.0, "0.6,0.6", "gamma must be positive"),
+    # the preset's own rate, with no --rates to replace it
+    ("mm1", "lam", -1.0, None, "rates must be positive and finite"),
+    ("mm1", "lam", NAN, None, "rates must be positive and finite"),
+    ("one_server_alpha", "lambda1", 0.0, None, "rates must be positive and finite"),
 ])
 def test_param_the_factory_rejects_exit_64(scenario, param, value, rates, message,
                                            capsys):
     with pytest.raises(ScenarioError, match=message):
         builtin_scenario(scenario, {param: value})
-    argv = ["analyze", "--scenario", scenario, "--param", f"{param}={value}",
-            "--rates", rates]
+    commands = [["analyze"]]
+    if rates is None:
+        commands.append(["simulate", "--horizon", "10", "--replicas", "1"])
+    for command in commands:
+        argv = command + ["--scenario", scenario, "--param", f"{param}={value}"]
+        assert main(argv + (["--rates", rates] if rates else [])) == 64
+        err = capsys.readouterr().err
+        assert "scenario error" in err and f"'{scenario}'" in err and message in err
+
+
+@pytest.mark.parametrize("form", ["exp_interference", "poly_interference"])
+def test_zero_gamma_is_rejected_for_both_forms(form, tmp_path, capsys):
+    # at gamma = 0 the factor stays at 1/2 and never reaches its limit 1/6
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        INTERFERENCE_FORMS[form](0.0)
+    argv = ["analyze", "--scenario", "two_basestations", "--rates", "0.6,0.6",
+            "--param", "gamma=0", "--param", f"form={form}"]
     assert main(argv) == 64
+    path = tmp_path / "scn.json"
+    inter = {"form": form, "gamma": 0}
+    path.write_text(json.dumps(_set_key(PRODUCT_DOC, "allocation.interference", inter)))
+    assert main(["analyze", "--scenario", str(path)]) == 64
     err = capsys.readouterr().err
-    assert "scenario error" in err and message in err
+    assert err.count("scenario error") == 2 and err.count("gamma must be positive") == 2
+    assert "scenario error: allocation: gamma" in err
 
 
 @pytest.mark.parametrize("command", ["analyze", "three-queues", "simulate"])
@@ -374,6 +486,7 @@ def test_cli_rejects_non_numeric_scenario_values(doc, key, value, tmp_path, caps
     ("allocation.interference.gamma", -1.0),
     ("bound", 1e400),
     ("allocation.interference.gamma", -0.01),
+    ("allocation.interference.gamma", 0.0),
 ])
 def test_cli_rejects_scenario_values_the_builders_reject(key, value, tmp_path, capsys,
                                                         deadline):
@@ -551,6 +664,12 @@ SCENARIOS = pathlib.Path(__file__).parents[1] / "demos" / "scenarios"
     (["analyze", "--scenario", "two_basestations", "--rates", "1.3,0.2"], 1,
      "analyze_two_basestations_1.3_0.2.json"),
     (["three-queues", "--rates", "0.5,1.2,0.3"], 0, "three_queues_0.5_1.2_0.3.txt"),
+    (["analyze", "--scenario", "mm1", "--rates", "0.5"], 0, "analyze_mm1_0.5.json"),
+    (["analyze", "--scenario", "one_server_alpha", "--rates", "0.95"], 0,
+     "analyze_one_server_alpha_0.95.json"),
+    (["sweep", "--scenario", "two_basestations", "--param", "form=poly_interference",
+      "--param", "gamma=0.05", "--grid", "0.1:1.4:0.1"], 0,
+     "sweep_two_basestations_poly_0.05.csv"),
 ])
 def test_cli_outputs_match_golden_files(argv, code, golden, capsys):
     assert main(argv) == code
