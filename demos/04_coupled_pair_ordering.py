@@ -39,7 +39,7 @@ a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
 spec = three_queue_table((3.0, 3.0, 3.0), a_pair)
 ctx = SaturationContext((0, 1))
 bound_spec = AllocationSpec(
-    2, lambda k, u: lower_partial_limit(spec, ctx, k, u), bound=spec.bound
+    2, lambda k, u: float(lower_partial_limit(spec, ctx, k, [u])[0]), bound=spec.bound
 )
 rep = simulate_coupled_pair((0.5, 1.2, 0.3), spec, (0.5, 1.2), bound_spec,
                             (0, 0, 0), (0, 0), seed=13, max_events=50_000)

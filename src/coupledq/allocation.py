@@ -29,13 +29,15 @@ State = tuple  # tuple[int, ...]
 RateFn = Callable[[int, State], float]
 # array form of a RateFn: (i, X) -> rate_fn(i, row) for each row of the (m, n) array X
 ArrayRateFn = Callable[[int, np.ndarray], np.ndarray]
-# analytic saturated-limit evaluator: (prefix, queue, u) -> value or None, with
-# prefix the sorted unsaturated queues and u their occupancies in that order
-LimitFn = Callable[[tuple, int, State], Optional[float]]
+# analytic saturated-limit evaluator: (prefix, queue, U) -> m values or None,
+# with prefix the sorted unsaturated queues and each row of the (m, len(prefix))
+# array U their occupancies in that order
+LimitFn = Callable[[tuple, int, np.ndarray], Optional[np.ndarray]]
 
 DEFAULT_SAT_LEVEL = 64
 DEFAULT_GROWTH = 2.0
 DEFAULT_LIMIT_TOL = 1e-9
+DEFAULT_UNIFORM_TOL = 1e-6
 MAX_ESCALATIONS = 96
 # factor tables stop growing here; larger queue lengths are evaluated row by row
 FACTOR_TABLE_CAP = 1 << 20
@@ -83,11 +85,14 @@ class AllocationSpec:
     treated as immutable after construction and are safe to share across
     concurrent evaluations under the GIL.
 
-    ``analytic_limits(prefix, queue, u)`` optionally returns the saturated
-    limit of queue ``queue``'s rate when every queue outside ``prefix`` is at
-    infinity.  ``prefix`` is the sorted tuple of unsaturated queues and ``u``
-    holds their occupancies in that order; ``queue`` may lie inside or
+    ``analytic_limits(prefix, queue, U)`` optionally returns the saturated
+    limits of queue ``queue``'s rate when every queue outside ``prefix`` is at
+    infinity, one per row of ``U``.  ``prefix`` is the sorted tuple of
+    unsaturated queues and each row of the ``(m, len(prefix))`` integer array
+    ``U`` holds their occupancies in that order; ``queue`` may lie inside or
     outside ``prefix``.  Returning ``None`` falls back to numeric escalation.
+    The builders read the limits from the same tables as their array form of
+    ``rate_fn``.
 
     The builders also give the spec an array form of ``rate_fn`` that
     :meth:`rates_at` uses; any other spec is evaluated there row by row.
@@ -212,38 +217,41 @@ class SaturationContext:
         if self.sat_level < 1 or self.growth_factor <= 1.0 or self.limit_tol <= 0:
             raise ValueError("bad saturation parameters")
 
-    def _levels(self, r: int) -> tuple:
-        return tuple(sorted({r, r + 1, max(r + 2, math.ceil(r * self.growth_factor))}))
-
-    def _grid_min(self, spec: AllocationSpec, queue: int, u: State, r: int) -> float:
+    def _grid_min(self, spec: AllocationSpec, queue: int, u, r: int) -> float:
+        levels = sorted({r, r + 1, max(r + 2, math.ceil(r * self.growth_factor))})
         x = [0] * spec.n_queues
         for q, c in zip(self.prefix, u):
             x[q] = c
         saturated = [q for q in range(spec.n_queues) if q not in self.prefix]
         best = math.inf
-        for combo in itertools.product(self._levels(r), repeat=len(saturated)):
+        for combo in itertools.product(levels, repeat=len(saturated)):
             for q, v in zip(saturated, combo):
                 x[q] = v
             best = min(best, spec.rate(queue, tuple(x)))
         return best
 
-    def value(self, spec: AllocationSpec, queue: int, u) -> float:
-        """Saturated limit of queue ``queue``'s rate with the prefix at ``u``."""
-        u = tuple(int(c) for c in u)
-        if len(u) != len(self.prefix):
-            raise ValueError("prefix length mismatch")
-        r = self.sat_level
-        prev = self._grid_min(spec, queue, u, r)
-        for _ in range(MAX_ESCALATIONS):
-            r = max(r + 1, math.ceil(r * self.growth_factor))
-            cur = self._grid_min(spec, queue, u, r)
-            if abs(cur - prev) < self.limit_tol:
-                return cur
-            prev = cur
-        raise SaturationNotConverged(
-            f"saturated limit for queue {queue} at prefix {self.prefix} = {u} did "
-            f"not stabilize within {self.limit_tol} after {MAX_ESCALATIONS} escalations"
-        )
+    def values(self, spec: AllocationSpec, queue: int, U: np.ndarray) -> np.ndarray:
+        """Saturated limits of queue ``queue``'s rate with the prefix at each
+        row of ``U``, escalated state by state on Python ints, because a
+        level can pass int64 before the limit settles."""
+        out = np.empty(len(U))
+        for k, u in enumerate(U.tolist()):
+            r = self.sat_level
+            prev = self._grid_min(spec, queue, u, r)
+            for _ in range(MAX_ESCALATIONS):
+                r = max(r + 1, math.ceil(r * self.growth_factor))
+                cur = self._grid_min(spec, queue, u, r)
+                if abs(cur - prev) < self.limit_tol:
+                    break
+                prev = cur
+            else:
+                raise SaturationNotConverged(
+                    f"saturated limit for queue {queue} at prefix {self.prefix} = "
+                    f"{tuple(u)} did not stabilize within {self.limit_tol} after "
+                    f"{MAX_ESCALATIONS} escalations"
+                )
+            out[k] = cur
+        return out
 
 
 def _probe_side(dim: int, cap: int, budget: int = 256) -> int:
@@ -265,22 +273,31 @@ def _state_grid(axes) -> np.ndarray:
     return X.reshape(math.prod(X.shape[:-1]), n)
 
 
-def lower_partial_limit(spec: AllocationSpec, ctx: SaturationContext, queue: int, u) -> float:
-    """Worst-case limiting rate of queue ``queue`` with every queue outside
-    ``ctx.prefix`` saturated and the prefix queues at occupancies ``u``.
-
-    Uses the allocation's analytic limit when available, otherwise the
-    context's numeric escalation.
+def lower_partial_limit(spec: AllocationSpec, ctx: SaturationContext, queue: int,
+                        U) -> np.ndarray:
+    """Worst-case limiting rates of queue ``queue`` with every queue outside
+    ``ctx.prefix`` saturated, one per row of ``U``, an ``(m, len(ctx.prefix))``
+    nonnegative integer array of prefix occupancies: the allocation's
+    analytic limits when available (the first one outside ``[0, bound]``
+    raises :class:`BoundViolation`), otherwise the context's numeric
+    escalation.
     """
-    u = tuple(int(c) for c in u)
-    if spec.analytic_limits is not None:
-        v = spec.analytic_limits(ctx.prefix, queue, u)
-        if v is not None:
-            v = float(v)
-            if not (0.0 <= v <= spec.bound + _MONO_SLACK):
-                raise BoundViolation(f"analytic limit {v} outside [0, {spec.bound}]")
-            return min(v, spec.bound)
-    return ctx.value(spec, queue, u)
+    U = np.asarray(U)
+    if U.ndim == 2 and U.size == 0:  # e.g. [()] for the empty prefix reads as float
+        U = U.astype(np.intp)
+    if U.ndim != 2 or U.shape[1] != len(ctx.prefix) or U.dtype.kind not in "iu":
+        raise ValueError(f"states must be an integer array of shape (m, {len(ctx.prefix)})")
+    if U.size and np.minimum.reduce(U, axis=None) < 0:
+        raise ValueError("queue lengths must be nonnegative")
+    v = None if spec.analytic_limits is None else spec.analytic_limits(ctx.prefix, queue, U)
+    if v is None:
+        return ctx.values(spec, queue, U)
+    v = np.asarray(v, dtype=float)
+    bad = ~((v >= 0.0) & (v <= spec.bound + _MONO_SLACK))
+    if bad.any():
+        raise BoundViolation(
+            f"analytic limit {float(v[np.argmax(bad)])} outside [0, {spec.bound}]")
+    return np.minimum(v, spec.bound)
 
 
 @dataclass
@@ -356,7 +373,7 @@ def default_schedule(start: int = DEFAULT_SAT_LEVEL, levels: int = 17) -> tuple:
 def check_uniform_limits(
     spec: AllocationSpec,
     schedule=None,
-    tol: float = 1e-6,
+    tol: float = DEFAULT_UNIFORM_TOL,
     prefix_cap: int = 8,
 ) -> StructureReport:
     """Verify that every rate function settles uniformly when any coordinate
@@ -428,8 +445,8 @@ def constant_allocation(mus) -> AllocationSpec:
     def rates(i, X, _mus=mus):
         return np.full(len(X), _mus[i])
 
-    def limits(prefix, queue, u, _mus=mus):
-        return _mus[queue]
+    def limits(prefix, queue, U, _mus=mus):
+        return np.full(len(U), _mus[queue])
 
     return AllocationSpec(
         n_queues=len(mus), rate_fn=rate, bound=bound,
@@ -456,7 +473,10 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
                 for m in range(n))):
             if subset not in tab:
                 raise ValueError(f"table for queue {i} missing busy set {set(subset)}")
-            t[subset] = float(tab[subset])
+            t[subset] = v = float(tab[subset])
+            if v < 0 or not math.isfinite(v):
+                raise ValueError(f"table rate {v} of queue {i} for busy set "
+                                 f"{set(subset)} must be finite and nonnegative")
         norm.append(t)
     if strict:
         for i, t in enumerate(norm):
@@ -482,9 +502,9 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
     def rates(i, X, _v=by_mask, _w=1 << np.arange(n)):
         return _v[i][(X > 0) @ _w]
 
-    def limits(prefix, queue, u, _t=tuple(norm), _n=n):
-        x = dict(zip(prefix, u))  # saturated queues are busy
-        return _t[queue][frozenset(j for j in range(_n) if j != queue and x.get(j, 1) > 0)]
+    def limits(prefix, queue, U, _v=by_mask, _all=2 ** n - 1):
+        w = 1 << np.array(prefix, dtype=np.intp)  # saturated queues are busy
+        return _v[queue][(U > 0) @ w + (_all - int(w.sum()))]
 
     return AllocationSpec(
         n_queues=n, rate_fn=rate, bound=bound,
@@ -572,6 +592,8 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
     gain_tabs = tuple(_FactorTable(g) for g, _ in gains)
     inter_tabs = tuple(tuple((j, _FactorTable(f)) for j, (f, _) in fm.items())
                        for fm in inter)
+    lims = tuple((g_lim, tuple(lim for _, lim in fm.values()))
+                 for (_, g_lim), fm in zip(gains, inter))
 
     def rates(i, X, _g=gain_tabs, _f=inter_tabs):
         v = _g[i].at(X[:, i])
@@ -579,11 +601,12 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
             v = v * tab.at(X[:, j])
         return v
 
-    def limits(prefix, queue, u, _g=tuple(gains), _f=tuple(inter)):
-        x = dict(zip(prefix, u))  # saturated queues take the factor limits
-        v = _g[queue][0](x[queue]) if queue in x else _g[queue][1]
-        for j, (f, lim) in _f[queue].items():
-            v *= f(x[j]) if j in x else lim
+    def limits(prefix, queue, U, _g=gain_tabs, _f=inter_tabs, _lims=lims):
+        cols = dict(zip(prefix, U.T))  # saturated queues take the factor limits
+        g_lim, f_lims = _lims[queue]
+        v = _g[queue].at(cols[queue]) if queue in cols else np.full(len(U), g_lim)
+        for (j, tab), lim in zip(_f[queue], f_lims):
+            v = v * (tab.at(cols[j]) if j in cols else lim)
         return v
 
     return AllocationSpec(

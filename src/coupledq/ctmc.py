@@ -3,8 +3,10 @@
 State spaces are boxes ``{0..T_1} x ... x {0..T_n}``; births are suppressed on
 the upper face (reflecting truncation), which keeps the generator conservative
 and biases mass inward where the boundary-mass certificate can see it.
-A generator keeps its death rates as an array; its canonical CSR matrix is
-assembled from them on first use and cached.
+Death rates come in one form, :class:`TabulatedDeaths`: slices of a
+:class:`LimitTable`, which evaluates them one array call per key as its cube
+grows.  A generator keeps its death rates as an array; its canonical CSR
+matrix is assembled from them on first use and cached.
 
 Stationary distributions come from ``solve_stationary``.  A 1-D chain (every
 saturated prefix of one queue) is reversible, so its law follows exactly from
@@ -30,7 +32,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -51,19 +53,19 @@ DEFAULT_TAIL_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_START_BOX = 32
 
-DeathFn = Callable[[int, tuple], float]
-
 
 class LimitTable:
-    """Per-state values ``fn(key, u)`` over the cube ``{0..T}^dim``, one array
-    per key, for the largest ``T`` asked for so far.
+    """Per-state values over the cube ``{0..T}^dim``, one array per key, for
+    the largest ``T`` asked for so far.
 
-    A value at ``u`` must not depend on the box it is asked for in, so every
-    smaller box is a slice of the stored array and growing the cube evaluates
-    only the states it adds.  Memory is bounded by the largest box asked for.
+    ``fn(key, U)`` returns the values at the rows of ``U``, an ``(m, dim)``
+    integer array of states.  A value at a state must not depend on the box
+    it is asked for in, so every smaller box is a slice of the stored array,
+    and growing the cube makes one call per key for the states it adds.
+    Memory is bounded by the largest box asked for.
     """
 
-    def __init__(self, fn: DeathFn, dim: int):
+    def __init__(self, fn: Callable[[object, np.ndarray], np.ndarray], dim: int):
         self.fn = fn
         self.dim = dim
         self.arrays = {}
@@ -80,12 +82,12 @@ class LimitTable:
     def _grow(self, key, old: Optional[np.ndarray], side: int) -> np.ndarray:
         shape = (side + 1,) * self.dim
         coords = _state_grid(shape)
-        fresh = np.ones((len(coords), 1), dtype=bool)
-        if old is not None:
-            fresh[:, 0] = (coords >= old.shape[0]).any(axis=1)
-        arr = _tabulate(self.fn, (key,), coords, fresh).reshape(shape)
-        if old is not None:
-            arr[tuple(slice(n) for n in old.shape)] = old
+        if old is None:
+            return np.asarray(self.fn(key, coords), dtype=float).reshape(shape)
+        arr = np.empty(shape)
+        fresh = (coords >= old.shape[0]).any(axis=1)
+        arr.reshape(-1)[fresh] = self.fn(key, coords[fresh])
+        arr[tuple(slice(n) for n in old.shape)] = old
         return arr
 
 
@@ -96,9 +98,6 @@ class TabulatedDeaths:
 
     table: LimitTable
     keys: tuple
-
-
-Deaths = Union[DeathFn, TabulatedDeaths]
 
 
 @dataclass(eq=False)
@@ -134,28 +133,6 @@ def _box_tuple(box, dim) -> tuple:
     if len(box) != dim or any(t < 1 for t in box):
         raise ValueError(f"box {box} invalid for dimension {dim}")
     return box
-
-
-def _tabulate(fn: DeathFn, keys, coords: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """The one per-state loop: ``fn(keys[c], x)`` at every state ``x`` (a row
-    of ``coords``) and column ``c`` where ``mask`` holds, state by state;
-    zero elsewhere."""
-    out = np.zeros(mask.shape)
-    states = coords.tolist()
-    rows, cols = np.nonzero(mask)
-    out[rows, cols] = [float(fn(keys[c], tuple(states[s])))
-                       for s, c in zip(rows.tolist(), cols.tolist())]
-    return out
-
-
-def _death_array(deaths: Deaths, coords: np.ndarray, busy: np.ndarray,
-                 box: tuple) -> np.ndarray:
-    """(count, dim) death rates, zero where ``busy`` (``x_i > 0``) fails,
-    from either form of the death-rate parameter."""
-    if isinstance(deaths, TabulatedDeaths):
-        values = np.stack([deaths.table.values(k, box) for k in deaths.keys], axis=1)
-        return np.where(busy, values, 0.0)
-    return _tabulate(deaths, range(len(box)), coords, busy)
 
 
 def _out_rate(rates, up: np.ndarray, death_values: np.ndarray) -> np.ndarray:
@@ -212,7 +189,7 @@ def _assemble_csr(box: tuple, rates, death_values: np.ndarray) -> sp.csr_matrix:
 
 def build_truncated_generator(
     rates,
-    death_rate_fn: Deaths,
+    deaths: TabulatedDeaths,
     box,
     *,
     death_bound: float,
@@ -220,9 +197,10 @@ def build_truncated_generator(
 ) -> TruncatedGenerator:
     """Generator over ``{0..T}^n`` with births suppressed on the upper face.
 
-    ``death_rate_fn`` is either a callback ``(i, x) -> rate`` or a
-    :class:`TabulatedDeaths`.  It is consulted only where ``x_i > 0`` and must
-    stay within ``[0, death_bound]``.
+    ``deaths`` reads coordinate ``i``'s death rates from its table, sliced to
+    ``box``.  They are used only where ``x_i > 0`` and must stay within
+    ``[0, death_bound]`` there; the first one outside raises
+    :class:`BoundViolation` naming its ``(i, x)``.
     """
     rates = as_rates(rates)
     dim = len(rates)
@@ -234,7 +212,8 @@ def build_truncated_generator(
 
     coords = _state_grid(shape)
     busy = coords > 0
-    death_values = _death_array(death_rate_fn, coords, busy, box)
+    values = np.stack([deaths.table.values(k, box) for k in deaths.keys], axis=1)
+    death_values = np.where(busy, values, 0.0)
     slack = death_bound * 1e-12 + 1e-12
     ok = np.isfinite(death_values) & (death_values >= 0.0)
     ok &= death_values <= death_bound + slack
@@ -458,7 +437,7 @@ def _functionals(gen: TruncatedGenerator, dist: StationaryDistribution) -> tuple
 
 def adaptive_stationary(
     rates,
-    death_rate_fn: Deaths,
+    deaths: TabulatedDeaths,
     *,
     death_bound: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
@@ -497,7 +476,7 @@ def adaptive_stationary(
                 report=report,
             )
         gen = build_truncated_generator(
-            rates, death_rate_fn, (t,) * n,
+            rates, deaths, (t,) * n,
             death_bound=death_bound, state_cap=state_cap,
         )
         dist = solve_stationary(gen, tol=residual_tol)

@@ -24,6 +24,7 @@ from .allocation import (
     DEFAULT_GROWTH,
     DEFAULT_LIMIT_TOL,
     DEFAULT_SAT_LEVEL,
+    DEFAULT_UNIFORM_TOL,
     AllocationSpec,
     ArrivalRates,
     SaturationContext,
@@ -85,7 +86,7 @@ class Tolerances:
     limit_tol: float = DEFAULT_LIMIT_TOL
     tail_tol: float = DEFAULT_TAIL_TOL
     residual_tol: float = DEFAULT_RESIDUAL_TOL
-    uniform_tol: float = 1e-6
+    uniform_tol: float = DEFAULT_UNIFORM_TOL
     sat_level: int = DEFAULT_SAT_LEVEL
     growth: float = DEFAULT_GROWTH
     pd_box: Optional[int] = None
@@ -272,10 +273,10 @@ class StabilityEngine:
     keeps one :class:`LimitTable` per prefix, one array per queue over the
     largest cube solved so far, and builds every generator and saturated
     average from slices of it.  Tables fill on first use and grow only when
-    a solve needs a larger box, so their memory is bounded by the largest
-    box solved.  Saturation contexts, structure checks and envelope bounds
-    are cached too, so build one engine per allocation and reuse it across
-    a grid.
+    a solve needs a larger box, with one :func:`lower_partial_limit` call per
+    queue for the states a growth adds, so their memory is bounded by the
+    largest box solved.  Structure checks and envelope bounds are cached
+    too, so build one engine per allocation and reuse it across a grid.
 
     The stationary solves are the only work that depends on the arrival
     rates.  The engine keeps the saturated prefix laws of one rate vector,
@@ -289,7 +290,6 @@ class StabilityEngine:
     def __init__(self, spec: AllocationSpec, tolerances: Tolerances = Tolerances()):
         self.spec = spec
         self.tol = tolerances
-        self._contexts = {}
         self._tables = {}   # prefix -> LimitTable keyed by queue
         self._structure = None
         self._envelopes = {}
@@ -299,25 +299,15 @@ class StabilityEngine:
 
     # -- saturated limit plumbing ------------------------------------------
 
-    def _ctx(self, prefix: frozenset) -> SaturationContext:
-        ctx = self._contexts.get(prefix)
-        if ctx is None:
-            ctx = SaturationContext(
-                prefix,
-                sat_level=self.tol.sat_level,
-                growth_factor=self.tol.growth,
-                limit_tol=self.tol.limit_tol,
-            )
-            self._contexts[prefix] = ctx
-        return ctx
-
-    def _ell(self, prefix: frozenset, queue: int, u) -> float:
-        return lower_partial_limit(self.spec, self._ctx(prefix), queue, u)
+    def _ell(self, prefix: frozenset, queue: int, U) -> np.ndarray:
+        ctx = SaturationContext(prefix, sat_level=self.tol.sat_level,
+                                growth_factor=self.tol.growth, limit_tol=self.tol.limit_tol)
+        return lower_partial_limit(self.spec, ctx, queue, U)
 
     def _table(self, prefix: frozenset) -> LimitTable:
         table = self._tables.get(prefix)
         if table is None:
-            table = LimitTable(lambda q, u, _p=prefix: self._ell(_p, q, u), len(prefix))
+            table = LimitTable(lambda q, U, _p=prefix: self._ell(_p, q, U), len(prefix))
             self._tables[prefix] = table
         return table
 
@@ -429,7 +419,7 @@ class StabilityEngine:
         def level_val(r):
             own = sorted({r, r + 1, 2 * r})
             if pd_ok and kind == "lower":
-                return min(self._ell(own_prefix, i, (v,)) for v in own)
+                return float(np.min(self._ell(own_prefix, i, np.array(own)[:, None])))
             others = [0] if pd_ok else probe + own
             X = _state_grid([own if j == i else others for j in range(n)])
             return float(pick(spec.rates_at(i, X)))
@@ -438,6 +428,8 @@ class StabilityEngine:
         prev = level_val(r)
         for _ in range(48):
             r = max(r + 1, math.ceil(r * self.tol.growth))
+            if 2 * r > np.iinfo(np.intp).max:  # the levels leave the state arrays' range
+                break
             cur = level_val(r)
             if abs(cur - prev) < max(self.tol.limit_tol, 1e-9):
                 self._envelopes[key] = cur

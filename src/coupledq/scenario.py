@@ -317,6 +317,8 @@ def _two_basestations(params: dict) -> dict:
         "interference": {"form": params.get("form", "exp_interference"),
                          "gamma": params.get("gamma", 2.0)}}}
     if params.get("rates") is not None:
+        _require(not {"step", "hi"} & set(params),
+                 "step and hi set the default grid; give them without rates")
         doc["arrival_rates"] = params["rates"]
     else:
         step = params.get("step", 0.05)

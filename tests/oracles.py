@@ -7,16 +7,24 @@ import numpy as np
 
 from coupledq.allocation import (
     _MONO_SLACK,
+    MAX_ESCALATIONS,
     AllocationSpec,
     ArrivalRates,
+    SaturationContext,
     StructureReport,
     _probe_side,
     as_rates,
     default_pd_box,
     default_schedule,
+    lower_partial_limit,
 )
-from coupledq.ctmc import StationaryDistribution
-from coupledq.errors import DivergentSeries, NoUniformLimit, SaturationNotConverged
+from coupledq.ctmc import LimitTable, StationaryDistribution, TabulatedDeaths
+from coupledq.errors import (
+    BoundViolation,
+    DivergentSeries,
+    NoUniformLimit,
+    SaturationNotConverged,
+)
 
 
 def prob(dist: StationaryDistribution, state) -> float:
@@ -58,10 +66,10 @@ def relabel(spec: AllocationSpec, rates, sigma) -> tuple:
 
     new_limits = None
     if spec.analytic_limits is not None:
-        def new_limits(prefix, queue, u, _spec=spec, _sigma=sigma):
-            occ = {_sigma[k]: c for k, c in zip(prefix, u)}
-            old = tuple(sorted(occ))
-            return _spec.analytic_limits(old, _sigma[queue], tuple(occ[q] for q in old))
+        def new_limits(prefix, queue, U, _spec=spec, _sigma=sigma):
+            col = {_sigma[k]: c for c, k in enumerate(prefix)}
+            old = tuple(sorted(col))
+            return _spec.analytic_limits(old, _sigma[queue], U[:, [col[q] for q in old]])
 
     new_spec = AllocationSpec(
         n_queues=n,
@@ -212,11 +220,14 @@ def envelope_scalar(engine, i: int, kind: str) -> float:
     others = [j for j in range(n) if j != i]
 
     if engine.structure()[0]:
+        ctx = SaturationContext((i,), sat_level=tol.sat_level, growth_factor=tol.growth,
+                                limit_tol=tol.limit_tol)
+
         def level_val(r):
             vals = []
             for own in sorted({r, r + 1, 2 * r}):
                 if kind == "lower":
-                    vals.append(engine._ell(frozenset({i}), i, (own,)))
+                    vals.append(lower_partial_limit_scalar(spec, ctx, i, (own,)))
                 else:
                     x = [0] * n
                     x[i] = own
@@ -247,3 +258,114 @@ def envelope_scalar(engine, i: int, kind: str) -> float:
             return cur
         prev = cur
     raise SaturationNotConverged(f"envelope {kind} bound for queue {i} did not stabilize")
+
+
+# -- state-by-state references for the array-valued saturated limits ---------
+
+def scalar_limits(spec: AllocationSpec):
+    """A builder's closed-form saturated limit ``(prefix, queue, u) -> value``
+    at one state, read from the data its scalar ``rate_fn`` holds: the
+    reference for the builder's array ``analytic_limits``."""
+    builder = spec.rate_fn.__qualname__.split(".")[0]
+    data = spec.rate_fn.__defaults__
+    if builder == "constant_allocation":
+        mus, = data
+        return lambda prefix, queue, u: mus[queue]
+    if builder == "busy_table_allocation":
+        tables, = data
+
+        def limits(prefix, queue, u):
+            x = dict(zip(prefix, u))  # saturated queues are busy
+            return tables[queue][frozenset(
+                j for j in range(spec.n_queues) if j != queue and x.get(j, 1) > 0)]
+        return limits
+    if builder == "build_product_allocation":
+        gains, inter = data
+
+        def limits(prefix, queue, u):
+            x = dict(zip(prefix, u))  # saturated queues take the factor limits
+            v = gains[queue][0](x[queue]) if queue in x else gains[queue][1]
+            for j, (f, lim) in inter[queue].items():
+                v *= f(x[j]) if j in x else lim
+            return v
+        return limits
+    if builder == "relabel":
+        inner, sigma, _ = data
+        inner_limits = scalar_limits(inner)
+
+        def limits(prefix, queue, u):
+            occ = {sigma[k]: c for k, c in zip(prefix, u)}
+            old = tuple(sorted(occ))
+            return inner_limits(old, sigma[queue], tuple(occ[q] for q in old))
+        return limits
+    raise ValueError(f"no scalar limits for a spec built by {builder}")
+
+
+def saturation_value(ctx, spec: AllocationSpec, queue: int, u) -> float:
+    """State-by-state reference for ``SaturationContext.values`` at one state:
+    the grid minimum over ``{R, R+1, ceil(R*growth)}`` per saturated queue,
+    escalating ``R`` until two levels agree within ``ctx.limit_tol``."""
+    u = tuple(int(c) for c in u)
+    saturated = [q for q in range(spec.n_queues) if q not in ctx.prefix]
+
+    def grid_min(r):
+        levels = sorted({r, r + 1, max(r + 2, math.ceil(r * ctx.growth_factor))})
+        x = [0] * spec.n_queues
+        for q, c in zip(ctx.prefix, u):
+            x[q] = c
+        best = math.inf
+        for combo in itertools.product(levels, repeat=len(saturated)):
+            for q, v in zip(saturated, combo):
+                x[q] = v
+            best = min(best, spec.rate(queue, tuple(x)))
+        return best
+
+    r = ctx.sat_level
+    prev = grid_min(r)
+    for _ in range(MAX_ESCALATIONS):
+        r = max(r + 1, math.ceil(r * ctx.growth_factor))
+        cur = grid_min(r)
+        if abs(cur - prev) < ctx.limit_tol:
+            return cur
+        prev = cur
+    raise SaturationNotConverged(
+        f"saturated limit for queue {queue} at prefix {ctx.prefix} = {u} did "
+        f"not stabilize within {ctx.limit_tol} after {MAX_ESCALATIONS} escalations"
+    )
+
+
+def lower_partial_limit_scalar(spec: AllocationSpec, ctx, queue: int, u) -> float:
+    """State-by-state reference for ``lower_partial_limit``."""
+    u = tuple(int(c) for c in u)
+    if spec.analytic_limits is not None:
+        v = float(scalar_limits(spec)(ctx.prefix, queue, u))
+        if not (0.0 <= v <= spec.bound + _MONO_SLACK):
+            raise BoundViolation(f"analytic limit {v} outside [0, {spec.bound}]")
+        return min(v, spec.bound)
+    return saturation_value(ctx, spec, queue, u)
+
+
+def limit_at(spec: AllocationSpec, ctx, queue: int, u) -> float:
+    """The library's ``lower_partial_limit`` at the one state ``u``."""
+    return float(lower_partial_limit(spec, ctx, queue, np.array([u], dtype=np.intp))[0])
+
+
+def _tabulate(fn, keys, coords: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``fn(keys[c], x)`` at every state ``x`` (a row of ``coords``) and
+    column ``c`` where ``mask`` holds, state by state; zero elsewhere."""
+    out = np.zeros(mask.shape)
+    states = coords.tolist()
+    rows, cols = np.nonzero(mask)
+    out[rows, cols] = [float(fn(keys[c], tuple(states[s])))
+                       for s, c in zip(rows.tolist(), cols.tolist())]
+    return out
+
+
+def tabulated(fn, dim: int) -> TabulatedDeaths:
+    """Death rates ``fn(i, x)`` of a ``dim``-queue chain as a generator takes
+    them: a :class:`LimitTable` that calls ``fn`` state by state where
+    ``x_i > 0``, and holds zero elsewhere."""
+    def values(i, U):
+        return _tabulate(fn, (i,), U, (U[:, i] > 0)[:, None])[:, 0]
+
+    return TabulatedDeaths(LimitTable(values, dim), tuple(range(dim)))

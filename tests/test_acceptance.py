@@ -23,7 +23,12 @@ from coupledq.allocation import (
     poly_interference,
     three_queue_table,
 )
-from coupledq.ctmc import build_truncated_generator, solve_stationary
+from coupledq.ctmc import (
+    LimitTable,
+    TabulatedDeaths,
+    build_truncated_generator,
+    solve_stationary,
+)
 from coupledq.engine import Label, StabilityEngine, SystemLabel
 from coupledq.simulate import (
     empirical_stability_probe,
@@ -32,7 +37,7 @@ from coupledq.simulate import (
     simulate_path,
     _stream,
 )
-from oracles import prob, stationary_1d_closed_form
+from oracles import limit_at, prob, stationary_1d_closed_form, tabulated
 
 
 pytestmark = pytest.mark.acceptance
@@ -95,12 +100,11 @@ def test_criterion_3_stage3_probabilities():
     spec = make_three_queue()
     ctx = SaturationContext((0, 1))
 
-    def death(k, u):
-        return lower_partial_limit(spec, ctx, k, u)
+    death = LimitTable(lambda k, U: lower_partial_limit(spec, ctx, k, U), 2)
 
     def splits(box):
         gen = build_truncated_generator(
-            (0.5, 1.2), death, (box, box), death_bound=spec.bound
+            (0.5, 1.2), TabulatedDeaths(death, (0, 1)), (box, box), death_bound=spec.bound
         )
         g = solve_stationary(gen, tol=1e-12).grid()
         return np.array([
@@ -119,9 +123,9 @@ def test_criterion_3_stage3_probabilities():
 def test_criterion_4_corner_and_diagonal(bs_engine):
     spec = bs_engine.spec
     ctx = SaturationContext(())
-    corner_analytic = lower_partial_limit(spec, ctx, 0, ())
+    corner_analytic = limit_at(spec, ctx, 0, ())
     blind = AllocationSpec(2, spec.rate_fn, spec.bound)
-    corner_numeric = lower_partial_limit(blind, SaturationContext(()), 0, ())
+    corner_numeric = limit_at(blind, SaturationContext(()), 0, ())
     corner_ok = abs(corner_analytic - 0.5) < 1e-9 and abs(corner_numeric - 0.5) < 1e-9
 
     last_stable = None
@@ -196,7 +200,7 @@ def test_criterion_6_coupling_suite():
     tq = make_three_queue()
     ctx = SaturationContext((0, 1))
     bound_spec = AllocationSpec(
-        2, lambda k2, u: lower_partial_limit(tq, ctx, k2, u), bound=tq.bound
+        2, lambda k2, u: limit_at(tq, ctx, k2, u), bound=tq.bound
     )
     systems.append(((0.5, 1.2, 0.3), tq, (0.5, 1.2), bound_spec, (0, 0, 0), (0, 0)))
 
@@ -227,7 +231,7 @@ def test_criterion_7_solver_correctness():
     ]
     for lam, death in one_d_cases:
         gen = build_truncated_generator(
-            (lam,), lambda i, x, _d=death: _d(x[0]), (300,), death_bound=4.0
+            (lam,), tabulated(lambda i, x, _d=death: _d(x[0]), 1), (300,), death_bound=4.0
         )
         dist = solve_stationary(gen, tol=1e-12)
         m = dist.masses
@@ -241,7 +245,7 @@ def test_criterion_7_solver_correctness():
         return pmf / pmf.sum()
 
     gen2 = build_truncated_generator(
-        (0.5, 0.4), lambda i, x: (1.0, 0.8)[i], (40, 40), death_bound=1.0
+        (0.5, 0.4), tabulated(lambda i, x: (1.0, 0.8)[i], 2), (40, 40), death_bound=1.0
     )
     d2 = solve_stationary(gen2, tol=1e-12)
     ref2 = np.outer(geometric(0.5, 41), geometric(0.5, 41))
@@ -249,7 +253,7 @@ def test_criterion_7_solver_correctness():
 
     mus = (1.0, 1.25, 2.0)
     gen3 = build_truncated_generator(
-        (0.5, 0.5, 0.5), lambda i, x: mus[i], (32, 32, 32), death_bound=2.0
+        (0.5, 0.5, 0.5), tabulated(lambda i, x: mus[i], 3), (32, 32, 32), death_bound=2.0
     )
     d3 = solve_stationary(gen3, tol=1e-12)
     gs = [geometric(0.5 / mus[i], 33) for i in range(3)]

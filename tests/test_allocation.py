@@ -11,6 +11,7 @@ from coupledq.allocation import (
     FACTOR_TABLE_CAP,
     AllocationSpec,
     _FactorTable,
+    _state_grid,
     ArrivalRates,
     SaturationContext,
     base_station_pair,
@@ -36,6 +37,8 @@ from coupledq.errors import (
 from oracles import (
     check_partially_decreasing_scalar,
     check_uniform_limits_scalar,
+    limit_at,
+    lower_partial_limit_scalar,
     relabel,
 )
 
@@ -67,6 +70,17 @@ def test_three_queue_case_table():
     assert spec.rate(2, (1, 1, 7)) == 1.0
     # both others empty: solo rate
     assert spec.rate(2, (0, 0, 7)) == 3.0
+
+
+@pytest.mark.parametrize("bad", [-3.0, -0.5, math.nan, math.inf])
+@pytest.mark.parametrize("strict", [True, False])
+def test_busy_table_rejects_negative_and_non_finite_rates(bad, strict):
+    with pytest.raises(ValueError, match="table rate .* must be finite and nonnegative"):
+        busy_table_allocation([{frozenset(): 2.0, frozenset({1}): bad},
+                               {frozenset(): 1.5, frozenset({0}): 0.5}], strict=strict)
+    a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
+    with pytest.raises(ValueError, match=f"table rate {bad} of queue 0"):
+        three_queue_table((bad, 3.0, 3.0), a_pair, strict=strict)
 
 
 def test_product_zero_gain_at_empty():
@@ -196,9 +210,9 @@ def case_table_saturated_q2(spec, x1):
 def test_lower_partial_limit_three_queue():
     spec = make_three_queue(a_pair_val=2.0)
     ctx = SaturationContext((0,))
-    assert lower_partial_limit(spec, ctx, 1, (0,)) == case_table_saturated_q2(spec, 0) == 2.0
+    assert limit_at(spec, ctx, 1, (0,)) == case_table_saturated_q2(spec, 0) == 2.0
     for x1 in (1, 2, 9):
-        assert lower_partial_limit(spec, ctx, 1, (x1,)) == case_table_saturated_q2(spec, x1) == 1.0
+        assert limit_at(spec, ctx, 1, (x1,)) == case_table_saturated_q2(spec, x1) == 1.0
 
 
 def test_lower_partial_limit_numeric_matches_analytic():
@@ -211,8 +225,8 @@ def test_lower_partial_limit_numeric_matches_analytic():
             ctx = SaturationContext(prefix)
             for queue in range(3):
                 for u in itertools.product(range(3), repeat=m):
-                    va = lower_partial_limit(spec, ctx, queue, u)
-                    vb = lower_partial_limit(blind, ctx, queue, u)
+                    va = limit_at(spec, ctx, queue, u)
+                    vb = limit_at(blind, ctx, queue, u)
                     assert va == pytest.approx(vb, abs=1e-9)
 
 
@@ -221,9 +235,9 @@ def test_lower_partial_limit_product_analytic():
     ctx = SaturationContext((0,))
     h = exp_interference(2.0)[0]
     for x1 in range(6):
-        assert lower_partial_limit(spec, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-12)
+        assert limit_at(spec, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-12)
     ctx0 = SaturationContext(())
-    assert lower_partial_limit(spec, ctx0, 0, ()) == pytest.approx(0.5, abs=1e-12)
+    assert limit_at(spec, ctx0, 0, ()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_lower_partial_limit_product_numeric_route():
@@ -231,19 +245,19 @@ def test_lower_partial_limit_product_numeric_route():
     ctx = SaturationContext((0,))
     h = exp_interference(2.0)[0]
     for x1 in (0, 1, 4):
-        assert lower_partial_limit(blind, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-7)
+        assert limit_at(blind, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-7)
 
 
 def test_lower_partial_limit_constant_n0():
     spec = constant_allocation((0.7, 1.3))
     ctx = SaturationContext(())
-    assert lower_partial_limit(spec, ctx, 1, ()) == 1.3
+    assert limit_at(spec, ctx, 1, ()) == 1.3
 
 
 def test_power_law_numeric_limit_is_one():
     spec = one_server_power_law(2.0)
     ctx = SaturationContext(())
-    assert lower_partial_limit(spec, ctx, 0, ()) == pytest.approx(1.0, abs=1e-7)
+    assert limit_at(spec, ctx, 0, ()) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_saturation_not_converged_for_slow_tail():
@@ -251,7 +265,7 @@ def test_saturation_not_converged_for_slow_tail():
     spec = AllocationSpec(1, lambda i, x: 1.0 + 1.0 / math.log(x[0] + 2.0), bound=3.0)
     ctx = SaturationContext(())
     with pytest.raises(SaturationNotConverged):
-        lower_partial_limit(spec, ctx, 0, ())
+        limit_at(spec, ctx, 0, ())
 
 
 def test_prefix_consistency_inequality():
@@ -262,9 +276,9 @@ def test_prefix_consistency_inequality():
     ctx2 = SaturationContext((0, 1))
     for i in range(3):
         for x1 in range(4):
-            v1 = lower_partial_limit(spec, ctx1, i, (x1,))
+            v1 = limit_at(spec, ctx1, i, (x1,))
             for x2 in (64, 100, 1000):
-                v2 = lower_partial_limit(spec, ctx2, i, (x1, x2))
+                v2 = limit_at(spec, ctx2, i, (x1, x2))
                 assert v1 <= v2 + tol
 
 
@@ -278,8 +292,8 @@ def test_saturated_limits_inherit_partial_monotonicity():
                 if x[j] >= cap or (i < 2 and j == i):
                     continue
                 y = x[:j] + (x[j] + 1,) + x[j + 1:]
-                assert lower_partial_limit(spec, ctx, i, x) >= \
-                    lower_partial_limit(spec, ctx, i, y) - 1e-12
+                assert limit_at(spec, ctx, i, x) >= \
+                    limit_at(spec, ctx, i, y) - 1e-12
 
 
 # -- relabeling -------------------------------------------------------------------
@@ -331,8 +345,8 @@ def test_relabel_transports_analytic_limits():
             ctx = SaturationContext(prefix)
             for queue in range(3):
                 for u in itertools.product(range(2), repeat=m):
-                    assert lower_partial_limit(spec2, ctx, queue, u) == pytest.approx(
-                        lower_partial_limit(blind2, ctx, queue, u), abs=1e-9
+                    assert limit_at(spec2, ctx, queue, u) == pytest.approx(
+                        limit_at(blind2, ctx, queue, u), abs=1e-9
                     )
 
 
@@ -367,7 +381,7 @@ def test_product_corner_value():
     spec = base_station_pair(2.0)
     ctx = SaturationContext(())
     for i in range(2):
-        assert lower_partial_limit(spec, ctx, i, ()) == pytest.approx(0.5, abs=1e-12)
+        assert limit_at(spec, ctx, i, ()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_product_rejects_decreasing_gain():
@@ -605,3 +619,78 @@ def test_poly_uniform_limit_check_does_not_fill_factor_tables(deadline):
     sizes = [t.values.size for t in gain_tabs] + \
         [t.values.size for tabs in inter_tabs for _, t in tabs]
     assert max(sizes) <= 128
+
+
+# -- array saturated limits against their scalar oracle -------------------------
+
+# side of the probed prefix cube {0..side-1}^dim, by prefix dimension
+LIMIT_SIDES = {0: 1, 1: 300, 2: 12, 3: 5}
+
+
+def _limit_outcome(fn):
+    """Each limit as ``float.hex``, or the type and text of the error raised."""
+    try:
+        return [float(v).hex() for v in fn()]
+    except (BoundViolation, SaturationNotConverged) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _scalar_limits(spec, ctx, queue, U):
+    return [lower_partial_limit_scalar(spec, ctx, queue, u) for u in U.tolist()]
+
+
+@pytest.mark.parametrize("black_box", [False, True], ids=["builder", "black-box"])
+@pytest.mark.parametrize("name", sorted(RATES_AT_SPECS))
+def test_lower_partial_limit_matches_scalar_oracle(name, black_box):
+    spec = RATES_AT_SPECS[name]()
+    if black_box:
+        spec = strip_analytic(spec)
+    n = spec.n_queues
+    for m in range(n + 1):
+        for prefix in itertools.combinations(range(n), m):
+            ctx = SaturationContext(prefix)
+            U = _state_grid((LIMIT_SIDES[m],) * m)
+            for queue in range(n):
+                got = _limit_outcome(lambda: lower_partial_limit(spec, ctx, queue, U))
+                want = _limit_outcome(lambda: _scalar_limits(spec, ctx, queue, U))
+                assert got == want, (prefix, queue)
+
+
+def test_lower_partial_limit_raises_the_scalar_errors():
+    def rate(i, x):
+        if x[0] == 3:  # settles far too slowly for the default tolerance
+            return 1.0 + 1.0 / math.log(x[1] + 2.0)
+        return 9.0 if x[0] == 5 else 0.5
+
+    black_box = AllocationSpec(2, rate, bound=3.0)
+    # past its limit beyond the probe range
+    jump = (lambda x: 1.0 if x < 2000 else x / 500.0, 1.0)
+    table = build_product_allocation(
+        [jump, jump], [{1: exp_interference(1.0)}, {0: exp_interference(1.0)}])
+    ctx = SaturationContext((0,))
+    cases = [(black_box, [0, 1, 3, 4, 5], "SaturationNotConverged", "= (3,)"),
+             (black_box, [0, 5, 3], "BoundViolation", "rate_fn(0, (5, 64)) = 9.0"),
+             (table, [1, 2500, 3000], "BoundViolation", "analytic limit 0.8333333333333333")]
+    for spec, rows, kind, text in cases:
+        U = np.array(rows)[:, None]
+        got = _limit_outcome(lambda: lower_partial_limit(spec, ctx, 0, U))
+        assert got == _limit_outcome(lambda: _scalar_limits(spec, ctx, 0, U))
+        assert got[0] == kind and text in got[1]
+
+
+def test_lower_partial_limit_rejects_bad_state_arrays():
+    spec = base_station_pair(2.0)
+    ctx = SaturationContext((0,))
+    for bad in (np.zeros((3, 2), dtype=int), np.zeros((3, 1)), np.zeros(3, dtype=int),
+                np.array([[2], [-1]])):
+        with pytest.raises(ValueError):
+            lower_partial_limit(spec, ctx, 0, bad)
+
+
+def test_lower_partial_limit_takes_a_list_of_empty_prefix_states():
+    ctx = SaturationContext(())
+    for spec in (base_station_pair(2.0), strip_analytic(base_station_pair(2.0))):
+        for q in range(2):
+            want = lower_partial_limit(spec, ctx, q, np.zeros((2, 0), dtype=int))
+            got = lower_partial_limit(spec, ctx, q, [(), ()])
+            assert [v.hex() for v in got] == [v.hex() for v in want]

@@ -31,7 +31,14 @@ from coupledq.ctmc import (
 )
 from coupledq.engine import StabilityEngine, Tolerances
 from coupledq.errors import BoundViolation, BoxTooLarge, DivergentSeries, NoConvergence
-from oracles import marginal, prob, stationary_1d_closed_form
+from oracles import (
+    limit_at,
+    lower_partial_limit_scalar,
+    marginal,
+    prob,
+    stationary_1d_closed_form,
+    tabulated,
+)
 
 
 def make_three_queue(a23=2.0):
@@ -55,7 +62,8 @@ def geometric(rho, size):
 # -- generator construction -----------------------------------------------------
 
 def test_mm1_generator_rows():
-    gen = build_truncated_generator((0.5,), lambda i, x: 1.0, (2,), death_bound=1.0)
+    gen = build_truncated_generator((0.5,), tabulated(lambda i, x: 1.0, 1), (2,),
+                                    death_bound=1.0)
     expected = np.array([
         [-0.5, 0.5, 0.0],
         [1.0, -1.5, 0.5],
@@ -67,7 +75,7 @@ def test_mm1_generator_rows():
 
 def test_two_queue_generator_conservative():
     gen = build_truncated_generator(
-        (0.3, 0.4), lambda i, x: (1.0, 2.0)[i], (1, 1), death_bound=2.0
+        (0.3, 0.4), tabulated(lambda i, x: (1.0, 2.0)[i], 2), (1, 1), death_bound=2.0
     )
     assert gen.n_states == 4
     rowsums = np.asarray(gen.matrix.sum(axis=1)).ravel()
@@ -76,7 +84,7 @@ def test_two_queue_generator_conservative():
 
 def test_only_unit_steps_carry_rate():
     gen = build_truncated_generator(
-        (0.3, 0.4), lambda i, x: 1.0, (3, 3), death_bound=1.0
+        (0.3, 0.4), tabulated(lambda i, x: 1.0, 2), (3, 3), death_bound=1.0
     )
     coo = gen.matrix.tocoo()
     shape = tuple(t + 1 for t in gen.box)
@@ -93,10 +101,9 @@ def test_saturated_pair_generator_uses_case_table():
     spec = make_three_queue()
     ctx = SaturationContext((0, 1))
 
-    def death(k, u):
-        return lower_partial_limit(spec, ctx, k, u)
-
-    gen = build_truncated_generator((0.5, 1.2), death, (40, 40), death_bound=spec.bound)
+    table = LimitTable(lambda k, U: lower_partial_limit(spec, ctx, k, U), 2)
+    gen = build_truncated_generator((0.5, 1.2), TabulatedDeaths(table, (0, 1)), (40, 40),
+                                    death_bound=spec.bound)
     grid = gen.death_values.reshape(41, 41, 2)
     # queue 1 death: pairwise rate only while queue 2 is empty (queue 3 busy)
     assert grid[3, 0, 0] == 2.0
@@ -108,7 +115,7 @@ def test_saturated_pair_generator_uses_case_table():
 def test_box_cap():
     with pytest.raises(BoxTooLarge):
         build_truncated_generator(
-            (0.5, 0.5), lambda i, x: 1.0, (10_000, 10_000), death_bound=1.0
+            (0.5, 0.5), tabulated(lambda i, x: 1.0, 2), (10_000, 10_000), death_bound=1.0
         )
 
 
@@ -132,10 +139,10 @@ def _oracle_specs():
     }
 
 
-def _both_paths(rates, fn, box, table, bound):
-    """(callback-path result or error, table-path result or error)."""
+def _both_paths(rates, ref, table, box, bound):
+    """(state-by-state reference result or error, table-path result or error)."""
     out = []
-    for deaths in (fn, TabulatedDeaths(table, tuple(range(len(rates))))):
+    for deaths in (ref, TabulatedDeaths(table, tuple(range(len(rates))))):
         try:
             out.append(build_truncated_generator(rates, deaths, box, death_bound=bound))
         except BoundViolation as exc:
@@ -153,15 +160,15 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
     ctx = SaturationContext(range(dim), limit_tol=1e-12)
 
     def death(k, u):
-        return lower_partial_limit(spec, ctx, k, u)
+        return lower_partial_limit_scalar(spec, ctx, k, u)
 
-    def death_nan_at_empty(k, u):
+    def death_nan_at_empty(k, U):
         # never consulted where u_k = 0: a table holds it, the generator ignores it
-        return math.nan if u[k] == 0 else death(k, u)
+        return np.where(U[:, k] == 0, math.nan, lower_partial_limit(spec, ctx, k, U))
 
     table = LimitTable(death_nan_at_empty, dim)
     for box in boxes:  # grows the table, then reads a slice of it
-        ref, got = _both_paths(rates, death, box, table, spec.bound)
+        ref, got = _both_paths(rates, tabulated(death, dim), table, box, spec.bound)
         assert ref.box == got.box == box
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(ref.matrix, attr), getattr(got.matrix, attr))
@@ -178,7 +185,11 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
         def bad(k, u, _v=bad_value):
             return _v if k == dim - 1 and u in (first, (2,) * dim) else death(k, u)
 
-        ref, got = _both_paths(rates, bad, boxes[0], LimitTable(bad, dim), spec.bound)
+        def bad_array(k, U):
+            return np.array([bad(k, u) for u in map(tuple, U.tolist())])
+
+        ref, got = _both_paths(rates, tabulated(bad, dim), LimitTable(bad_array, dim),
+                               boxes[0], spec.bound)
         assert isinstance(ref, str) and ref == got
         assert f"at (i={dim - 1}, x={first})" in ref
 
@@ -222,7 +233,7 @@ def test_direct_csr_matches_coo_oracle_bit_for_bit(box):
         return 1.0 + ((7 * x[i] + i) % 5) / 5.0
 
     rates = (0.4, 0.7, 0.25)[:len(box)]
-    gen = build_truncated_generator(rates, death, box, death_bound=2.0)
+    gen = build_truncated_generator(rates, tabulated(death, len(box)), box, death_bound=2.0)
     shape = tuple(t + 1 for t in gen.box)
     busy = np.stack(np.unravel_index(np.arange(gen.n_states), shape), axis=1) > 0
     assert (busy & (gen.death_values == 0.0)).any()
@@ -238,7 +249,8 @@ def test_direct_csr_matches_coo_oracle_bit_for_bit(box):
 # -- stationary solves -------------------------------------------------------------
 
 def test_mm1_stationary_matches_geometric():
-    gen = build_truncated_generator((0.5,), lambda i, x: 1.0, (60,), death_bound=1.0)
+    gen = build_truncated_generator((0.5,), tabulated(lambda i, x: 1.0, 1), (60,),
+                                    death_bound=1.0)
     dist = solve_stationary(gen, tol=1e-10)
     assert prob(dist, (0,)) == pytest.approx(0.5, abs=1e-9)
     assert dist.residual <= 1e-10
@@ -248,7 +260,8 @@ def test_mm1_stationary_matches_geometric():
 
 def test_normalization_contract():
     gen = build_truncated_generator(
-        (0.4, 0.8), lambda i, x: 1.0 + (x[1 - i] == 0), (20, 20), death_bound=2.0
+        (0.4, 0.8), tabulated(lambda i, x: 1.0 + (x[1 - i] == 0), 2), (20, 20),
+        death_bound=2.0
     )
     dist = solve_stationary(gen)
     assert dist.masses.sum() == pytest.approx(1.0, abs=1e-12)
@@ -262,7 +275,7 @@ def test_detailed_balance_on_1d_solves():
         (0.7, lambda x: 1.0 + 1.0 / (1.0 + x[0] if isinstance(x, tuple) else x)),
     ):
         death_fn = (lambda i, x, _d=death: _d(x[0])) if True else None
-        gen = build_truncated_generator((lam,), lambda i, x, _d=death: _d(x[0] if isinstance(x, tuple) else x), (200,), death_bound=2.0)
+        gen = build_truncated_generator((lam,), tabulated(lambda i, x, _d=death: _d(x[0] if isinstance(x, tuple) else x), 1), (200,), death_bound=2.0)
         dist = solve_stationary(gen, tol=1e-10)
         m = dist.masses
         for x in range(200):
@@ -272,7 +285,7 @@ def test_detailed_balance_on_1d_solves():
 
 def test_product_form_2d():
     gen = build_truncated_generator(
-        (0.5, 0.5), lambda i, x: 1.0, (40, 40), death_bound=1.0
+        (0.5, 0.5), tabulated(lambda i, x: 1.0, 2), (40, 40), death_bound=1.0
     )
     dist = solve_stationary(gen, tol=1e-10)
     g = geometric(0.5, 41)
@@ -285,7 +298,7 @@ def test_product_form_3d():
     mus = (1.0, 1.25, 2.0)
     lam = (0.5, 0.5, 0.5)
     gen = build_truncated_generator(
-        lam, lambda i, x: mus[i], (32, 32, 32), death_bound=2.0
+        lam, tabulated(lambda i, x: mus[i], 3), (32, 32, 32), death_bound=2.0
     )
     dist = solve_stationary(gen, tol=1e-10)
     gs = [geometric(lam[i] / mus[i], 33) for i in range(3)]
@@ -296,7 +309,8 @@ def test_product_form_3d():
 
 def test_power_backend_agrees():
     # the power polish, run from the uniform law, reaches the direct solve
-    gen = build_truncated_generator((0.5,), lambda i, x: 1.0, (40,), death_bound=1.0)
+    gen = build_truncated_generator((0.5,), tabulated(lambda i, x: 1.0, 1), (40,),
+                                    death_bound=1.0)
     direct = solve_stationary(gen, tol=1e-10)
     uniform = np.full(gen.n_states, 1.0 / gen.n_states)
     power, residual, _ = ctmc._power_polish(
@@ -314,20 +328,22 @@ def _base_station_deaths():
     # engine tabulates it
     spec = base_station_pair(2.0)
     ctx = SaturationContext((0,))
-    table = LimitTable(lambda k, u: lower_partial_limit(spec, ctx, k, u), 1)
+    table = LimitTable(lambda k, U: lower_partial_limit(spec, ctx, k, U), 1)
     return TabulatedDeaths(table, (0,)), spec.bound
 
 
 ONE_D_CASES = {
     # name: (lam, deaths, box, death bound); deaths None = the base station's
-    "mm1-rho-0.5": (0.5, lambda i, x: 1.0, 200, 1.0),
-    "mm1-rho-0.999": (0.999, lambda i, x: 1.0, 16384, 1.0),
+    "mm1-rho-0.5": (0.5, tabulated(lambda i, x: 1.0, 1), 200, 1.0),
+    "mm1-rho-0.999": (0.999, tabulated(lambda i, x: 1.0, 1), 16384, 1.0),
     "base-station-prefix": (0.5, None, 65536, None),
-    "top-heavy": (1.5, lambda i, x: 1.0, 4096, 1.0),
+    "top-heavy": (1.5, tabulated(lambda i, x: 1.0, 1), 4096, 1.0),
     "interior-zero-deaths": (
-        0.7, lambda i, x: 0.0 if x[0] in _INTERIOR_ZEROS else 1.0 + 1.0 / x[0], 64, 2.0),
-    "underflowing-products": (1e-3, lambda i, x: 1.0, 1024, 1.0),
-    "underflowing-ratio": (10.0, lambda i, x: 5e-324 if x[0] == 7 else 20.0, 64, 20.0),
+        0.7, tabulated(lambda i, x: 0.0 if x[0] in _INTERIOR_ZEROS else 1.0 + 1.0 / x[0], 1),
+        64, 2.0),
+    "underflowing-products": (1e-3, tabulated(lambda i, x: 1.0, 1), 1024, 1.0),
+    "underflowing-ratio": (
+        10.0, tabulated(lambda i, x: 5e-324 if x[0] == 7 else 20.0, 1), 64, 20.0),
 }
 
 
@@ -375,7 +391,8 @@ def test_detailed_balance_1d_matches_grounded_lu(name, monkeypatch):
 
 @pytest.mark.parametrize("bad", ["nan", "inaccurate", "zero-birth"])
 def test_1d_solve_falls_back_to_grounded_lu(bad, monkeypatch):
-    gen = build_truncated_generator((0.6,), lambda i, x: 1.0, (100,), death_bound=1.0)
+    gen = build_truncated_generator((0.6,), tabulated(lambda i, x: 1.0, 1), (100,),
+                                    death_bound=1.0)
     count = gen.n_states
     if bad == "zero-birth":
         # detailed balance divides by the birth rate: lam = 0 gives a
@@ -402,7 +419,7 @@ def _random_1d_chain(rng):
     deaths[kinds < 0.1] = 0.0
     deaths[(kinds >= 0.1) & (kinds < 0.2)] = 5e-324
     table = deaths.tolist()
-    return build_truncated_generator((lam,), lambda i, x: table[x[0]], (side,),
+    return build_truncated_generator((lam,), tabulated(lambda i, x: table[x[0]], 1), (side,),
                                      death_bound=2.0)
 
 
@@ -451,23 +468,24 @@ def _count_assemblies(monkeypatch):
 
 def test_certified_1d_solve_never_assembles_csr(monkeypatch):
     calls = _count_assemblies(monkeypatch)
-    gen = build_truncated_generator((0.5,), lambda i, x: 1.0, (40,), death_bound=1.0)
+    gen = build_truncated_generator((0.5,), tabulated(lambda i, x: 1.0, 1), (40,),
+                                    death_bound=1.0)
     assert gen.n_states == 41 and not calls
-    _, report = adaptive_stationary((0.9,), lambda i, x: 1.0, death_bound=1.0)
+    _, report = adaptive_stationary((0.9,), tabulated(lambda i, x: 1.0, 1), death_bound=1.0)
     assert report.certified and len(report.history) > 1
     assert calls == []
 
 
 def test_lu_and_2d_solves_assemble_once_per_box(monkeypatch):
     calls = _count_assemblies(monkeypatch)
-    _, report = adaptive_stationary((0.5, 0.4), lambda i, x: 1.0, death_bound=1.0)
+    _, report = adaptive_stationary((0.5, 0.4), tabulated(lambda i, x: 1.0, 2), death_bound=1.0)
     assert report.certified
     assert calls == report.boxes_tried
 
     del calls[:]
     monkeypatch.setattr(ctmc, "_detailed_balance_1d",
                         lambda g: np.full(g.n_states, math.nan))
-    _, report = adaptive_stationary((0.9,), lambda i, x: 1.0, death_bound=1.0)
+    _, report = adaptive_stationary((0.9,), tabulated(lambda i, x: 1.0, 1), death_bound=1.0)
     assert report.certified
     assert calls == report.boxes_tried
 
@@ -476,10 +494,10 @@ def test_lu_and_2d_solves_assemble_once_per_box(monkeypatch):
 
 def test_adaptive_certifies_heavier_load_with_larger_box():
     dist5, rep5 = adaptive_stationary(
-        (0.5,), lambda i, x: 1.0, death_bound=1.0
+        (0.5,), tabulated(lambda i, x: 1.0, 1), death_bound=1.0
     )
     dist9, rep9 = adaptive_stationary(
-        (0.9,), lambda i, x: 1.0, death_bound=1.0
+        (0.9,), tabulated(lambda i, x: 1.0, 1), death_bound=1.0
     )
     assert rep5.certified and rep9.certified
     assert prob(dist9, (0,)) == pytest.approx(0.1, abs=1e-8)
@@ -490,12 +508,12 @@ def test_adaptive_unstable_raises_no_convergence():
     # positive drift: mass accumulates at the moving boundary, never certifies
     with pytest.raises(NoConvergence):
         adaptive_stationary(
-            (1.2,), lambda i, x: 1.0, death_bound=1.0, state_cap=1 << 14
+            (1.2,), tabulated(lambda i, x: 1.0, 1), death_bound=1.0, state_cap=1 << 14
         )
 
 
 def test_adaptive_empty_prefix_convention():
-    dist, rep = adaptive_stationary((), lambda i, x: 1.0, death_bound=1.0)
+    dist, rep = adaptive_stationary((), tabulated(lambda i, x: 1.0, 0), death_bound=1.0)
     assert rep.certified
     assert dist.masses.tolist() == [1.0]
     assert prob(dist, ()) == 1.0
@@ -558,7 +576,8 @@ def test_closed_form_matches_solver_on_base_station_prefix():
     lam = 0.3
     oracle = stationary_1d_closed_form(lam, death)
     gen = build_truncated_generator(
-        (lam,), lambda i, x: death(x[0]), (max(80, oracle.box[0]),), death_bound=0.5
+        (lam,), tabulated(lambda i, x: death(x[0]), 1), (max(80, oracle.box[0]),),
+        death_bound=0.5
     )
     dist = solve_stationary(gen, tol=1e-12)
     size = min(len(oracle.masses), len(dist.masses))
@@ -590,11 +609,12 @@ def test_monotone_rate_perturbation_converges():
     lam1 = 0.5
 
     def avg_with_eps(eps):
-        def death(k, u):
-            return lower_partial_limit(spec, ctx, k, u) + eps
+        def death(k, U):
+            return lower_partial_limit(spec, ctx, k, U) + eps
 
-        dist, _ = adaptive_stationary((lam1,), death, death_bound=spec.bound + eps)
-        return dist.expect(lambda u: lower_partial_limit(spec, ctx, 1, u))
+        deaths = TabulatedDeaths(LimitTable(death, 1), (0,))
+        dist, _ = adaptive_stationary((lam1,), deaths, death_bound=spec.bound + eps)
+        return dist.expect(lambda u: limit_at(spec, ctx, 1, u))
 
     base = avg_with_eps(0.0)
     vals = [avg_with_eps(eps) for eps in (0.1, 0.01, 0.001)]
@@ -606,10 +626,11 @@ def test_monotone_rate_perturbation_converges():
 def test_pointwise_larger_death_rates_give_smaller_tails():
     lam = (0.6, 0.6)
     gen_lo = build_truncated_generator(
-        lam, lambda i, x: 1.0, (30, 30), death_bound=2.0
+        lam, tabulated(lambda i, x: 1.0, 2), (30, 30), death_bound=2.0
     )
     gen_hi = build_truncated_generator(
-        lam, lambda i, x: 1.0 + 0.5 / (1.0 + x[1 - i]), (30, 30), death_bound=2.0
+        lam, tabulated(lambda i, x: 1.0 + 0.5 / (1.0 + x[1 - i]), 2), (30, 30),
+        death_bound=2.0
     )
     d_lo = solve_stationary(gen_lo)
     d_hi = solve_stationary(gen_hi)

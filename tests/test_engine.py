@@ -15,8 +15,9 @@ from coupledq.allocation import (
     ArrivalRates,
     SaturationContext,
     base_station_pair,
+    build_product_allocation,
     constant_allocation,
-    lower_partial_limit,
+    exp_interference,
     one_server_power_law,
     three_queue_table,
 )
@@ -30,8 +31,8 @@ from coupledq.engine import (
 )
 from coupledq.cli import main
 from coupledq.ctmc import adaptive_stationary
-from coupledq.errors import NoConvergence, PermutationCapExceeded
-from oracles import envelope_scalar, relabel
+from coupledq.errors import NoConvergence, PermutationCapExceeded, SaturationNotConverged
+from oracles import envelope_scalar, lower_partial_limit_scalar, relabel, tabulated
 
 
 def make_three_queue(a23=2.0):
@@ -69,6 +70,12 @@ def test_general_bounds_two_valued_rate():
 ENVELOPE_SPECS = {
     "monotone": lambda: base_station_pair(0.05),
     "monotone-black-box": lambda: AllocationSpec(2, base_station_pair(0.7).rate_fn, 3.0),
+    # a gain still rising at every saturation level: the lower envelope is the
+    # smallest of the limits at the levels {r, r+1, 2r}; with growth 1.5 the
+    # largest, at 2r, is not the smallest of a later level
+    "monotone-settling": lambda: build_product_allocation(
+        [(lambda x: 2.0 - 1.0 / (1.0 + x), 2.0)] * 2,
+        [{1: exp_interference(1.0)}, {0: exp_interference(1.0)}]),
     "two-valued": lambda: AllocationSpec(
         2, lambda i, x: (1.2 if x[1] % 2 == 0 else 0.8) if i == 0 else 1.0, bound=1.2),
     # the upper envelope is met at one (own, other) pair of saturation levels
@@ -84,14 +91,37 @@ ENVELOPE_SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ENVELOPE_SPECS))
-def test_envelope_bounds_match_scalar_oracle(name):
+def check_envelope_against_oracle(name, **tol):
     spec = ENVELOPE_SPECS[name]()
-    eng = StabilityEngine(spec, Tolerances(bounds_probe_cap=4))
+    eng = StabilityEngine(spec, Tolerances(bounds_probe_cap=4, **tol))
     assert eng.structure()[0] is name.startswith("monotone")
     for i in range(spec.n_queues):
         for kind in ("lower", "upper"):
             assert eng._envelope(i, kind).hex() == envelope_scalar(eng, i, kind).hex()
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_SPECS))
+def test_envelope_bounds_match_scalar_oracle(name):
+    check_envelope_against_oracle(name)
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_SPECS))
+def test_envelope_bounds_match_scalar_oracle_at_growth_1_5(name):
+    # levels of another parity and spacing than the default growth's
+    check_envelope_against_oracle(name, growth=1.5)
+
+
+def test_envelope_levels_stay_in_the_state_arrays_range(deadline):
+    # with growth 3, a rate settling like 1/log escalates past int64 within
+    # 48 levels: the escalation stops there and reports it did not settle
+    spec = AllocationSpec(
+        2, lambda i, x: 1.0 + 1.0 / math.log(x[i] + 2.0) + 0.1 / (1.0 + x[1 - i]), 3.0)
+    eng = StabilityEngine(spec, Tolerances(growth=3))
+    assert eng.structure()[0]
+    for kind in ("lower", "upper"):
+        with deadline(10.0), pytest.raises(SaturationNotConverged,
+                                           match=f"envelope {kind} bound for queue 0"):
+            eng._envelope(0, kind)
 
 
 # -- sequential chains ---------------------------------------------------------------
@@ -256,10 +286,25 @@ def test_sweep_reuses_limit_tables(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
+    growth_calls = []  # the limit calls of each table growth, moved out of calls
+    real_grow = coupledq.ctmc.LimitTable._grow
+
+    def grow(*args):
+        before = len(calls)
+        arr = real_grow(*args)
+        growth_calls.append(calls[before:])
+        del calls[before:]
+        return arr
+
     monkeypatch.setattr(coupledq.engine, "lower_partial_limit", counting)
+    monkeypatch.setattr(coupledq.ctmc.LimitTable, "_grow", grow)
     eng = StabilityEngine(base_station_pair(2.0))
     first = eng.sweep(LIMIT_GRID)
-    assert calls
+    # one array call per (prefix, queue, table growth); the other calls are
+    # the lower envelopes', one per saturation level for the levels {r, r+1, 2r}
+    assert growth_calls and all(len(c) == 1 for c in growth_calls)
+    assert 0 < len(calls) <= 2 * 49
+    assert all(len(args[3]) == 3 for args in calls)
     calls.clear()
     second = eng.sweep(LIMIT_GRID)
     assert calls == []
@@ -413,7 +458,7 @@ def test_prefix_law_matches_hand_built_saturated_pair(tq_engine):
     rates = (0.5, 1.2, 0.3)
     ctx = SaturationContext((0, 1))
     ref, ref_report = adaptive_stationary(
-        rates[:2], lambda k, u: lower_partial_limit(spec, ctx, k, u),
+        rates[:2], tabulated(lambda k, u: lower_partial_limit_scalar(spec, ctx, k, u), 2),
         death_bound=spec.bound,
     )
     dist, report = tq_engine.prefix_law(rates, (1, 0))

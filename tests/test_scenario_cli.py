@@ -245,6 +245,20 @@ def test_preset_rates_must_match_its_queues():
     assert builtin_scenario("two_basestations", {"rates": (0.3, 0.4)}).rates == (0.3, 0.4)
 
 
+@pytest.mark.parametrize("grid_keys", [{"step": 0.1}, {"hi": 0.5}, {"step": 0.1, "hi": 0.5}])
+def test_two_basestations_rejects_grid_keys_with_rates(grid_keys, capsys):
+    # step and hi shape the default grid, which a rate point replaces
+    with pytest.raises(ScenarioError, match="'two_basestations': step and hi"):
+        builtin_scenario("two_basestations", {"rates": (0.3, 0.4), **grid_keys})
+    assert builtin_scenario("two_basestations", grid_keys).grid is not None
+    argv = ["analyze", "--scenario", "two_basestations", "--param", "rates=0.3"]
+    for key, value in grid_keys.items():
+        argv += ["--param", f"{key}={value}"]
+    assert main(argv) == 64
+    assert "scenario error: scenario 'two_basestations': step and hi" in \
+        capsys.readouterr().err
+
+
 def test_scenario_checks_its_rates_and_grid():
     spec = scenario_from_dict(dict(PRODUCT_DOC)).spec
     axis = GridAxis(0.1, 0.3, 0.1)
@@ -358,6 +372,8 @@ def test_cli_couple_check_takes_text_params(capsys):
     ("two_basestations", "gamma", -1.0, "0.3,0.4", "gamma must be positive"),
     ("two_basestations", "gamma", -0.01, "0.3,0.4", "gamma must be positive"),
     ("two_basestations", "gamma", 0.0, "0.6,0.6", "gamma must be positive"),
+    ("three_queues", "a1", -3.0, "0.5,1.2,0.3", "must be finite and nonnegative"),
+    ("three_queues", "a23", NAN, "0.5,1.2,0.3", "must be finite and nonnegative"),
     # the preset's own rate, with no --rates to replace it
     ("mm1", "lam", -1.0, None, "rates must be positive and finite"),
     ("mm1", "lam", NAN, None, "rates must be positive and finite"),
@@ -495,6 +511,21 @@ def test_cli_rejects_scenario_values_the_builders_reject(key, value, tmp_path, c
     with deadline(10.0):
         assert main(["analyze", "--scenario", str(path)]) == 64
     assert "scenario error: allocation:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("allocation.a_i", -3.0),  # the first solo rate
+    ("allocation.a_ij", {"12": -0.5}),
+])
+def test_cli_rejects_negative_table_rates(key, value, tmp_path, capsys):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(_set_key(TABLE_DOC, key, value)))
+    assert main(["analyze", "--scenario", str(path)]) == 64
+    err = capsys.readouterr().err
+    assert "scenario error: allocation: table rate -" in err
+    assert "must be finite and nonnegative" in err
+    assert main(["three-queues", "--rates", "0.5,1.2,0.3", "--param", "a1=-3"]) == 64
+    assert "must be finite and nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--pairs", "--events"])

@@ -11,7 +11,6 @@ from coupledq.allocation import (
     SaturationContext,
     base_station_pair,
     constant_allocation,
-    lower_partial_limit,
     one_server_power_law,
     three_queue_table,
 )
@@ -25,6 +24,7 @@ from coupledq.simulate import (
     simulate_path,
     _stream,
 )
+from oracles import limit_at
 
 
 def make_three_queue():
@@ -128,7 +128,7 @@ def test_coupled_three_queue_vs_saturated_bound():
     ctx = SaturationContext((0, 1))
 
     def bound_rate(k, u):
-        return lower_partial_limit(spec, ctx, k, u)
+        return limit_at(spec, ctx, k, u)
 
     bound_spec = AllocationSpec(2, bound_rate, bound=spec.bound)
     rep = simulate_coupled_pair(
