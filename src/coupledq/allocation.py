@@ -169,9 +169,13 @@ class AllocationSpec:
 class _FactorTable:
     """Values ``f(0), f(1), ...`` of a one-coordinate factor, filled on demand.
 
-    A fill at most doubles the table: entries further past its end, such as
-    the saturation levels of the uniform-limit check, are evaluated one by
-    one and not stored.
+    The table holds ``2**k + 1`` entries, so that a truncation box of side
+    ``2**k`` fits it exactly.  The first fill makes 65 entries.  A later
+    fill doubles ``2**k``, and only when the entries asked for past the end
+    follow it without a gap, as a box or a path one step past the end asks
+    for them.  Other entries past the end, such as the saturation levels
+    ``R, R + 1, 2R`` of the uniform-limit check, are evaluated one by one
+    and not stored.
     """
 
     def __init__(self, f: Callable[[int], float]):
@@ -184,9 +188,11 @@ class _FactorTable:
             return self.values[col]
         except IndexError:  # some entry lies past the table
             pass
-        size = min(max(2 * self.values.size, 64), FACTOR_TABLE_CAP)
-        if int(col.max()) < size:
-            new = [float(self.f(x)) for x in range(self.values.size, size)]
+        end = self.values.size
+        size = min(max(2 * end - 1, 65), FACTOR_TABLE_CAP + 1)
+        top = int(col.max())
+        if top < size and (end == 0 or np.unique(col[col >= end]).size == top - end + 1):
+            new = [float(self.f(x)) for x in range(end, size)]
             self.values = np.concatenate([self.values, new])
             return self.values[col]
         keys, inverse = np.unique(col, return_inverse=True)

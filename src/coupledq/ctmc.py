@@ -431,8 +431,19 @@ def solve_stationary(gen: TruncatedGenerator,
     return StationaryDistribution(pi, gen.box, residual, boundary)
 
 
+def saturated_average(masses: np.ndarray, values: np.ndarray) -> float:
+    """``sum(masses * values)`` in one fixed order.
+
+    A BLAS dot splits long vectors across threads, so its last bits depend
+    on the thread count; ``einsum`` adds in the same order whatever the
+    thread count.
+    """
+    return float(np.einsum("i,i->", masses, values))
+
+
 def _functionals(gen: TruncatedGenerator, dist: StationaryDistribution) -> tuple:
-    return tuple(float(dist.masses @ gen.death_values[:, i]) for i in range(gen.dim))
+    return tuple(saturated_average(dist.masses, gen.death_values[:, i])
+                 for i in range(gen.dim))
 
 
 def adaptive_stationary(

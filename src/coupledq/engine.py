@@ -44,6 +44,7 @@ from .ctmc import (
     LimitTable,
     TabulatedDeaths,
     adaptive_stationary,
+    saturated_average,
 )
 from .errors import (
     NoConvergence,
@@ -372,7 +373,7 @@ class StabilityEngine:
             except NoConvergence:
                 val = _LValue(0.0, trustworthy=False)
             else:
-                value = float(dist.masses @ table.values(queue, dist.box))
+                value = saturated_average(dist.masses, table.values(queue, dist.box))
                 val = _LValue(value, trustworthy=report.certified)
         self._lvals[key] = val
         return val

@@ -8,13 +8,14 @@ order-preserving transition table, which keeps both marginals exact while
 never letting the compared coordinates cross.
 
 Randomness comes from counter-based Philox streams: one stream per replica,
-derived deterministically from the base seed.  The stability probe advances
-its replicas in lockstep, each on its own stream, and reproduces event for
-event the paths ``simulate_path`` draws from the same streams.
+derived deterministically from the base seed.  Single paths and the
+stability probe's replicas are all drawn by one lockstep loop, which
+advances its replicas one event per step, each on its own stream.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import math
 from dataclasses import dataclass, field
@@ -70,8 +71,7 @@ class PathSample:
     final_state: tuple
     time_average: tuple
     drift_slope: tuple            # X_i(horizon) / horizon
-    samples: list = field(default_factory=list)       # (t, state) at sample_interval
-    checkpoints: list = field(default_factory=list)   # (t, cum hist, cum overflow, state, cum area)
+    samples: list = field(default_factory=list)   # (t, state) at sample_interval
 
     def occupancy_distribution(self, i: int) -> np.ndarray:
         """Normalized time-occupancy histogram of queue i (overflow excluded)."""
@@ -84,104 +84,35 @@ class PathSample:
 
 
 def simulate_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
-                  *, sample_interval: Optional[float] = None,
-                  checkpoint_times: Sequence[float] = (),
-                  _rng: Optional[np.random.Generator] = None) -> PathSample:
-    """Uniformized path of the queueing chain; reproducible for a fixed seed."""
-    rates = as_rates(rates)
-    n = spec.n_queues
-    if len(rates) != n:
-        raise ValueError("rate vector length mismatch")
-    state = tuple(int(c) for c in x0)
-    if len(state) != n or any(c < 0 for c in state):
-        raise ValueError(f"initial state {state} invalid")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+                  *, sample_interval: Optional[float] = None) -> PathSample:
+    """Uniformized path of the queueing chain; reproducible for a fixed seed.
+
+    The lockstep run of :func:`_lockstep` with one replica, on
+    ``_stream(seed)``.  With a ``sample_interval`` ``s``, the sample times
+    ``0, s, s + s, ...`` up to ``horizon + 1e-15`` are its checkpoints.
+    """
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
     if sample_interval is not None and not (math.isfinite(sample_interval)
                                             and sample_interval > 0):
         raise ValueError(f"sample_interval must be positive and finite, "
                          f"got {sample_interval!r}")
-
-    lam = tuple(rates)
-    total_lam = sum(lam)
-    big = total_lam + n * spec.bound
-    rng = _rng if _rng is not None else _stream(seed)
-    draws = _Draws(rng, 1.0 / big)
-
-    hist = np.zeros((n, HIST_CAP + 1))
-    over = np.zeros(n)
-    area = [0.0] * n
-    cps = sorted(float(c) for c in checkpoint_times)
-    cp_out = []
-    cp_i = 0
-    samples = []
-    next_sample = 0.0 if sample_interval else math.inf
-
-    t = 0.0
-    events = 0
-    rate_of = spec.rate_unmemoized
-
-    def settle(seg: float):
-        for i in range(n):
-            xi = state[i]
-            if xi <= HIST_CAP:
-                hist[i, xi] += seg
-            else:
-                over[i] += seg
-            area[i] += xi * seg
-
-    def advance(dt: float):
-        nonlocal t, cp_i, next_sample
-        end = t + dt
-        while cp_i < len(cps) and cps[cp_i] <= end + 1e-15:
-            seg = cps[cp_i] - t
-            if seg > 0:
-                settle(seg)
-            t = cps[cp_i]
-            cp_out.append((t, hist.copy(), over.copy(), state, tuple(area)))
-            cp_i += 1
-        while next_sample <= end + 1e-15:
-            samples.append((next_sample, state))
-            next_sample += sample_interval
-        if end > t:
-            settle(end - t)
-            t = end
-
-    if horizon > 0:
-        while True:
-            gap, u = draws.next()
-            if t + gap >= horizon:
-                advance(horizon - t)
-                break
-            advance(gap)
-            events += 1
-            v = u * big
-            if v < total_lam:
-                for i in range(n):
-                    v -= lam[i]
-                    if v < 0:
-                        state = state[:i] + (state[i] + 1,) + state[i + 1:]
-                        break
-            else:
-                v -= total_lam
-                for i in range(n):
-                    if state[i] > 0:
-                        v -= rate_of(i, state)
-                        if v < 0:
-                            state = state[:i] + (state[i] - 1,) + state[i + 1:]
-                            break
-                # else self-loop
-    while cp_i < len(cps):  # checkpoints exactly at the horizon
-        cp_out.append((t, hist.copy(), over.copy(), state, tuple(area)))
-        cp_i += 1
-
-    slope = tuple(state[i] / horizon if horizon > 0 else 0.0 for i in range(n))
-    avg = tuple(area[i] / horizon if horizon > 0 else float(state[i]) for i in range(n))
+    times = []
+    if sample_interval and horizon > 0:
+        s = 0.0
+        while s <= horizon + 1e-15:
+            times.append(s)
+            s += sample_interval
+    reps = _lockstep(rates, spec, x0, horizon, times, (), 1, seed)
+    state = tuple(int(c) for c in reps.final[0])
+    area = reps.area[0].tolist()
+    slope = tuple(c / horizon if horizon > 0 else 0.0 for c in state)
+    avg = tuple(a / horizon if horizon > 0 else float(c) for a, c in zip(area, state))
+    samples = [(s, tuple(x)) for s, x in zip(times, reps.cp_state[:, 0].tolist())]
     return PathSample(
-        seed=seed, horizon=horizon, event_count=events,
-        histograms=hist, overflow=over, final_state=state,
-        time_average=avg, drift_slope=slope,
-        samples=samples, checkpoints=cp_out,
+        seed=seed, horizon=horizon, event_count=int(reps.events[0]),
+        histograms=reps.windows[0, :, :-1], overflow=reps.windows[0, :, -1],
+        final_state=state, time_average=avg, drift_slope=slope, samples=samples,
     )
 
 
@@ -213,8 +144,7 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
                           rates_y, spec_y: AllocationSpec,
                           x0, y0, seed: int,
                           *, horizon: Optional[float] = None,
-                          max_events: Optional[int] = None,
-                          _rng: Optional[np.random.Generator] = None) -> CouplingReport:
+                          max_events: Optional[int] = None) -> CouplingReport:
     """Joint path of two chains under the order-preserving transition table.
 
     The lower chain must start below the upper one on the compared
@@ -233,10 +163,13 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
         raise ValueError(f"initial states not ordered on compared coordinates: {x} vs {y}")
     if horizon is None and max_events is None:
         raise ValueError("need a time horizon or an event budget")
+    if horizon is not None and not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    if max_events is not None and not max_events >= 0:
+        raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
 
     big = sum(rates_x) + sum(rates_y) + nx * spec_x.bound + ny * spec_y.bound
-    rng = _rng if _rng is not None else _stream(seed)
-    draws = _Draws(rng, 1.0 / big)
+    draws = _Draws(_stream(seed), 1.0 / big)
     rx, ry = tuple(rates_x), tuple(rates_y)
     fx, fy = spec_x.rate_unmemoized, spec_y.rate_unmemoized
 
@@ -455,6 +388,7 @@ class _Replicas:
     """
 
     final: np.ndarray       # (R, n) states at the horizon
+    events: np.ndarray      # (R,) events before the horizon
     area: np.ndarray        # (R, n) time integrals of the queue lengths
     cp_state: np.ndarray    # (len(cps), R, n) states at the checkpoints
     cp_area: np.ndarray     # (len(cps), R, n) time integrals at the checkpoints
@@ -462,10 +396,11 @@ class _Replicas:
 
 
 def _advance(t: float, end: float, c: int, cps: Sequence[float]):
-    """``simulate_path``'s ``advance`` from ``t`` to ``end`` with ``c``
-    checkpoints recorded: the pieces ``(segment, c)`` it settles and
-    ``(None, j)`` for each checkpoint ``j`` it records, in order, and the
-    time and checkpoint count after it."""
+    """A path's advance from ``t`` to ``end`` with ``c`` checkpoints
+    recorded: the pieces ``(segment, c)`` it settles and ``(None, j)`` for
+    each checkpoint ``j`` it records, in order, and the time and checkpoint
+    count after it.  A checkpoint at most 1e-15 past ``end`` is recorded,
+    and the path resumes from it."""
     pieces = []
     while c < len(cps) and cps[c] <= end + 1e-15:
         seg = cps[c] - t
@@ -487,7 +422,7 @@ class _ChunkDraws:
     yields the uniforms."""
 
     def __init__(self, streams: list, scale: float):
-        self.gap_rngs = self.uni_rngs = streams
+        self.gap_streams = self.uni_streams = streams
         self.scale = scale
         self.drawn = 0
         self._skip = np.empty(_BATCH)
@@ -495,29 +430,29 @@ class _ChunkDraws:
     def next(self, which, gaps: np.ndarray, unis: np.ndarray) -> None:
         """Fill rows ``which`` of the ``(R, _CHUNK)`` arrays."""
         if self.drawn % _BATCH == 0:
-            self.gap_rngs = self.uni_rngs
-            self.uni_rngs = [copy.deepcopy(g) for g in self.gap_rngs]
+            self.gap_streams = self.uni_streams
+            self.uni_streams = [copy.deepcopy(g) for g in self.gap_streams]
             for r in which:
-                self.uni_rngs[r].standard_exponential(out=self._skip)
+                self.uni_streams[r].standard_exponential(out=self._skip)
         for r in which:
-            self.gap_rngs[r].standard_exponential(out=gaps[r])
-            self.uni_rngs[r].random(out=unis[r])
+            self.gap_streams[r].standard_exponential(out=gaps[r])
+            self.uni_streams[r].random(out=unis[r])
         gaps *= self.scale
         self.drawn += _CHUNK
 
 
 def _meet(row: np.ndarray, gaps: np.ndarray, c: int, cps: Sequence[float],
-          horizon: float):
+          pending: np.ndarray, horizon: float):
     """Steps of one replica's chunk that meet a checkpoint or the horizon.
 
-    ``row`` holds the chunk's event times ``t, t + gap, ...``; where
-    ``advance`` leaves the path on a checkpoint just past an event, the
-    later times are recomputed from it in place.  Returns the number of
+    ``row`` holds the chunk's event times ``t, t + gap, ...``, and
+    ``pending`` is ``cps`` followed by infinity; where :func:`_advance`
+    leaves the path on a checkpoint just past an event, the later times are
+    recomputed from it in place.  Returns the number of
     event steps (``_CHUNK`` unless the horizon falls in the chunk) and
     ``(step, pieces, checkpoint count after it)`` for every step that met
     something."""
     ends = row[1:]
-    pending = [*cps, math.inf]
     met = []
     while True:
         k_end = int(np.searchsorted(ends, horizon))         # t + gap >= horizon
@@ -540,13 +475,14 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
               cps: Sequence[float], bounds: Sequence[int],
               replicas: int, seed: int) -> _Replicas:
     """``replicas`` uniformized paths on ``_stream(seed, r)``, all advanced
-    by one event per step, with ``cps`` sorted and at most ``horizon``.
+    by one event per step, with ``cps`` sorted and at most ``horizon``
+    (plus 1e-15).
 
-    Each path is event for event the one ``simulate_path`` draws from the
-    same stream with the same checkpoints: the draws come in the same order,
-    and times, transitions, segments and areas use the same float operations
-    in the same order.  Only the shared window histograms add their segments
-    in another order.
+    Each path is event for event the one a scalar loop draws from the same
+    stream with the same checkpoints (``tests/oracles.reference_path``):
+    the draws come in the same order, and times, transitions, segments and
+    areas use the same float operations in the same order.  Only the window
+    histograms add their segments in another order.
 
     A spec with an array form is evaluated through it unchecked at each
     step, and each chunk's rates are checked once, after its last step and
@@ -577,6 +513,7 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     XT = np.tile(np.array(start, dtype=np.int64)[:, None], (1, R))
     X = XT.T
     t = np.zeros(R)
+    events = np.zeros(R, dtype=np.int64)
     count = np.zeros(R, dtype=np.int64)  # checkpoints recorded so far
     active = np.ones(R, dtype=bool)
     area = np.zeros((R, n))
@@ -605,13 +542,14 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
         met = {}
         meets = active & ((T[:, -1] + 1e-15 >= pending[count]) | (T[:, -1] >= horizon))
         for r in np.flatnonzero(meets):
-            last[r], met[r] = _meet(T[r], G[r], int(count[r]), cps, horizon)
+            last[r], met[r] = _meet(T[r], G[r], int(count[r]), cps, pending, horizon)
             for k, _, c in met[r]:
                 labels[r, k + 1:] = c
             count[r] = met[r][-1][2]
         t = T[:, -1].copy()
         live = np.arange(C) < last[:, None]
         n_steps = min(C, int(last[active].max(initial=0)) + 1)
+        events += last
         active &= last == C
 
         # births do not depend on the state: v = u * big, then v -= lam[i]
@@ -671,12 +609,12 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
                         cp_area[j, r] = a
                     else:
                         a = a + x * piece
-                        w = int(np.searchsorted(bounds, j))
+                        w = bisect.bisect_left(bounds, j)
                         windows[w * n * B + queue_bins + np.minimum(x, B - 1)] += piece
                 k0 = k + 1
             area[r] = np.cumsum(np.concatenate([a[None], contrib[k0:, r]]), axis=0)[-1]
 
-    return _Replicas(final=X, area=area, cp_state=cp_state, cp_area=cp_area,
+    return _Replicas(final=X, events=events, area=area, cp_state=cp_state, cp_area=cp_area,
                      windows=windows.reshape(len(bounds) + 1, n, B))
 
 
@@ -712,8 +650,8 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     rates = as_rates(rates)
     n = spec.n_queues
     horizons = sorted(float(h) for h in horizons)
-    if not horizons or horizons[0] <= 0:
-        raise ValueError("horizons must be positive")
+    if not horizons or not all(math.isfinite(h) and h > 0 for h in horizons):
+        raise ValueError(f"horizons must be positive and finite, got {horizons!r}")
     if replicas < 1:
         raise ValueError(f"replicas must be at least 1, got {replicas}")
     warnings = []

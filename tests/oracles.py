@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from coupledq.errors import (
     NoUniformLimit,
     SaturationNotConverged,
 )
+from coupledq.simulate import HIST_CAP, PathSample, _Draws, _stream
 
 
 def prob(dist: StationaryDistribution, state) -> float:
@@ -369,3 +371,119 @@ def tabulated(fn, dim: int) -> TabulatedDeaths:
         return _tabulate(fn, (i,), U, (U[:, i] > 0)[:, None])[:, 0]
 
     return TabulatedDeaths(LimitTable(values, dim), tuple(range(dim)))
+
+
+@dataclass
+class ReferencePath(PathSample):
+    """A :class:`PathSample` that also holds its checkpoints."""
+
+    checkpoints: list = field(default_factory=list)   # (t, cum hist, cum overflow, state, cum area)
+
+
+def reference_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
+                   *, sample_interval=None, checkpoint_times=(),
+                   rng=None) -> ReferencePath:
+    """Uniformized path of the queueing chain, one event at a time: the
+    scalar reference of :func:`coupledq.simulate.simulate_path` and of each
+    replica of the lockstep probe.
+
+    It draws from ``rng`` (``_stream(seed)`` by default) through ``_Draws``,
+    reads a death rate only at a busy queue, and stops at the first death.
+    Each checkpoint time ``c`` is recorded at the first event time ``end``
+    with ``c <= end + 1e-15``, and the path resumes from ``c``.
+    """
+    rates = as_rates(rates)
+    n = spec.n_queues
+    if len(rates) != n:
+        raise ValueError("rate vector length mismatch")
+    state = tuple(int(c) for c in x0)
+    if len(state) != n or any(c < 0 for c in state):
+        raise ValueError(f"initial state {state} invalid")
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
+    if sample_interval is not None and not (math.isfinite(sample_interval)
+                                            and sample_interval > 0):
+        raise ValueError(f"sample_interval must be positive and finite, "
+                         f"got {sample_interval!r}")
+
+    lam = tuple(rates)
+    total_lam = sum(lam)
+    big = total_lam + n * spec.bound
+    rng = rng if rng is not None else _stream(seed)
+    draws = _Draws(rng, 1.0 / big)
+
+    hist = np.zeros((n, HIST_CAP + 1))
+    over = np.zeros(n)
+    area = [0.0] * n
+    cps = sorted(float(c) for c in checkpoint_times)
+    cp_out = []
+    cp_i = 0
+    samples = []
+    next_sample = 0.0 if sample_interval else math.inf
+
+    t = 0.0
+    events = 0
+    rate_of = spec.rate_unmemoized
+
+    def settle(seg: float):
+        for i in range(n):
+            xi = state[i]
+            if xi <= HIST_CAP:
+                hist[i, xi] += seg
+            else:
+                over[i] += seg
+            area[i] += xi * seg
+
+    def advance(dt: float):
+        nonlocal t, cp_i, next_sample
+        end = t + dt
+        while cp_i < len(cps) and cps[cp_i] <= end + 1e-15:
+            seg = cps[cp_i] - t
+            if seg > 0:
+                settle(seg)
+            t = cps[cp_i]
+            cp_out.append((t, hist.copy(), over.copy(), state, tuple(area)))
+            cp_i += 1
+        while next_sample <= end + 1e-15:
+            samples.append((next_sample, state))
+            next_sample += sample_interval
+        if end > t:
+            settle(end - t)
+            t = end
+
+    if horizon > 0:
+        while True:
+            gap, u = draws.next()
+            if t + gap >= horizon:
+                advance(horizon - t)
+                break
+            advance(gap)
+            events += 1
+            v = u * big
+            if v < total_lam:
+                for i in range(n):
+                    v -= lam[i]
+                    if v < 0:
+                        state = state[:i] + (state[i] + 1,) + state[i + 1:]
+                        break
+            else:
+                v -= total_lam
+                for i in range(n):
+                    if state[i] > 0:
+                        v -= rate_of(i, state)
+                        if v < 0:
+                            state = state[:i] + (state[i] - 1,) + state[i + 1:]
+                            break
+                # else self-loop
+    while cp_i < len(cps):  # checkpoints exactly at the horizon
+        cp_out.append((t, hist.copy(), over.copy(), state, tuple(area)))
+        cp_i += 1
+
+    slope = tuple(state[i] / horizon if horizon > 0 else 0.0 for i in range(n))
+    avg = tuple(area[i] / horizon if horizon > 0 else float(state[i]) for i in range(n))
+    return ReferencePath(
+        seed=seed, horizon=horizon, event_count=events,
+        histograms=hist, overflow=over, final_state=state,
+        time_average=avg, drift_slope=slope,
+        samples=samples, checkpoints=cp_out,
+    )

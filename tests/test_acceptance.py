@@ -34,10 +34,9 @@ from coupledq.simulate import (
     empirical_stability_probe,
     random_hypothesis_pair,
     simulate_coupled_pair,
-    simulate_path,
     _stream,
 )
-from oracles import limit_at, prob, stationary_1d_closed_form, tabulated
+from oracles import limit_at, prob, reference_path, stationary_1d_closed_form, tabulated
 
 
 pytestmark = pytest.mark.acceptance
@@ -210,7 +209,7 @@ def test_criterion_6_coupling_suite():
                                     seed=909_000 + idx, horizon=horizon)
         violations += rep.violations
         for i in range(len(x0)):
-            ref = simulate_path(lam, sx, x0, horizon, seed=717_000 + 10 * idx + i)
+            ref = reference_path(lam, sx, x0, horizon, seed=717_000 + 10 * idx + i)
             tv = 0.5 * np.abs(
                 rep.occupancy_distribution_x(i) - ref.occupancy_distribution(i)
             ).sum()

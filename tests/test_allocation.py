@@ -601,14 +601,39 @@ def test_factor_table_evaluates_far_entries_one_by_one():
 
     table = _FactorTable(f)
     assert np.array_equal(table.at(np.array([3, 0])), [0.25, 1.0])
-    assert table.values.size == 64 and len(calls) == 64
+    assert table.values.size == 65 and len(calls) == 65
     # saturation levels far past the table: one call per distinct entry, no fill
     col = np.array([5, 4096, 4097, 8192, 4096])
     assert np.array_equal(_bits(table.at(col)), _bits(1.0 / (1.0 + col)))
-    assert table.values.size == 64 and len(calls) == 64 + 4
+    assert table.values.size == 65 and len(calls) == 65 + 4
     # a lockstep walk one past the end doubles the table, as before
-    table.at(np.array([64]))
-    assert table.values.size == 128 and len(calls) == 128 + 4
+    table.at(np.array([65]))
+    assert table.values.size == 129 and len(calls) == 129 + 4
+
+
+def test_factor_table_fills_each_entry_once():
+    calls = []
+    table = _FactorTable(lambda x: calls.append(x) or 1.0 / (1.0 + x))
+    # the boxes of an escalation, 32 to 65,536 per side: a box of side 2**k
+    # reads entries 0..2**k, and the table fills exactly those
+    for k in range(5, 17):
+        table.at(np.arange(2 ** k + 1))
+        assert table.values.size == max(2 ** k, 64) + 1
+    assert calls == list(range(2 ** 16 + 1))
+    # saturation levels R, R + 1, 2R at the end: one call each, no fill
+    levels = [2 ** 16, 2 ** 16 + 1, 2 ** 17]
+    table.at(np.array(levels))
+    assert table.values.size == 2 ** 16 + 1 and calls[2 ** 16 + 1:] == levels
+    # a transient path raises its maximum one level at a time: the table
+    # still doubles, so 10,000 levels take 9 fills and no entry twice
+    calls.clear()
+    table = _FactorTable(lambda x: calls.append(x) or 1.0)
+    sizes = set()
+    for top in range(10_000):
+        table.at(np.array([top]))
+        sizes.add(table.values.size)
+    assert sorted(sizes) == [2 ** k + 1 for k in range(6, 15)]
+    assert calls == list(range(2 ** 14 + 1))
 
 
 def test_poly_uniform_limit_check_does_not_fill_factor_tables(deadline):

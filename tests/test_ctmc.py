@@ -3,6 +3,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -638,3 +642,34 @@ def test_pointwise_larger_death_rates_give_smaller_tails():
         tail_lo = np.cumsum(marginal(d_lo, i)[::-1])[::-1]
         tail_hi = np.cumsum(marginal(d_hi, i)[::-1])[::-1]
         assert (tail_hi <= tail_lo + 1e-9).all()
+
+
+# Saturated averages of a base-station round: the verdict records at three
+# points and the functionals of every box of a 1-D prefix up to 65,537 states.
+_THREADS_SCRIPT = """
+import json
+from coupledq.allocation import base_station_pair
+from coupledq.engine import StabilityEngine
+
+eng = StabilityEngine(base_station_pair(2.0))
+out = [eng.classify(pt).to_record() for pt in [(0.5, 0.6), (0.45, 0.45), (1.3, 0.2)]]
+dist, report = eng.prefix_law((0.4998, 0.6), frozenset({0}))
+out.append([[t.n_states] + [f.hex() for f in t.functionals] for t in report.history])
+print(json.dumps(out))
+"""
+
+
+def test_saturated_averages_do_not_depend_on_blas_threads():
+    # a threaded BLAS dot splits a vector of 65,537 entries across threads
+    src = str(pathlib.Path(ctmc.__file__).parents[1])
+    outs = []
+    for threads in ("1", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert "[65537, " in outs[0]
+    assert outs[0] == outs[1]
+

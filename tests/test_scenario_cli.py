@@ -1,6 +1,7 @@
 """Scenario files and the command-line front end."""
 
 import dataclasses
+import io
 import itertools
 import json
 import os
@@ -23,7 +24,9 @@ from coupledq.scenario import (
     resolve_scenario,
     scenario_from_dict,
 )
+from coupledq.simulate import dump_path_csv
 from coupledq.svg import PALETTE
+from oracles import reference_path
 
 
 PRODUCT_DOC = {
@@ -636,6 +639,21 @@ def test_cli_simulate_dump_honours_sample_interval(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
     times = [float(line.split(",")[0]) for line in dump.read_text().splitlines()[1:]]
     assert times == [0.0, 2.5, 5.0, 7.5, 10.0]
+
+
+@pytest.mark.parametrize("interval", ["1", "0.1", "0.3"])
+def test_cli_simulate_dump_matches_reference_path(interval, tmp_path, capsys):
+    # the --dump CSV, byte for byte, as written from the scalar reference path
+    dump = tmp_path / "path.csv"
+    assert main(["simulate", "--scenario", "two_basestations", "--rates", "0.5,0.6",
+                 "--replicas", "1", "--sample-interval", interval,
+                 "--dump", str(dump)]) == 0
+    scn = builtin_scenario("two_basestations", {"rates": (0.5, 0.6)})
+    ref = reference_path(scn.rates, scn.spec, (0, 0), 2000.0, scn.seed,
+                         sample_interval=float(interval))
+    want = io.StringIO()
+    dump_path_csv(ref, want)
+    assert dump.read_bytes() == want.getvalue().encode()
 
 
 def test_cli_sweep_csv_and_svg_deterministic(tmp_path, capsys):

@@ -24,7 +24,7 @@ from coupledq.simulate import (
     simulate_path,
     _stream,
 )
-from oracles import limit_at
+from oracles import limit_at, reference_path
 
 
 def make_three_queue():
@@ -166,8 +166,8 @@ def test_coupled_marginal_matches_independent_path():
     spec_y = constant_allocation((1.0,))
     rep = simulate_coupled_pair((0.5,), spec_x, (0.6,), spec_y, (0,), (0,),
                                 seed=12, horizon=1e5)
-    path_x = simulate_path((0.5,), spec_x, (0,), 1e5, seed=543)
-    path_y = simulate_path((0.6,), spec_y, (0,), 1e5, seed=544)
+    path_x = reference_path((0.5,), spec_x, (0,), 1e5, seed=543)
+    path_y = reference_path((0.6,), spec_y, (0,), 1e5, seed=544)
     tv_x = 0.5 * np.abs(
         rep.occupancy_distribution_x(0) - path_x.occupancy_distribution(0)
     ).sum()
@@ -222,7 +222,7 @@ def test_probe_rejects_fewer_than_one_replica():
         empirical_stability_probe((1.5,), spec, (0,), [50, 100], -2, 3)
 
 
-# -- lockstep probe against one simulate_path per replica ---------------------------
+# -- lockstep probe against one reference path per replica --------------------------
 
 def _checkpoints(horizons):
     """The probe's checkpoint layout: horizon, sorted checkpoints, and the
@@ -234,7 +234,7 @@ def _checkpoints(horizons):
 
 
 def _reference_probe(rates, spec, x0, horizons, replicas, seed):
-    """The probe as one ``simulate_path`` per replica on ``_stream(seed, r)``:
+    """The probe as one ``reference_path`` per replica on ``_stream(seed, r)``:
     the oracle of the lockstep probe.  Returns the diagnostic's fields and
     the paths."""
     n = spec.n_queues
@@ -251,9 +251,9 @@ def _reference_probe(rates, spec, x0, horizons, replicas, seed):
     late_area = np.zeros(n)
     paths = []
     for r in range(replicas):
-        path = simulate_path(
+        path = reference_path(
             rates, spec, x0, t_max, seed,
-            checkpoint_times=cps, _rng=_stream(seed, r),
+            checkpoint_times=cps, rng=_stream(seed, r),
         )
         paths.append(path)
         mid_cp = path.checkpoints[mid_idx]
@@ -377,13 +377,59 @@ def test_lockstep_checkpoint_just_past_an_event():
     _assert_lockstep_matches(spec, rates, (0, 0), (2 * c, 4 * c), 32, seed)
 
 
+# -- simulate_path, the lockstep with one replica, against the scalar reference -----
+
+@pytest.mark.parametrize("name", sorted(PROBE_CORPUS))
+def test_simulate_path_matches_reference_path(name):
+    spec, rates, x0, _, _, seed = PROBE_CORPUS[name]
+    # at horizon 0.3 the third sample time, 0.1 + 0.1 + 0.1, lies past it
+    for horizon, interval in itertools.product((0.0, 0.3, 10.0, 100.0, 2000.0),
+                                               (0.1, 0.3, 1 / 3, 2.5, 10.0)):
+        got = simulate_path(rates, spec, x0, horizon, seed, sample_interval=interval)
+        want = reference_path(rates, spec, x0, horizon, seed, sample_interval=interval)
+        case = (horizon, interval)
+        assert got.final_state == want.final_state, case
+        assert got.event_count == want.event_count, case
+        assert got.samples == want.samples, case
+        assert got.drift_slope == want.drift_slope, case
+        # the sample times are the lockstep's checkpoints, which split segments
+        split = reference_path(rates, spec, x0, horizon, seed,
+                               checkpoint_times=[t for t, _ in want.samples])
+        assert got.time_average == split.time_average, case
+        np.testing.assert_allclose(got.histograms, want.histograms, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.overflow, want.overflow, rtol=1e-12, atol=0)
+
+
+NON_FINITE_HORIZONS = {
+    "path-inf": lambda spec: simulate_path((0.5,), spec, (0,), math.inf, seed=1),
+    "path-nan": lambda spec: simulate_path((0.5,), spec, (0,), math.nan, seed=1),
+    "path-negative": lambda spec: simulate_path((0.5,), spec, (0,), -1.0, seed=1),
+    "probe-nan": lambda spec: empirical_stability_probe((0.5,), spec, (0,), [math.nan], 4, 1),
+    "probe-inf": lambda spec: empirical_stability_probe((0.5,), spec, (0,), [10, math.inf], 4, 1),
+    "pair-nan": lambda spec: simulate_coupled_pair((0.5,), spec, (0.5,), spec, (0,), (0,),
+                                                   seed=1, horizon=math.nan),
+    "pair-inf": lambda spec: simulate_coupled_pair((0.5,), spec, (0.5,), spec, (0,), (0,),
+                                                   seed=1, horizon=math.inf),
+    "pair-max-events": lambda spec: simulate_coupled_pair((0.5,), spec, (0.5,), spec,
+                                                          (0,), (0,), seed=1, max_events=-5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_HORIZONS))
+def test_horizons_must_be_finite(case, deadline):
+    # an infinite or NaN horizon used to run forever, or to return 0 events
+    name = "max_events" if case.endswith("max-events") else "horizon"
+    with deadline(1.0), pytest.raises(ValueError, match=name):
+        NON_FINITE_HORIZONS[case](constant_allocation((1.0,)))
+
+
 # -- the lockstep's bound check against a per-event reference ----------------------
 
 def _first_bad_rate(rate, n, bound, rates, seed, replicas):
     """Message of the first out-of-bound rate in (step, queue, replica)
     order, where step ``k`` of a replica is the state after its first ``k``
     events: each replica's events replayed one by one from
-    ``_Draws(_stream(seed, r))`` as ``simulate_path`` draws them, with every
+    ``_Draws(_stream(seed, r))`` as ``reference_path`` draws them, with every
     queue's rate read at every state."""
     lam = tuple(float(v) for v in rates)
     total_lam = sum(lam)
@@ -401,7 +447,7 @@ def _first_bad_rate(rate, n, bound, rates, seed, replicas):
                                        f"outside [0, {bound}]"))
                 break
             v = draws.next()[1] * big
-            if v < total_lam:  # a birth, as in simulate_path
+            if v < total_lam:  # a birth, as in reference_path
                 weights, step = lam, 1
             else:              # a death at a busy queue, or a self-loop
                 v -= total_lam
@@ -459,4 +505,15 @@ def test_probe_reports_first_out_of_bound_rate(case, seed, deadline):
     want = _first_bad_rate(rate, 2, 2.0, (0.9, 0.6), seed, 8)
     with deadline(10.0), pytest.raises(BoundViolation) as err:
         empirical_stability_probe((0.9, 0.6), spec, (0, 0), (50, 100), 8, seed)
+    assert str(err.value) == want
+
+
+@pytest.mark.parametrize("case", sorted(BOUND_CASES))
+def test_simulate_path_reports_first_out_of_bound_rate(case, deadline):
+    # a single path reads every queue's rate at every step, as the probe does
+    rate, array_fn = BOUND_CASES[case]
+    spec = AllocationSpec(2, rate, bound=2.0, _array_fn=array_fn)
+    want = _first_bad_rate(rate, 2, 2.0, (0.9, 0.6), 1, 1)
+    with deadline(10.0), pytest.raises(BoundViolation) as err:
+        simulate_path((0.9, 0.6), spec, (0, 0), 100.0, seed=1)
     assert str(err.value) == want
