@@ -23,6 +23,7 @@ from .engine import StabilityEngine, SystemLabel
 from .errors import CoupledQError, HypothesisViolated, NoConvergence, ScenarioError
 from .scenario import GridAxis, Scenario, builtin_scenario, resolve_scenario
 from .simulate import (
+    check_sampling,
     empirical_stability_probe,
     random_hypothesis_pair,
     simulate_coupled_pair,
@@ -207,6 +208,11 @@ def cmd_simulate(args) -> int:
     scn = _scenario_from_args(args)
     if scn.rates is None:
         raise ScenarioError("simulate needs a single rate point (use --rates)")
+    if args.dump:
+        try:
+            check_sampling(args.horizon, args.sample_interval)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from None
     horizons = [args.horizon / 4, args.horizon / 2, args.horizon]
     diag = empirical_stability_probe(
         scn.rates, scn.spec, (0,) * scn.n_queues, horizons, args.replicas, scn.seed

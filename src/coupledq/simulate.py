@@ -10,7 +10,9 @@ never letting the compared coordinates cross.
 Randomness comes from counter-based Philox streams: one stream per replica,
 derived deterministically from the base seed.  Single paths and the
 stability probe's replicas are all drawn by one lockstep loop, which
-advances its replicas one event per step, each on its own stream.
+advances its replicas one event per step, each on its own stream.  It
+settles the deaths of up to 32 steps at a time from guessed states, and
+the result is the one a loop of single steps gives.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ from .errors import HypothesisViolated
 HIST_CAP = 4096
 _BATCH = 8192
 _CHUNK = 256  # lockstep steps drawn and accounted at a time; divides _BATCH
+_GUESS = 32   # lockstep steps whose deaths are guessed and checked at once
 _RATE_SLACK = 1e-12
+# the most samples a path may record; checked before any sample time is built
+MAX_SAMPLES = 1_000_000
 
 
 def _stream(seed: int, replica: int = 0) -> np.random.Generator:
@@ -91,12 +96,7 @@ def simulate_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
     ``_stream(seed)``.  With a ``sample_interval`` ``s``, the sample times
     ``0, s, s + s, ...`` up to ``horizon + 1e-15`` are its checkpoints.
     """
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
-    if sample_interval is not None and not (math.isfinite(sample_interval)
-                                            and sample_interval > 0):
-        raise ValueError(f"sample_interval must be positive and finite, "
-                         f"got {sample_interval!r}")
+    check_sampling(horizon, sample_interval)
     times = []
     if sample_interval and horizon > 0:
         s = 0.0
@@ -114,6 +114,23 @@ def simulate_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
         histograms=reps.windows[0, :, :-1], overflow=reps.windows[0, :, -1],
         final_state=state, time_average=avg, drift_slope=slope, samples=samples,
     )
+
+
+def check_sampling(horizon: float, sample_interval: Optional[float]) -> None:
+    """Raise ``ValueError`` unless :func:`simulate_path` takes ``horizon``
+    and ``sample_interval``: a finite nonnegative horizon, and a positive
+    finite interval with ``horizon / sample_interval`` below
+    ``MAX_SAMPLES``."""
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    if sample_interval is None:
+        return
+    if not (math.isfinite(sample_interval) and sample_interval > 0):
+        raise ValueError(f"sample_interval must be positive and finite, "
+                         f"got {sample_interval!r}")
+    if horizon / sample_interval >= MAX_SAMPLES:
+        raise ValueError(f"horizon {horizon!r} at sample_interval {sample_interval!r} "
+                         f"asks for more than {MAX_SAMPLES} samples")
 
 
 @dataclass
@@ -471,6 +488,19 @@ def _meet(row: np.ndarray, gaps: np.ndarray, c: int, cps: Sequence[float],
     return k_end, met
 
 
+def _deaths(M: np.ndarray, busy: np.ndarray) -> np.ndarray:
+    """Which queue dies at each step of a window: ``(w, n, R)`` from ``M``
+    of shape ``(n + 1, w, R)``, which holds each step's ``v`` after the
+    births in row 0 and queue ``i``'s rate in row ``1 + i``.  ``v -=
+    rate_i`` for each busy queue in order, and the queue that takes ``v``
+    below 0 dies.  ``M`` is overwritten."""
+    np.multiply(M[1:], busy, out=M[1:])
+    for i in range(len(M) - 1):  # v - r_0 - ... - r_i; row 0 is v >= 0
+        np.subtract(M[i], M[i + 1], out=M[i + 1])
+    below = M < 0
+    return (below[1:] != below[:-1]).transpose(1, 0, 2)
+
+
 def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
               cps: Sequence[float], bounds: Sequence[int],
               replicas: int, seed: int) -> _Replicas:
@@ -484,15 +514,32 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     areas use the same float operations in the same order.  Only the window
     histograms add their segments in another order.
 
-    A spec with an array form is evaluated through it unchecked at each
-    step, and each chunk's rates are checked once, after its last step and
-    before any of its accounting, raising the ``BoundViolation`` of
-    :meth:`AllocationSpec.rates_at` for the first bad (step, queue,
-    replica).  A bad rate can only corrupt later states of the same chunk
-    (a NaN on an empty queue survives the zeroing and can take the queue to
-    -1); none of them is accounted or reported.  An exception the array form
-    raises on such a state is preceded by the check of the steps so far.  A
-    spec without an array form goes through ``rates_at`` at every step.
+    Births do not depend on the state, so a chunk's births are drawn at
+    once; its deaths are settled in windows of up to ``_GUESS`` steps from
+    the last settled state.  Each window guesses its deaths: a step already
+    tried keeps the death it got last time, and a new step dies as it would
+    at the rates and busy queues of the last settled step.  A guessed death
+    of an empty queue is dropped, so the guessed states are nonnegative,
+    and every queue's array form is evaluated once at all of them.  The
+    deaths those rates give are settled up to and including the first step
+    whose guess was wrong, since every state up to that step was right,
+    and the next window starts after it.  The deaths, and with them
+    everything else, are those of one step at a time, which is the window
+    of one step, whatever the guesses.  So the array form may be evaluated
+    at nonnegative states up to ``_GUESS`` steps off the path; if it raises
+    in a window of more than one step, the rest of the chunk goes one step
+    at a time, where an error is the one the path meets first.  A spec
+    without an array form goes through ``rates_at`` one step at a time,
+    so its ``rate_fn`` sees only the path's states.
+
+    The array form is evaluated unchecked, and each chunk's rates are
+    checked once, after its last step and before any of its accounting,
+    raising the ``BoundViolation`` of :meth:`AllocationSpec.rates_at` for
+    the first bad (step, queue, replica).  A bad rate can only corrupt
+    later states of the same chunk (a NaN on an empty queue survives the
+    zeroing and can take the queue to -1); none of them is accounted or
+    reported.  An exception the array form raises at one step on such a
+    state is preceded by the check of the steps so far.
     """
     rates = as_rates(rates)
     n = spec.n_queues
@@ -509,7 +556,7 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     lam_steps = np.broadcast_to(np.array(lam), (R, C, n))
     queue_bins = np.arange(n) * B
 
-    # states as (n, R), so that each queue's column X[:, i] is contiguous
+    # states as (n, R), a replica per column, and X = XT.T a replica per row
     XT = np.tile(np.array(start, dtype=np.int64)[:, None], (1, R))
     X = XT.T
     t = np.zeros(R)
@@ -526,11 +573,12 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     U = np.empty((R, C))
     S = np.empty((C, n, R), dtype=np.int64)  # the state during each step
     V = np.empty((C, n, R))                  # the rates during each step
-    M = np.empty((n + 1, R))
-    busy = np.empty((n, R), dtype=bool)
-    below = np.empty((n + 1, R), dtype=bool)
-    died = np.empty((n, R), dtype=bool)
     rate = spec.rates_at if spec._array_fn is None else spec._array_fn
+    guess = 1 if spec._array_fn is None else _GUESS
+    Z = np.empty((n, guess * R), dtype=np.int64)  # a window's states; Z.T has contiguous columns
+    M = np.empty((n + 1, guess, R))               # its v and rates, see _deaths
+    guessed = np.empty((guess, n, R), dtype=bool)
+    held = np.zeros((n, R))                       # the rates at the last settled step
     while active.any():
         draws.next(np.flatnonzero(active), G, U)
 
@@ -562,24 +610,51 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
         dB = born.transpose(1, 2, 0).astype(np.int64)
         V0 = np.where(live & ~is_birth, v - total_lam, np.inf).T.copy()
 
-        # deaths: v -= total_lam, then v -= rate_i for each busy queue in order
-        for k in range(n_steps):
-            S[k] = XT
+        # deaths: v -= total_lam, then v -= rate_i for each busy queue in
+        # order; steps k..k+w-1 at a time, their states built from guessed
+        # deaths and settled up to the first step whose death was guessed wrong
+        k, width, have = 0, guess, 0  # steps k..k+have-1 keep their guesses
+        while k < n_steps:
+            w = min(width, n_steps - k)
+            if 1 < w and have < w:  # a step not yet tried dies as at the last settled rates
+                H = np.empty((n + 1, w - have, R))
+                H[0] = V0[k + have:k + w]
+                H[1:] = held[:, None]
+                guessed[have:w] = _deaths(H, XT[:, None] > 0)
+            Sw, Zw, Mw = S[k:k + w], Z[:, :w * R], M[:, :w]
+            Sw[0] = XT
+            if w > 1:  # the guessed states, a guessed death of an empty queue dropped
+                np.subtract(dB[k:k + w - 1], guessed[:w - 1], out=Sw[1:])
+                np.add.accumulate(Sw, axis=0, out=Sw)
+                Sw -= np.minimum.accumulate(np.minimum(Sw, 0), axis=0)
+            Zw.reshape(n, w, R)[...] = Sw.transpose(1, 0, 2)
             try:
                 for i in range(n):
-                    V[k, i] = rate(i, X)
+                    Mw[1 + i] = rate(i, Zw.T).reshape(w, R)
             except Exception:
-                V[k, i:] = 0.0  # a bad rate before the error is reported first
+                if w > 1:  # maybe off the path: the rest of the chunk step by step
+                    width = 1
+                    continue
+                Mw[1 + i:] = 0.0  # a bad rate before the error is reported first
+                V[k] = Mw[1:, 0]
                 spec._check_bounds(V[:k + 1], S[:k + 1], range(n))
                 raise
-            M[0] = V0[k]
-            np.greater(XT, 0, out=busy)
-            np.multiply(V[k], busy, out=M[1:])
-            np.subtract.accumulate(M, out=M)  # v - r_0 - ... - r_i; row 0 is v >= 0
-            np.less(M, 0, out=below)
-            np.not_equal(below[1:], below[:-1], out=died)
-            XT -= died                        # death at the first queue taking it below 0
-            XT += dB[k]
+            V[k:k + w] = Mw[1:].transpose(1, 0, 2)
+            Mw[0] = V0[k:k + w]
+            busy = Sw > 0
+            died = _deaths(Mw, busy.transpose(1, 0, 2))
+            s = w  # each step's state is right while the deaths before it are
+            if w > 1:
+                wrong = died[:w - 1] != (guessed[:w - 1] & busy[:w - 1])
+                j = int(wrong.argmax())
+                if wrong.flat[j]:
+                    s = j // (n * R) + 1
+            np.add(Sw[s - 1], dB[k + s - 1], out=XT)
+            XT -= died[s - 1]
+            guessed[:w - s] = died[s:w]
+            have = w - s
+            held[:] = V[k + s - 1]
+            k += s
         spec._check_bounds(V[:n_steps], S[:n_steps], range(n))
 
         # accounting: the segments of plain steps at once, then the pieces

@@ -631,6 +631,19 @@ def test_cli_simulate_rejects_bad_horizon_and_interval(flag, value, tmp_path,
     assert not dump.exists()
 
 
+@pytest.mark.parametrize("horizon, interval", [("2000", "1e-9"), ("1e6", "1")])
+def test_cli_simulate_rejects_too_many_samples(horizon, interval, tmp_path, capsys,
+                                               deadline):
+    # checked before the probe runs; a ValueError from simulate_path would exit 70
+    dump = tmp_path / "path.csv"
+    argv = ["simulate", "--scenario", "mm1", "--rates", "0.5", "--horizon", horizon,
+            "--replicas", "1", "--dump", str(dump), "--sample-interval", interval]
+    with deadline(2.0):
+        assert main(argv) == 64
+    assert "samples" in capsys.readouterr().err
+    assert not dump.exists()
+
+
 def test_cli_simulate_dump_honours_sample_interval(tmp_path, capsys):
     dump = tmp_path / "path.csv"
     argv = ["simulate", "--scenario", "mm1", "--rates", "0.5", "--horizon", "10",

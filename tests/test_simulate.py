@@ -1,5 +1,6 @@
 """Simulator: path law, coupling order preservation, marginal equivalence, probe."""
 
+import dataclasses
 import itertools
 import math
 
@@ -16,8 +17,10 @@ from coupledq.allocation import (
 )
 from coupledq import simulate
 from coupledq.errors import BoundViolation, HypothesisViolated
+from coupledq.scenario import builtin_scenario
 from coupledq.simulate import (
     HIST_CAP,
+    MAX_SAMPLES,
     empirical_stability_probe,
     random_hypothesis_pair,
     simulate_coupled_pair,
@@ -94,6 +97,18 @@ def test_sample_interval_must_be_positive_and_finite(interval, deadline):
     spec = constant_allocation((1.0,))
     with deadline(1.0), pytest.raises(ValueError, match="sample_interval"):
         simulate_path((0.5,), spec, (0,), 10.0, seed=5, sample_interval=interval)
+
+
+@pytest.mark.parametrize("horizon, interval", [
+    (2000.0, 1e-9),                    # 2e12 samples
+    (float(MAX_SAMPLES), 1.0),         # the first ratio past the cap
+    (2.0 ** 60, 1.0),                  # s + 1.0 == s long before the horizon
+])
+def test_sample_count_is_capped_before_any_sample_time(horizon, interval, deadline):
+    # the sample times used to be built before the run, without a bound
+    spec = constant_allocation((1.0,))
+    with deadline(1.0), pytest.raises(ValueError, match="samples"):
+        simulate_path((0.5,), spec, (0,), horizon, seed=5, sample_interval=interval)
 
 
 def test_path_dump_csv(tmp_path):
@@ -375,6 +390,85 @@ def test_lockstep_checkpoint_just_past_an_event():
     c = end + 8e-16
     assert end < c <= end + 1e-15
     _assert_lockstep_matches(spec, rates, (0, 0), (2 * c, 4 * c), 32, seed)
+
+
+# -- guessed windows of deaths against the window of one step ----------------------
+
+GUESS_CASES = {
+    "constant": (constant_allocation((1.0,)), (0.8,), (3,)),
+    "base-station": (base_station_pair(2.0), (0.4, 0.5), (2, 0)),
+    "three-queue": (make_three_queue(), (0.5, 1.2, 0.3), (1, 0, 4)),
+    "scenario": (builtin_scenario("two_basestations",
+                                  {"gamma": 0.5, "form": "poly_interference"}).spec,
+                 (0.9, 0.3), (0, 5)),
+}
+
+
+def _lockstep_bytes(spec, rates, x0, replicas, seed):
+    # checkpoints a fraction of an event apart fall inside one window
+    cps = [0.0, 1.3, 1.31, 1.32, 9.0, 40.0, 40.0 + 1e-9, 90.0]
+    reps = simulate._lockstep(rates, spec, x0, 90.0, cps, (2, 5), replicas, seed)
+    return {key: (value.shape, value.tobytes()) for key, value in vars(reps).items()}
+
+
+@pytest.mark.parametrize("replicas", [1, 5, 32])
+@pytest.mark.parametrize("name", sorted(GUESS_CASES))
+def test_guessed_windows_match_one_step_windows(name, replicas, monkeypatch):
+    spec, rates, x0 = GUESS_CASES[name]
+    empty = (0,) * spec.n_queues
+    for seed, start in itertools.product((3, 41, 990_007), (empty, x0)):
+        got = _lockstep_bytes(spec, rates, start, replicas, seed)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_GUESS", 1)
+            want = _lockstep_bytes(spec, rates, start, replicas, seed)
+        assert got == want, (seed, start)
+
+
+def _spy_array_form(spec, on_call):
+    """``spec`` whose array form calls ``on_call(X)`` before evaluating."""
+    inner = spec._array_fn
+
+    def rates(i, X):
+        on_call(X)
+        return inner(i, X)
+
+    return dataclasses.replace(spec, _array_fn=rates)
+
+
+def test_array_form_raising_off_the_path_falls_back_to_single_steps():
+    # The array form raises above the highest level each replica's reference
+    # path visits in each queue, so only a guessed state can make it raise;
+    # the chunk then goes on one step at a time, and the probe is still the
+    # reference.
+    spec, rates, x0, horizons, replicas, seed = PROBE_CORPUS["bs-stable"]
+    _, paths = _reference_probe(rates, spec, x0, horizons, replicas, seed)
+    assert not any(p.overflow.any() for p in paths)
+    top = np.array([[np.flatnonzero(h)[-1] for h in p.histograms] for p in paths])
+    raised = []
+    one_step = {False: 0, True: 0}  # one-step calls without and with raising
+
+    def spy(X, raising):
+        one_step[raising] += len(X) == replicas
+        if raising and (X.reshape(-1, replicas, spec.n_queues) > top).any():
+            raised.append(X.copy())
+            raise RuntimeError("off the path")
+
+    for raising in (False, True):
+        _assert_lockstep_matches(_spy_array_form(spec, lambda X: spy(X, raising)),
+                                 rates, x0, horizons, replicas, seed)
+    assert raised and all(len(X) > replicas for X in raised)
+    assert one_step[True] > one_step[False]
+
+
+def test_array_form_never_sees_a_negative_state():
+    # a guessed death of an empty queue would take it to -1; it is dropped
+    # before the array form sees the window's states
+    spec, rates, x0, horizons, replicas, seed = PROBE_CORPUS["bs-stable"]
+    negative = []
+    _assert_lockstep_matches(
+        _spy_array_form(spec, lambda X: negative.append(bool((X < 0).any()))),
+        rates, x0, horizons, replicas, seed)
+    assert negative and not any(negative)
 
 
 # -- simulate_path, the lockstep with one replica, against the scalar reference -----
