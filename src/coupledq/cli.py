@@ -249,7 +249,11 @@ def cmd_simulate(args) -> int:
 def cmd_couple_check(args) -> int:
     rng = _stream(args.seed)
     total_violations = 0
-    if args.scenario and args.scenario_y:
+    pair = (args.scenario, args.scenario_y)
+    if (any(pair) or args.param) and not all(pair):
+        raise ScenarioError("a scenario pair needs both --scenario and --scenario-y, "
+                            "and --param applies only to such a pair")
+    if all(pair):
         typed = _typed_params(args.param)
         low = resolve_scenario(args.scenario, typed)
         high = resolve_scenario(args.scenario_y, typed)

@@ -5,14 +5,18 @@ All paths are generated by uniformization: a single Poisson clock of rate
 transition (or a self-loop) drawn from the current state's rates.  For a
 coupled pair the same clock drives a joint categorical draw over the
 order-preserving transition table, which keeps both marginals exact while
-never letting the compared coordinates cross.
+never letting the compared coordinates cross.  Its slots come per compared
+coordinate (where the chains agree: joint birth, upper-only birth, joint
+death, lower-only death; elsewhere the four separate moves), then per
+uncompared coordinate, and read each rate at most once per joint state.
 
 Randomness comes from counter-based Philox streams: one stream per replica,
 derived deterministically from the base seed.  Single paths and the
 stability probe's replicas are all drawn by one lockstep loop, which
 advances its replicas one event per step, each on its own stream.  It
 settles the deaths of up to 32 steps at a time from guessed states, and
-the result is the one a loop of single steps gives.
+the result is the one a loop of single steps gives.  A coupled pair draws
+its one stream as the lockstep draws replica 0.
 """
 
 from __future__ import annotations
@@ -44,24 +48,19 @@ def _stream(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(bit)
 
 
-class _Draws:
-    """Batched exponential gaps and uniforms from one stream."""
-
-    def __init__(self, rng: np.random.Generator, scale: float):
-        self.rng = rng
-        self.scale = scale
-        self._gaps = np.empty(0)
-        self._unis = np.empty(0)
-        self._i = 0
-
-    def next(self) -> tuple:
-        if self._i >= self._gaps.size:
-            self._gaps = self.rng.exponential(scale=self.scale, size=_BATCH)
-            self._unis = self.rng.random(_BATCH)
-            self._i = 0
-        g, u = self._gaps[self._i], self._unis[self._i]
-        self._i += 1
-        return float(g), float(u)
+def _checked_start(rates, spec: AllocationSpec, x0) -> tuple:
+    """``(rates, x0)`` as tuples, or ``ValueError`` unless both have
+    ``spec.n_queues`` entries and ``x0`` is nonnegative and integral."""
+    rates = tuple(as_rates(rates))
+    if len(rates) != spec.n_queues:
+        raise ValueError(f"rate vector length mismatch: {len(rates)} rates "
+                         f"for {spec.n_queues} queues")
+    given = tuple(x0)
+    start = tuple(int(c) for c in given)
+    if len(start) != spec.n_queues or any(c < 0 for c in start) or start != given:
+        raise ValueError(f"initial state {given} invalid: need {spec.n_queues} "
+                         f"nonnegative integers")
+    return rates, start
 
 
 @dataclass
@@ -164,18 +163,27 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
                           max_events: Optional[int] = None) -> CouplingReport:
     """Joint path of two chains under the order-preserving transition table.
 
-    The lower chain must start below the upper one on the compared
-    coordinates, and the rate hypotheses (birth rates dominated above, death
-    rates dominated below, on states where the compared coordinates agree)
-    are checked online; a violation aborts with a precise witness.
+    The lower chain ``x`` must start below the upper chain ``y`` on the
+    compared coordinates ``i < c = min(nx, ny)``.  An event draws ``(gap,
+    u)`` from ``_stream(seed)`` as a lockstep of one replica does, and ``v =
+    u * Lambda`` takes the first slot whose ``v -= amount`` goes below 0,
+    or a self-loop past the last.  The slots, in order: for each compared
+    ``i``, where ``x_i = y_i`` joint birth ``lambda_i``, upper-only birth
+    ``max(eta_i - lambda_i, 0)`` and, if busy, joint death ``psi_i(y)`` and
+    lower-only death ``max(phi_i(x) - psi_i(y), 0)``; where ``x_i < y_i``
+    the births of ``x_i`` and ``y_i``, then the deaths of the busy ones;
+    then each uncompared queue's birth and, if busy, death, ``x``'s first.
+
+    The rate hypotheses (birth rates dominated above, death rates dominated
+    below, where the compared coordinates agree) are checked at the start
+    and after every move; a violation aborts with a precise witness.  Each
+    rate is read at most once per joint state: by the check, or when the
+    walk through the table reaches its slot.
     """
-    rates_x, rates_y = as_rates(rates_x), as_rates(rates_y)
+    rates_x, x = _checked_start(rates_x, spec_x, x0)
+    rates_y, y = _checked_start(rates_y, spec_y, y0)
     nx, ny = spec_x.n_queues, spec_y.n_queues
     c = min(nx, ny)
-    x = tuple(int(v) for v in x0)
-    y = tuple(int(v) for v in y0)
-    if len(x) != nx or len(y) != ny:
-        raise ValueError("initial state dimension mismatch")
     if any(x[i] > y[i] for i in range(c)):
         raise ValueError(f"initial states not ordered on compared coordinates: {x} vs {y}")
     if horizon is None and max_events is None:
@@ -186,151 +194,95 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
         raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
 
     big = sum(rates_x) + sum(rates_y) + nx * spec_x.bound + ny * spec_y.bound
-    draws = _Draws(_stream(seed), 1.0 / big)
-    rx, ry = tuple(rates_x), tuple(rates_y)
-    fx, fy = spec_x.rate_unmemoized, spec_y.rate_unmemoized
-
-    hist_x = np.zeros((nx, HIST_CAP + 1))
-    hist_y = np.zeros((ny, HIST_CAP + 1))
+    hist_x, hist_y = np.zeros((nx, HIST_CAP + 1)), np.zeros((ny, HIST_CAP + 1))
     max_gap = [y[i] - x[i] for i in range(c)]
-    violations = 0
-    t = 0.0
-    events = 0
+    violations, events, t = 0, 0, 0.0
+    known = {}  # (0, i) -> phi_i(x) and (1, i) -> psi_i(y) at the current states
+
+    def rate(side: int, i: int) -> float:
+        if (side, i) not in known:
+            known[side, i] = spec_y.rate_unmemoized(i, y) if side else spec_x.rate_unmemoized(i, x)
+        return known[side, i]
 
     def check_hypotheses():
         for i in range(c):
+            if x[i] != y[i]:
+                continue
+            if rates_x[i] > rates_y[i] + _RATE_SLACK:
+                why = f"birth rate {rates_x[i]} of lower chain exceeds {rates_y[i]}"
+            elif x[i] > 0 and rate(0, i) < rate(1, i) - _RATE_SLACK:
+                why = f"death rate {rate(0, i)} of lower chain below {rate(1, i)}"
+            else:
+                continue
+            raise HypothesisViolated(f"{why} of upper chain at coordinate {i}, "
+                                     f"states {x} / {y}", x=x, y=y, coord=i)
+
+    def table():  # the slots (amount, (i, dx, dy)) at the current states
+        for i in range(c):
             if x[i] == y[i]:
-                if rx[i] > ry[i] + _RATE_SLACK:
-                    raise HypothesisViolated(
-                        f"birth rate {rx[i]} of lower chain exceeds {ry[i]} of upper "
-                        f"chain at coordinate {i}, states {x} / {y}",
-                        x=x, y=y, coord=i,
-                    )
-                if x[i] > 0 and fx(i, x) < fy(i, y) - _RATE_SLACK:
-                    raise HypothesisViolated(
-                        f"death rate {fx(i, x)} of lower chain below {fy(i, y)} of "
-                        f"upper chain at coordinate {i}, states {x} / {y}",
-                        x=x, y=y, coord=i,
-                    )
+                yield rates_x[i], (i, 1, 1)
+                yield max(rates_y[i] - rates_x[i], 0.0), (i, 0, 1)
+                if x[i] > 0:  # the check has read both rates
+                    yield rate(1, i), (i, -1, -1)
+                    yield max(rate(0, i) - rate(1, i), 0.0), (i, -1, 0)
+            else:  # x_i < y_i: the moves cannot cross
+                yield rates_x[i], (i, 1, 0)
+                yield rates_y[i], (i, 0, 1)
+                if x[i] > 0:
+                    yield rate(0, i), (i, -1, 0)
+                if y[i] > 0:
+                    yield rate(1, i), (i, 0, -1)
+        for side, z, lam in ((0, x, rates_x), (1, y, rates_y)):
+            for i in range(c, len(z)):  # uncompared: (i, 1, 0) is a birth of x
+                yield lam[i], (i, 1 - side, side)
+                if z[i] > 0:
+                    yield rate(side, i), (i, side - 1, -side)
 
     check_hypotheses()
-    while True:
-        if max_events is not None and events >= max_events:
-            break
-        gap, u = draws.next()
-        if horizon is not None and t + gap >= horizon:
-            seg = horizon - t
-            for i in range(nx):
-                hist_x[i, min(x[i], HIST_CAP)] += seg
-            for i in range(ny):
-                hist_y[i, min(y[i], HIST_CAP)] += seg
+    draws = _pair_draws(seed, 1.0 / big)
+    while max_events is None or events < max_events:
+        gap, u = next(draws)
+        stop = horizon is not None and t + gap >= horizon
+        seg = horizon - t if stop else gap
+        for hist, z in ((hist_x, x), (hist_y, y)):
+            for i, q in enumerate(z):
+                hist[i, min(q, HIST_CAP)] += seg
+        if stop:
             t = horizon
             break
-        for i in range(nx):
-            hist_x[i, min(x[i], HIST_CAP)] += gap
-        for i in range(ny):
-            hist_y[i, min(y[i], HIST_CAP)] += gap
         t += gap
         events += 1
 
         v = u * big
-        moved = False
-        for i in range(c):
-            if x[i] == y[i]:
-                lam, eta = rx[i], ry[i]
-                v -= lam
-                if v < 0:  # joint birth
-                    x = x[:i] + (x[i] + 1,) + x[i + 1:]
-                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
-                    moved = True
-                    break
-                v -= max(eta - lam, 0.0)
-                if v < 0:  # upper-only birth
-                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
-                    moved = True
-                    break
-                if x[i] > 0:
-                    phi, psi = fx(i, x), fy(i, y)
-                    v -= psi
-                    if v < 0:  # joint death
-                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
-                        y = y[:i] + (y[i] - 1,) + y[i + 1:]
-                        moved = True
-                        break
-                    v -= max(phi - psi, 0.0)
-                    if v < 0:  # lower-only death
-                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
-                        moved = True
-                        break
-            else:  # x[i] < y[i]: transitions cannot cross
-                v -= rx[i]
-                if v < 0:
-                    x = x[:i] + (x[i] + 1,) + x[i + 1:]
-                    moved = True
-                    break
-                v -= ry[i]
-                if v < 0:
-                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
-                    moved = True
-                    break
-                if x[i] > 0:
-                    v -= fx(i, x)
-                    if v < 0:
-                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
-                        moved = True
-                        break
-                if y[i] > 0:
-                    v -= fy(i, y)
-                    if v < 0:
-                        y = y[:i] + (y[i] - 1,) + y[i + 1:]
-                        moved = True
-                        break
-        if not moved:
-            for i in range(c, nx):  # uncompared lower coordinates
-                v -= rx[i]
-                if v < 0:
-                    x = x[:i] + (x[i] + 1,) + x[i + 1:]
-                    moved = True
-                    break
-                if x[i] > 0:
-                    v -= fx(i, x)
-                    if v < 0:
-                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
-                        moved = True
-                        break
-        if not moved:
-            for i in range(c, ny):  # uncompared upper coordinates
-                v -= ry[i]
-                if v < 0:
-                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
-                    moved = True
-                    break
-                if y[i] > 0:
-                    v -= fy(i, y)
-                    if v < 0:
-                        y = y[:i] + (y[i] - 1,) + y[i + 1:]
-                        moved = True
-                        break
-        # else: self-loop
+        for amount, (i, dx, dy) in table():
+            v -= amount
+            if v < 0:
+                if dx:
+                    x = x[:i] + (x[i] + dx,) + x[i + 1:]
+                if dy:
+                    y = y[:i] + (y[i] + dy,) + y[i + 1:]
+                known.clear()
+                for j in range(c):
+                    violations += y[j] < x[j]
+                    max_gap[j] = max(max_gap[j], y[j] - x[j])
+                check_hypotheses()
+                break
 
-        if moved:
-            for i in range(c):
-                gap_i = y[i] - x[i]
-                if gap_i < 0:
-                    violations += 1
-                if gap_i > max_gap[i]:
-                    max_gap[i] = gap_i
-            check_hypotheses()
-
-    elapsed = t
-    slope_x = tuple(x[i] / elapsed if elapsed > 0 else 0.0 for i in range(nx))
-    slope_y = tuple(y[i] / elapsed if elapsed > 0 else 0.0 for i in range(ny))
     return CouplingReport(
-        violations=violations, sampled_instants=events,
-        max_gap=tuple(max_gap), drift_slope_x=slope_x, drift_slope_y=slope_y,
-        elapsed=elapsed, final_x=x, final_y=y,
-        histograms_x=hist_x, histograms_y=hist_y,
+        violations=violations, sampled_instants=events, max_gap=tuple(max_gap),
+        drift_slope_x=tuple(q / t if t > 0 else 0.0 for q in x),
+        drift_slope_y=tuple(q / t if t > 0 else 0.0 for q in y),
+        elapsed=t, final_x=x, final_y=y, histograms_x=hist_x, histograms_y=hist_y,
     )
+
+
+def _pair_draws(seed: int, scale: float):
+    """``(gap, u)`` per event, as the lockstep draws them from ``_stream(seed)``."""
+    draws = _ChunkDraws([_stream(seed)], scale)
+    gaps, unis = np.empty((1, _CHUNK)), np.empty((1, _CHUNK))
+    while True:
+        draws.next((0,), gaps, unis)
+        yield from zip(gaps[0].tolist(), unis[0].tolist())
 
 
 def dump_path_csv(path: PathSample, fileobj) -> None:
@@ -433,10 +385,10 @@ def _advance(t: float, end: float, c: int, cps: Sequence[float]):
 
 
 class _ChunkDraws:
-    """The gaps and uniforms that each stream's ``_Draws`` returns for its
-    next ``_CHUNK`` events.  ``_Draws`` takes a batch of gaps and then a
-    batch of uniforms from its stream, so a clone advanced past the gaps
-    yields the uniforms."""
+    """The gaps and uniforms of each stream's next ``_CHUNK`` events, as a
+    scalar loop takes them (``tests/oracles.py``): ``_BATCH`` gaps and then
+    ``_BATCH`` uniforms from the stream at a time, so a clone advanced past
+    the gaps yields the uniforms."""
 
     def __init__(self, streams: list, scale: float):
         self.gap_streams = self.uni_streams = streams
@@ -541,15 +493,9 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     reported.  An exception the array form raises at one step on such a
     state is preceded by the check of the steps so far.
     """
-    rates = as_rates(rates)
+    lam, start = _checked_start(rates, spec, x0)
     n = spec.n_queues
-    if len(rates) != n:
-        raise ValueError("rate vector length mismatch")
-    start = tuple(int(c) for c in x0)
-    if len(start) != n or any(c < 0 for c in start):
-        raise ValueError(f"initial state {start} invalid")
     R, C, B = replicas, _CHUNK, HIST_CAP + 2
-    lam = tuple(rates)
     total_lam = sum(lam)
     big = total_lam + n * spec.bound
     pending = np.array([*cps, math.inf])
@@ -722,7 +668,6 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     positive; looks stable when, at the longest horizon, at most 1% of
     occupancy mass sits above the level covering 99.9% of early-horizon mass.
     """
-    rates = as_rates(rates)
     n = spec.n_queues
     horizons = sorted(float(h) for h in horizons)
     if not horizons or not all(math.isfinite(h) and h > 0 for h in horizons):

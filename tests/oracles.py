@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -23,10 +24,18 @@ from coupledq.ctmc import LimitTable, StationaryDistribution, TabulatedDeaths
 from coupledq.errors import (
     BoundViolation,
     DivergentSeries,
+    HypothesisViolated,
     NoUniformLimit,
     SaturationNotConverged,
 )
-from coupledq.simulate import HIST_CAP, PathSample, _Draws, _stream
+from coupledq.simulate import (
+    _BATCH,
+    _RATE_SLACK,
+    HIST_CAP,
+    CouplingReport,
+    PathSample,
+    _stream,
+)
 
 
 def prob(dist: StationaryDistribution, state) -> float:
@@ -373,6 +382,28 @@ def tabulated(fn, dim: int) -> TabulatedDeaths:
     return TabulatedDeaths(LimitTable(values, dim), tuple(range(dim)))
 
 
+class _Draws:
+    """Batched exponential gaps and uniforms from one stream, ``_BATCH`` of
+    each at a time: the scalar draws that ``simulate._ChunkDraws`` returns
+    chunk by chunk, and with it the lockstep and the coupled pair."""
+
+    def __init__(self, rng: np.random.Generator, scale: float):
+        self.rng = rng
+        self.scale = scale
+        self._gaps = np.empty(0)
+        self._unis = np.empty(0)
+        self._i = 0
+
+    def next(self) -> tuple:
+        if self._i >= self._gaps.size:
+            self._gaps = self.rng.exponential(scale=self.scale, size=_BATCH)
+            self._unis = self.rng.random(_BATCH)
+            self._i = 0
+        g, u = self._gaps[self._i], self._unis[self._i]
+        self._i += 1
+        return float(g), float(u)
+
+
 @dataclass
 class ReferencePath(PathSample):
     """A :class:`PathSample` that also holds its checkpoints."""
@@ -486,4 +517,183 @@ def reference_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
         histograms=hist, overflow=over, final_state=state,
         time_average=avg, drift_slope=slope,
         samples=samples, checkpoints=cp_out,
+    )
+
+
+def reference_coupled_pair(rates_x, spec_x: AllocationSpec,
+                           rates_y, spec_y: AllocationSpec,
+                           x0, y0, seed: int,
+                           *, horizon: Optional[float] = None,
+                           max_events: Optional[int] = None) -> CouplingReport:
+    """Joint path of two chains under the order-preserving transition table,
+    one branch per kind of move: the scalar reference of
+    :func:`coupledq.simulate.simulate_coupled_pair`, drawing through
+    ``_Draws``.
+
+    The lower chain must start below the upper one on the compared
+    coordinates, and the rate hypotheses (birth rates dominated above, death
+    rates dominated below, on states where the compared coordinates agree)
+    are checked online; a violation aborts with a precise witness.
+    """
+    rates_x, rates_y = as_rates(rates_x), as_rates(rates_y)
+    nx, ny = spec_x.n_queues, spec_y.n_queues
+    c = min(nx, ny)
+    x = tuple(int(v) for v in x0)
+    y = tuple(int(v) for v in y0)
+    if len(x) != nx or len(y) != ny:
+        raise ValueError("initial state dimension mismatch")
+    if any(x[i] > y[i] for i in range(c)):
+        raise ValueError(f"initial states not ordered on compared coordinates: {x} vs {y}")
+    if horizon is None and max_events is None:
+        raise ValueError("need a time horizon or an event budget")
+    if horizon is not None and not (math.isfinite(horizon) and horizon >= 0):
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    if max_events is not None and not max_events >= 0:
+        raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
+
+    big = sum(rates_x) + sum(rates_y) + nx * spec_x.bound + ny * spec_y.bound
+    draws = _Draws(_stream(seed), 1.0 / big)
+    rx, ry = tuple(rates_x), tuple(rates_y)
+    fx, fy = spec_x.rate_unmemoized, spec_y.rate_unmemoized
+
+    hist_x = np.zeros((nx, HIST_CAP + 1))
+    hist_y = np.zeros((ny, HIST_CAP + 1))
+    max_gap = [y[i] - x[i] for i in range(c)]
+    violations = 0
+    t = 0.0
+    events = 0
+
+    def check_hypotheses():
+        for i in range(c):
+            if x[i] == y[i]:
+                if rx[i] > ry[i] + _RATE_SLACK:
+                    raise HypothesisViolated(
+                        f"birth rate {rx[i]} of lower chain exceeds {ry[i]} of upper "
+                        f"chain at coordinate {i}, states {x} / {y}",
+                        x=x, y=y, coord=i,
+                    )
+                if x[i] > 0 and fx(i, x) < fy(i, y) - _RATE_SLACK:
+                    raise HypothesisViolated(
+                        f"death rate {fx(i, x)} of lower chain below {fy(i, y)} of "
+                        f"upper chain at coordinate {i}, states {x} / {y}",
+                        x=x, y=y, coord=i,
+                    )
+
+    check_hypotheses()
+    while True:
+        if max_events is not None and events >= max_events:
+            break
+        gap, u = draws.next()
+        if horizon is not None and t + gap >= horizon:
+            seg = horizon - t
+            for i in range(nx):
+                hist_x[i, min(x[i], HIST_CAP)] += seg
+            for i in range(ny):
+                hist_y[i, min(y[i], HIST_CAP)] += seg
+            t = horizon
+            break
+        for i in range(nx):
+            hist_x[i, min(x[i], HIST_CAP)] += gap
+        for i in range(ny):
+            hist_y[i, min(y[i], HIST_CAP)] += gap
+        t += gap
+        events += 1
+
+        v = u * big
+        moved = False
+        for i in range(c):
+            if x[i] == y[i]:
+                lam, eta = rx[i], ry[i]
+                v -= lam
+                if v < 0:  # joint birth
+                    x = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
+                    moved = True
+                    break
+                v -= max(eta - lam, 0.0)
+                if v < 0:  # upper-only birth
+                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
+                    moved = True
+                    break
+                if x[i] > 0:
+                    phi, psi = fx(i, x), fy(i, y)
+                    v -= psi
+                    if v < 0:  # joint death
+                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
+                        y = y[:i] + (y[i] - 1,) + y[i + 1:]
+                        moved = True
+                        break
+                    v -= max(phi - psi, 0.0)
+                    if v < 0:  # lower-only death
+                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
+                        moved = True
+                        break
+            else:  # x[i] < y[i]: transitions cannot cross
+                v -= rx[i]
+                if v < 0:
+                    x = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    moved = True
+                    break
+                v -= ry[i]
+                if v < 0:
+                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
+                    moved = True
+                    break
+                if x[i] > 0:
+                    v -= fx(i, x)
+                    if v < 0:
+                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
+                        moved = True
+                        break
+                if y[i] > 0:
+                    v -= fy(i, y)
+                    if v < 0:
+                        y = y[:i] + (y[i] - 1,) + y[i + 1:]
+                        moved = True
+                        break
+        if not moved:
+            for i in range(c, nx):  # uncompared lower coordinates
+                v -= rx[i]
+                if v < 0:
+                    x = x[:i] + (x[i] + 1,) + x[i + 1:]
+                    moved = True
+                    break
+                if x[i] > 0:
+                    v -= fx(i, x)
+                    if v < 0:
+                        x = x[:i] + (x[i] - 1,) + x[i + 1:]
+                        moved = True
+                        break
+        if not moved:
+            for i in range(c, ny):  # uncompared upper coordinates
+                v -= ry[i]
+                if v < 0:
+                    y = y[:i] + (y[i] + 1,) + y[i + 1:]
+                    moved = True
+                    break
+                if y[i] > 0:
+                    v -= fy(i, y)
+                    if v < 0:
+                        y = y[:i] + (y[i] - 1,) + y[i + 1:]
+                        moved = True
+                        break
+        # else: self-loop
+
+        if moved:
+            for i in range(c):
+                gap_i = y[i] - x[i]
+                if gap_i < 0:
+                    violations += 1
+                if gap_i > max_gap[i]:
+                    max_gap[i] = gap_i
+            check_hypotheses()
+
+    elapsed = t
+    slope_x = tuple(x[i] / elapsed if elapsed > 0 else 0.0 for i in range(nx))
+    slope_y = tuple(y[i] / elapsed if elapsed > 0 else 0.0 for i in range(ny))
+    return CouplingReport(
+        violations=violations, sampled_instants=events,
+        max_gap=tuple(max_gap), drift_slope_x=slope_x, drift_slope_y=slope_y,
+        elapsed=elapsed, final_x=x, final_y=y,
+        histograms_x=hist_x, histograms_y=hist_y,
     )

@@ -732,6 +732,12 @@ SCENARIOS = pathlib.Path(__file__).parents[1] / "demos" / "scenarios"
     (["sweep", "--scenario", "two_basestations", "--param", "form=poly_interference",
       "--param", "gamma=0.05", "--grid", "0.1:1.4:0.1"], 0,
      "sweep_two_basestations_poly_0.05.csv"),
+    (["couple-check", "--pairs", "20", "--events", "300"], 0,
+     "couple_check_pairs_20_events_300.txt"),
+    # three queues below two, apart from each other after a few events
+    (["couple-check", "--scenario", str(GOLDEN / "couple_lower.json"),
+      "--scenario-y", str(GOLDEN / "couple_upper.json"), "--events", "2000"], 0,
+     "couple_check_lower_upper.txt"),
 ])
 def test_cli_outputs_match_golden_files(argv, code, golden, capsys):
     assert main(argv) == code
@@ -770,6 +776,20 @@ def test_cli_sweep_three_queue_fixes_one_axis(tmp_path):
 def test_cli_couple_check_default_corpus(capsys):
     assert main(["couple-check", "--pairs", "20", "--events", "300"]) == 0
     assert "0 ordering violations" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scenario", "mm1"],
+    ["--scenario-y", "mm1"],
+    ["--param", "mu=2"],
+    ["--scenario", "mm1", "--param", "mu=2"],
+])
+def test_cli_couple_check_rejects_half_a_scenario_pair(flags, capsys):
+    # these used to run the random corpus and exit 0
+    assert main(["couple-check", "--pairs", "3", "--events", "50"] + flags) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "scenario error" in captured.err and "--scenario-y" in captured.err
 
 
 def test_cli_couple_check_inverted_pair_exit(capsys, tmp_path):

@@ -27,7 +27,7 @@ from coupledq.simulate import (
     simulate_path,
     _stream,
 )
-from oracles import limit_at, reference_path
+from oracles import _Draws, limit_at, reference_coupled_pair, reference_path
 
 
 def make_three_queue():
@@ -202,6 +202,116 @@ def test_random_pair_corpus_smoke():
                                     seed=1000 + k, max_events=500)
         total += rep.violations
     assert total == 0
+
+
+def _pair_outcome(fn, args, kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (HypothesisViolated, BoundViolation) as exc:
+        return exc
+
+
+def _assert_same_pair(*args, **kwargs):
+    """``simulate_coupled_pair`` returns the report of the scalar reference
+    field for field, histograms byte for byte, or raises the same error."""
+    got = _pair_outcome(simulate_coupled_pair, args, kwargs)
+    want = _pair_outcome(reference_coupled_pair, args, kwargs)
+    assert type(got) is type(want), (got, want)
+    if isinstance(want, HypothesisViolated):
+        assert (str(got), got.x, got.y, got.coord) == (str(want), want.x, want.y, want.coord)
+    elif isinstance(want, BoundViolation):
+        assert str(got) == str(want)
+    else:
+        for f in dataclasses.fields(want):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if isinstance(b, np.ndarray):
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), f.name
+            else:
+                assert repr(a) == repr(b), f.name
+    return want
+
+
+def _bound_pair_cases():
+    # (rates_x, spec_x, rates_y, spec_y, x0, y0): a rate leaves [0, bound]
+    # on the lower chain, on the upper chain, or on an uncompared queue
+    over = AllocationSpec(2, _over_bound, bound=2.0)
+    nan = AllocationSpec(2, _nan_when_busy, bound=2.0)
+    one = constant_allocation((1.0,))
+    return [
+        ((0.9, 0.6), over, (0.9, 0.6), over, (0, 0), (0, 0)),
+        ((0.9, 0.6), nan, (0.9, 0.6), nan, (0, 0), (0, 0)),
+        ((0.9,), one, (0.9, 0.6), over, (0,), (0, 0)),
+        ((0.9, 0.6), over, (0.9,), one, (0, 0), (0,)),
+    ]
+
+
+def test_coupled_pair_matches_reference(deadline):
+    with deadline(120.0):
+        rng = _stream(606060)  # criterion 6's corpus
+        for k in range(1000):
+            lam, sx, eta, sy, x0, y0 = random_hypothesis_pair(rng)
+            _assert_same_pair(lam, sx, eta, sy, x0, y0, seed=70_000 + k, max_events=1000)
+
+        tq = make_three_queue()
+        ctx = SaturationContext((0, 1))
+        bound_spec = AllocationSpec(2, lambda k, u: limit_at(tq, ctx, k, u), bound=tq.bound)
+        lo3 = constant_allocation((2.0, 1.5, 1.0))
+        hi2 = constant_allocation((1.0, 1.0))
+        systems = [  # criterion 6's three systems, then nx > ny and nx < ny from busy starts
+            ((0.5,), constant_allocation((2.0,)), (0.5,), constant_allocation((1.0,)),
+             (0,), (0,)),
+            ((0.4, 0.5), constant_allocation((1.5, 1.2)), (0.6, 0.5), hi2, (0, 0), (0, 0)),
+            ((0.5, 1.2, 0.3), tq, (0.5, 1.2), bound_spec, (0, 0, 0), (0, 0)),
+            ((0.4, 0.5, 0.3), lo3, (0.6, 0.5), hi2, (2, 0, 3), (4, 1)),
+            ((0.5,), constant_allocation((3.0,)), (0.5, 1.2, 0.3), tq, (1,), (2, 3, 0)),
+        ]
+        for idx, system in enumerate(systems):
+            rep = _assert_same_pair(*system, seed=909_000 + idx, horizon=1e4)
+            assert rep.sampled_instants > 10_000
+        for budget in ({"max_events": 0}, {"horizon": 0.0}, {"horizon": 0}):
+            rep = _assert_same_pair(*systems[3], seed=1, **budget)
+            assert rep.sampled_instants == 0
+
+        one, two = constant_allocation((1.0,)), constant_allocation((2.0,))
+        for system in [((1.0,), one, (0.5,), one, (0,), (0,)),   # birth rates inverted
+                       ((0.5,), one, (0.5,), two, (0,), (0,))]:  # death rates inverted
+            err = _assert_same_pair(*system, seed=5, horizon=1000.0)
+            assert isinstance(err, HypothesisViolated)
+        for system in _bound_pair_cases():
+            for seed in (1, 9):
+                err = _assert_same_pair(*system, seed=seed, horizon=100.0)
+                assert isinstance(err, BoundViolation)
+
+
+@pytest.mark.parametrize("run", [
+    lambda spec, x0: simulate_path((0.5,), spec, x0, 10.0, seed=1),
+    lambda spec, x0: empirical_stability_probe((0.5,), spec, x0, [10.0], 2, 1),
+    lambda spec, x0: simulate_coupled_pair((0.5,), spec, (0.5,), spec, x0, (1,),
+                                           seed=1, horizon=10.0),
+    lambda spec, x0: simulate_coupled_pair((0.5,), spec, (0.5,), spec, (0,), x0,
+                                           seed=1, horizon=10.0),
+], ids=["path", "probe", "pair-x", "pair-y"])
+@pytest.mark.parametrize("x0", [(0.7,), (-3,), (0, 0), ()])
+def test_start_must_be_nonnegative_integers_of_the_right_length(run, x0):
+    # a start of (0.7,) was floored to (0,), and the pair booked x0 = (-3,)
+    # into the overflow column of its histograms through index -1
+    with pytest.raises(ValueError, match="initial state"):
+        run(constant_allocation((1.0,)), x0)
+
+
+@pytest.mark.parametrize("rates_x, rates_y", [
+    ((0.5, 0.7), (0.5,)), ((0.5,), (0.5, 0.7)), ((), (0.5,)),
+])
+def test_pair_rate_vectors_must_match_the_specs(rates_x, rates_y):
+    # an extra rate silently enlarged the clock; a short vector raised IndexError
+    spec = constant_allocation((1.0,))
+    with pytest.raises(ValueError, match="rate vector length"):
+        simulate_coupled_pair(rates_x, spec, rates_y, spec, (0,), (0,),
+                              seed=1, horizon=10.0)
+    two = constant_allocation((1.0, 1.0))
+    with pytest.raises(ValueError, match="rate vector length"):
+        simulate_coupled_pair(rates_x[:1], two, rates_y[:1], two, (0, 0), (0, 0),
+                              seed=1, horizon=10.0)
 
 
 # -- probe ------------------------------------------------------------------------
@@ -530,7 +640,7 @@ def _first_bad_rate(rate, n, bound, rates, seed, replicas):
     big = total_lam + n * bound
     found = []
     for r in range(replicas):
-        draws = simulate._Draws(_stream(seed, r), 1.0 / big)
+        draws = _Draws(_stream(seed, r), 1.0 / big)
         x = [0] * n
         for k in itertools.count():
             phi = [float(rate(i, tuple(x))) for i in range(n)]
