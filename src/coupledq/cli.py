@@ -167,14 +167,15 @@ def cmd_sweep(args) -> int:
         raise ScenarioError("sweep needs a grid (use --grid MIN:MAX:STEP[,..])")
     # region maps are two-dimensional: larger systems must pin all but two
     # coordinates with degenerate (min == max) axes
+    if scn.n_queues < 2:
+        raise ScenarioError(f"a region map needs at least two queues; the scenario "
+                            f"has {scn.n_queues}")
     axis_sizes = [len(ax.values()) for ax in scn.grid]
     varying = [i for i, size in enumerate(axis_sizes) if size > 1]
-    if scn.n_queues == 2:
+    if scn.n_queues == 2 or len(varying) < 2:
         ax_x, ax_y = 0, 1
     elif len(varying) == 2:
         ax_x, ax_y = varying
-    elif len(varying) < 2 and scn.n_queues >= 2:
-        ax_x, ax_y = 0, 1
     else:
         raise ScenarioError(
             f"{scn.n_queues}-queue sweeps must fix all but two coordinates "

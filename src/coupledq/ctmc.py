@@ -3,10 +3,10 @@
 State spaces are boxes ``{0..T_1} x ... x {0..T_n}``; births are suppressed on
 the upper face (reflecting truncation), which keeps the generator conservative
 and biases mass inward where the boundary-mass certificate can see it.
-Death rates come in one form, :class:`TabulatedDeaths`: slices of a
-:class:`LimitTable`, which evaluates them one array call per key as its cube
-grows.  A generator keeps its death rates as an array; its canonical CSR
-matrix is assembled from them on first use and cached.
+Death rates come from the caller as a function of the box: ``deaths(box)``
+returns every coordinate's rate at every state of ``box``, and this module
+caches none of them.  A generator keeps its death rates as an array; its
+canonical CSR matrix is assembled from them on first use and cached.
 
 Stationary distributions come from ``solve_stationary``.  A 1-D chain (every
 saturated prefix of one queue) is reversible, so its law follows exactly from
@@ -32,7 +32,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -54,52 +54,6 @@ DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_START_BOX = 32
 
 
-class LimitTable:
-    """Per-state values over the cube ``{0..T}^dim``, one array per key, for
-    the largest ``T`` asked for so far.
-
-    ``fn(key, U)`` returns the values at the rows of ``U``, an ``(m, dim)``
-    integer array of states.  A value at a state must not depend on the box
-    it is asked for in, so every smaller box is a slice of the stored array,
-    and growing the cube makes one call per key for the states it adds.
-    Memory is bounded by the largest box asked for.
-    """
-
-    def __init__(self, fn: Callable[[object, np.ndarray], np.ndarray], dim: int):
-        self.fn = fn
-        self.dim = dim
-        self.arrays = {}
-
-    def values(self, key, box: tuple) -> np.ndarray:
-        """``fn(key, u)`` at every state ``u`` of ``box``, in state order."""
-        arr = self.arrays.get(key)
-        side = max(box, default=0)
-        if arr is None or (self.dim and arr.shape[0] <= side):
-            arr = self._grow(key, arr, side)
-            self.arrays[key] = arr
-        return np.ravel(arr[tuple(slice(t + 1) for t in box)])
-
-    def _grow(self, key, old: Optional[np.ndarray], side: int) -> np.ndarray:
-        shape = (side + 1,) * self.dim
-        coords = _state_grid(shape)
-        if old is None:
-            return np.asarray(self.fn(key, coords), dtype=float).reshape(shape)
-        arr = np.empty(shape)
-        fresh = (coords >= old.shape[0]).any(axis=1)
-        arr.reshape(-1)[fresh] = self.fn(key, coords[fresh])
-        arr[tuple(slice(n) for n in old.shape)] = old
-        return arr
-
-
-@dataclass(frozen=True)
-class TabulatedDeaths:
-    """Death rates read from a :class:`LimitTable`: coordinate ``i`` of the
-    chain dies at ``table.values(keys[i], box)`` wherever ``x_i > 0``."""
-
-    table: LimitTable
-    keys: tuple
-
-
 @dataclass(eq=False)
 class TruncatedGenerator:
     """Conservative rate matrix of a truncated multiclass birth-death chain.
@@ -112,7 +66,6 @@ class TruncatedGenerator:
     dim: int
     box: tuple
     birth_rates: tuple
-    death_bound: float
     uniformization_constant: float
     death_values: np.ndarray      # (n_states, dim), zero where x_i = 0
     boundary_mask: np.ndarray     # bool, any coordinate at its cap
@@ -189,7 +142,7 @@ def _assemble_csr(box: tuple, rates, death_values: np.ndarray) -> sp.csr_matrix:
 
 def build_truncated_generator(
     rates,
-    deaths: TabulatedDeaths,
+    deaths: Callable[[tuple], np.ndarray],
     box,
     *,
     death_bound: float,
@@ -197,10 +150,11 @@ def build_truncated_generator(
 ) -> TruncatedGenerator:
     """Generator over ``{0..T}^n`` with births suppressed on the upper face.
 
-    ``deaths`` reads coordinate ``i``'s death rates from its table, sliced to
-    ``box``.  They are used only where ``x_i > 0`` and must stay within
-    ``[0, death_bound]`` there; the first one outside raises
-    :class:`BoundViolation` naming its ``(i, x)``.
+    ``deaths(box)`` returns the ``(n_states, n)`` death rates at every state
+    of ``box``, in state order, with column ``i`` for coordinate ``i``.  They
+    are used only where ``x_i > 0`` and must stay within ``[0, death_bound]``
+    there; the first one outside raises :class:`BoundViolation` naming its
+    ``(i, x)``.
     """
     rates = as_rates(rates)
     dim = len(rates)
@@ -212,8 +166,7 @@ def build_truncated_generator(
 
     coords = _state_grid(shape)
     busy = coords > 0
-    values = np.stack([deaths.table.values(k, box) for k in deaths.keys], axis=1)
-    death_values = np.where(busy, values, 0.0)
+    death_values = np.where(busy, deaths(box), 0.0)
     slack = death_bound * 1e-12 + 1e-12
     ok = np.isfinite(death_values) & (death_values >= 0.0)
     ok &= death_values <= death_bound + slack
@@ -232,7 +185,6 @@ def build_truncated_generator(
         dim=dim,
         box=box,
         birth_rates=tuple(rates),
-        death_bound=death_bound,
         uniformization_constant=uniformization,
         death_values=death_values,
         boundary_mask=boundary_mask,
@@ -448,7 +400,7 @@ def _functionals(gen: TruncatedGenerator, dist: StationaryDistribution) -> tuple
 
 def adaptive_stationary(
     rates,
-    deaths: TabulatedDeaths,
+    deaths: Callable[[tuple], np.ndarray],
     *,
     death_bound: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
@@ -458,8 +410,9 @@ def adaptive_stationary(
 ) -> tuple:
     """Escalate the truncation box (doubling) until the tail is certified.
 
-    Certification requires boundary mass below ``tail_tol`` and the bounded
-    test functionals (the expected death rates) to move by less than
+    Each box tried reads ``deaths`` as :func:`build_truncated_generator`
+    does.  Certification requires boundary mass below ``tail_tol`` and the
+    bounded test functionals (the expected death rates) to move by less than
     ``tail_tol`` between consecutive boxes.  Hitting the state cap with
     boundary mass still large raises :class:`NoConvergence` -- the expected
     signal for an unstable chain, mapped by callers to a zero average rate.

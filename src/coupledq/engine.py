@@ -41,8 +41,6 @@ from .ctmc import (
     DEFAULT_START_BOX,
     DEFAULT_TAIL_TOL,
     STATE_CAP,
-    LimitTable,
-    TabulatedDeaths,
     adaptive_stationary,
     saturated_average,
 )
@@ -271,19 +269,20 @@ class StabilityEngine:
 
     The saturated limits ``ell(prefix, queue, u)`` behind every prefix solve
     depend on the allocation alone, never on the arrival rates.  The engine
-    keeps one :class:`LimitTable` per prefix, one array per queue over the
-    largest cube solved so far, and builds every generator and saturated
-    average from slices of it.  Tables fill on first use and grow only when
-    a solve needs a larger box, with one :func:`lower_partial_limit` call per
-    queue for the states a growth adds, so their memory is bounded by the
-    largest box solved.  Structure checks and envelope bounds are cached
-    too, so build one engine per allocation and reuse it across a grid.
+    keeps them in one store, :meth:`_limits`: one array per ``(prefix,
+    queue)`` over the largest cube asked for so far, and builds every
+    generator and saturated average from slices of it.  An array fills on
+    first use and grows only when a solve needs a larger box, with one
+    :func:`lower_partial_limit` call for the states a growth adds, so the
+    store's memory is bounded by the largest box solved.  Structure checks
+    and envelope bounds are cached too, so build one engine per allocation
+    and reuse it across a grid.
 
     The stationary solves are the only work that depends on the arrival
     rates.  The engine keeps the saturated prefix laws of one rate vector,
     and the averages read from them, until a call arrives with another
     vector; so every scan, witness test and :meth:`prefix_law` call at one
-    point solves each prefix once, and the memory held is the largest table
+    point solves each prefix once, and the memory held is the limit store
     plus one point's laws.  classify() itself is pure: results depend only
     on (rates, spec, tolerances).
     """
@@ -291,7 +290,7 @@ class StabilityEngine:
     def __init__(self, spec: AllocationSpec, tolerances: Tolerances = Tolerances()):
         self.spec = spec
         self.tol = tolerances
-        self._tables = {}   # prefix -> LimitTable keyed by queue
+        self._limit_arrays = {}  # (prefix, queue) -> limits over the largest cube
         self._structure = None
         self._envelopes = {}
         self._point = None  # the rate vector whose laws are kept
@@ -305,12 +304,23 @@ class StabilityEngine:
                                 growth_factor=self.tol.growth, limit_tol=self.tol.limit_tol)
         return lower_partial_limit(self.spec, ctx, queue, U)
 
-    def _table(self, prefix: frozenset) -> LimitTable:
-        table = self._tables.get(prefix)
-        if table is None:
-            table = LimitTable(lambda q, U, _p=prefix: self._ell(_p, q, U), len(prefix))
-            self._tables[prefix] = table
-        return table
+    def _limits(self, prefix: frozenset, queue: int, box: tuple) -> np.ndarray:
+        """``ell(prefix, queue, u)`` at every state ``u`` of ``box``, in state
+        order: a slice of the stored array, grown first to a cube that holds
+        ``box``, by one limit call for the states the growth adds."""
+        key = (prefix, queue)
+        old = self._limit_arrays.get(key)
+        side = max(box, default=0)
+        if old is None or (prefix and old.shape[0] <= side):
+            shape = (side + 1,) * len(prefix)
+            coords = _state_grid(shape)
+            arr, fresh = np.empty(shape), slice(None)
+            if old is not None:
+                fresh = (coords >= old.shape[0]).any(axis=1)
+                arr[tuple(slice(n) for n in old.shape)] = old
+            arr.reshape(-1)[fresh] = self._ell(prefix, queue, coords[fresh])
+            self._limit_arrays[key] = old = arr
+        return np.ravel(old[tuple(slice(t + 1) for t in box)])
 
     def _at(self, rates) -> ArrivalRates:
         """``rates`` as :class:`ArrivalRates`, made the kept point: the laws
@@ -328,7 +338,7 @@ class StabilityEngine:
 
         The queues in ``prefix`` (in increasing order) arrive at their rates
         in ``rates`` and are served at their saturated limits with every
-        other queue at infinity, read from the engine's limit tables.  The
+        other queue at infinity, read from the engine's limit store.  The
         box escalation follows the engine's tolerances; an escalation that
         does not converge raises :class:`NoConvergence`.  The outcome is
         kept with the point's other laws: a repeated call returns the same
@@ -343,7 +353,7 @@ class StabilityEngine:
             try:
                 law = adaptive_stationary(
                     tuple(rates[q] for q in order),
-                    TabulatedDeaths(self._table(prefix), order),
+                    lambda box: np.stack([self._limits(prefix, q, box) for q in order], 1),
                     death_bound=self.spec.bound,
                     tail_tol=self.tol.tail_tol,
                     residual_tol=self.tol.residual_tol,
@@ -364,16 +374,15 @@ class StabilityEngine:
         got = self._lvals.get(key)
         if got is not None:
             return got
-        table = self._table(prefix)
         if not prefix:
-            val = _LValue(float(table.values(queue, ())[0]), trustworthy=True)
+            val = _LValue(float(self._limits(prefix, queue, ())[0]), trustworthy=True)
         else:
             try:
                 dist, report = self.prefix_law(rates, prefix)
             except NoConvergence:
                 val = _LValue(0.0, trustworthy=False)
             else:
-                value = saturated_average(dist.masses, table.values(queue, dist.box))
+                value = saturated_average(dist.masses, self._limits(prefix, queue, dist.box))
                 val = _LValue(value, trustworthy=report.certified)
         self._lvals[key] = val
         return val

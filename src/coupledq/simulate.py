@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -39,6 +40,7 @@ _GUESS = 32   # lockstep steps whose deaths are guessed and checked at once
 _RATE_SLACK = 1e-12
 # the most samples a path may record; checked before any sample time is built
 MAX_SAMPLES = 1_000_000
+_MAX_START = 2 ** 62  # a start leaves the lockstep's int64 states room to grow
 
 
 def _stream(seed: int, replica: int = 0) -> np.random.Generator:
@@ -50,17 +52,26 @@ def _stream(seed: int, replica: int = 0) -> np.random.Generator:
 
 def _checked_start(rates, spec: AllocationSpec, x0) -> tuple:
     """``(rates, x0)`` as tuples, or ``ValueError`` unless both have
-    ``spec.n_queues`` entries and ``x0`` is nonnegative and integral."""
+    ``spec.n_queues`` entries and ``x0`` holds integers in ``[0, 2**62)``."""
     rates = tuple(as_rates(rates))
     if len(rates) != spec.n_queues:
         raise ValueError(f"rate vector length mismatch: {len(rates)} rates "
                          f"for {spec.n_queues} queues")
     given = tuple(x0)
-    start = tuple(int(c) for c in given)
-    if len(start) != spec.n_queues or any(c < 0 for c in start) or start != given:
+    try:  # NaN, infinity and what is not a number fail in int()
+        ok = all(int(c) == c and 0 <= c < _MAX_START for c in given)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or len(given) != spec.n_queues:
         raise ValueError(f"initial state {given} invalid: need {spec.n_queues} "
-                         f"nonnegative integers")
-    return rates, start
+                         f"nonnegative integers below 2**62")
+    return rates, tuple(int(c) for c in given)
+
+
+def _check_count(name: str, value, floor: int) -> None:
+    """``ValueError`` unless ``value`` is an integer (not a bool) >= ``floor``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        raise ValueError(f"{name} must be an integer of at least {floor}, got {value!r}")
 
 
 @dataclass
@@ -190,8 +201,8 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
         raise ValueError("need a time horizon or an event budget")
     if horizon is not None and not (math.isfinite(horizon) and horizon >= 0):
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
-    if max_events is not None and not max_events >= 0:
-        raise ValueError(f"max_events must be nonnegative, got {max_events!r}")
+    if max_events is not None:
+        _check_count("max_events", max_events, 0)
 
     big = sum(rates_x) + sum(rates_y) + nx * spec_x.bound + ny * spec_y.bound
     hist_x, hist_y = np.zeros((nx, HIST_CAP + 1)), np.zeros((ny, HIST_CAP + 1))
@@ -672,8 +683,7 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     horizons = sorted(float(h) for h in horizons)
     if not horizons or not all(math.isfinite(h) and h > 0 for h in horizons):
         raise ValueError(f"horizons must be positive and finite, got {horizons!r}")
-    if replicas < 1:
-        raise ValueError(f"replicas must be at least 1, got {replicas}")
+    _check_count("replicas", replicas, 1)
     warnings = []
     if replicas < 30:
         warnings.append(

@@ -33,15 +33,26 @@ def deadline():
 def count_solves(monkeypatch):
     """The engine's saturated prefix solves, one ``(rates, prefix)`` entry
     per ``adaptive_stationary`` call: the prefix's arrival rates and its
-    queues in increasing order."""
+    queues in increasing order, as the ``prefix_law`` call that made it
+    names them."""
     import coupledq.engine
 
     calls = []
+    prefixes = []  # the prefix of each prefix_law call in progress
     solve = coupledq.engine.adaptive_stationary
+    law = coupledq.engine.StabilityEngine.prefix_law
 
     def counted(rates, deaths, **kwargs):
-        calls.append((tuple(rates), tuple(deaths.keys)))
+        calls.append((tuple(rates), prefixes[-1]))
         return solve(rates, deaths, **kwargs)
 
+    def named(self, rates, prefix):
+        prefixes.append(tuple(sorted(prefix)))
+        try:
+            return law(self, rates, prefix)
+        finally:
+            prefixes.pop()
+
     monkeypatch.setattr(coupledq.engine, "adaptive_stationary", counted)
+    monkeypatch.setattr(coupledq.engine.StabilityEngine, "prefix_law", named)
     return calls

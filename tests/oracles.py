@@ -15,12 +15,13 @@ from coupledq.allocation import (
     SaturationContext,
     StructureReport,
     _probe_side,
+    _state_grid,
     as_rates,
     default_pd_box,
     default_schedule,
     lower_partial_limit,
 )
-from coupledq.ctmc import LimitTable, StationaryDistribution, TabulatedDeaths
+from coupledq.ctmc import StationaryDistribution
 from coupledq.errors import (
     BoundViolation,
     DivergentSeries,
@@ -361,25 +362,32 @@ def limit_at(spec: AllocationSpec, ctx, queue: int, u) -> float:
     return float(lower_partial_limit(spec, ctx, queue, np.array([u], dtype=np.intp))[0])
 
 
-def _tabulate(fn, keys, coords: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``fn(keys[c], x)`` at every state ``x`` (a row of ``coords``) and
-    column ``c`` where ``mask`` holds, state by state; zero elsewhere."""
-    out = np.zeros(mask.shape)
-    states = coords.tolist()
-    rows, cols = np.nonzero(mask)
-    out[rows, cols] = [float(fn(keys[c], tuple(states[s])))
-                       for s, c in zip(rows.tolist(), cols.tolist())]
-    return out
-
-
-def tabulated(fn, dim: int) -> TabulatedDeaths:
+def tabulated(fn, dim: int):
     """Death rates ``fn(i, x)`` of a ``dim``-queue chain as a generator takes
-    them: a :class:`LimitTable` that calls ``fn`` state by state where
+    them: a ``deaths(box)`` that calls ``fn`` state by state where
     ``x_i > 0``, and holds zero elsewhere."""
-    def values(i, U):
-        return _tabulate(fn, (i,), U, (U[:, i] > 0)[:, None])[:, 0]
+    def deaths(box):
+        assert len(box) == dim
+        coords = _state_grid([t + 1 for t in box])
+        out = np.zeros(coords.shape)
+        rows, cols = np.nonzero(coords > 0)
+        states = coords.tolist()
+        out[rows, cols] = [float(fn(c, tuple(states[s])))
+                           for s, c in zip(rows.tolist(), cols.tolist())]
+        return out
 
-    return TabulatedDeaths(LimitTable(values, dim), tuple(range(dim)))
+    return deaths
+
+
+def array_deaths(fn, keys):
+    """Death rates ``fn(keys[i], U)`` of coordinate ``i``, one array call per
+    key at the states ``U`` of the whole box: a ``deaths(box)`` for a
+    generator."""
+    def deaths(box):
+        U = _state_grid([t + 1 for t in box])
+        return np.stack([fn(k, U) for k in keys], axis=1)
+
+    return deaths
 
 
 class _Draws:

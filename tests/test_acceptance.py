@@ -23,12 +23,7 @@ from coupledq.allocation import (
     poly_interference,
     three_queue_table,
 )
-from coupledq.ctmc import (
-    LimitTable,
-    TabulatedDeaths,
-    build_truncated_generator,
-    solve_stationary,
-)
+from coupledq.ctmc import build_truncated_generator, solve_stationary
 from coupledq.engine import Label, StabilityEngine, SystemLabel
 from coupledq.simulate import (
     empirical_stability_probe,
@@ -36,7 +31,15 @@ from coupledq.simulate import (
     simulate_coupled_pair,
     _stream,
 )
-from oracles import limit_at, prob, reference_path, stationary_1d_closed_form, tabulated
+from oracles import (
+    array_deaths,
+    limit_at,
+    prob,
+    reference_path,
+    scalar_limits,
+    stationary_1d_closed_form,
+    tabulated,
+)
 
 
 pytestmark = pytest.mark.acceptance
@@ -99,12 +102,10 @@ def test_criterion_3_stage3_probabilities():
     spec = make_three_queue()
     ctx = SaturationContext((0, 1))
 
-    death = LimitTable(lambda k, U: lower_partial_limit(spec, ctx, k, U), 2)
+    deaths = array_deaths(lambda k, U: lower_partial_limit(spec, ctx, k, U), (0, 1))
 
     def splits(box):
-        gen = build_truncated_generator(
-            (0.5, 1.2), TabulatedDeaths(death, (0, 1)), (box, box), death_bound=spec.bound
-        )
+        gen = build_truncated_generator((0.5, 1.2), deaths, (box, box), death_bound=spec.bound)
         g = solve_stationary(gen, tol=1e-12).grid()
         return np.array([
             g[0, 0], g[0, 1:].sum(), g[1:, 0].sum(), g[1:, 1:].sum()
@@ -198,9 +199,11 @@ def test_criterion_6_coupling_suite():
     systems.append(((0.4, 0.5), two_lo, (0.6, 0.5), two_hi, (0, 0), (0, 0)))
     tq = make_three_queue()
     ctx = SaturationContext((0, 1))
-    bound_spec = AllocationSpec(
-        2, lambda k2, u: limit_at(tq, ctx, k2, u), bound=tq.bound
-    )
+    # the saturated limits in closed form, read once per rate the pair reads
+    limits = scalar_limits(tq)
+    assert all(limits((0, 1), k2, u) == limit_at(tq, ctx, k2, u)
+               for k2 in (0, 1) for u in itertools.product(range(6), repeat=2))
+    bound_spec = AllocationSpec(2, lambda k2, u: limits((0, 1), k2, u), bound=tq.bound)
     systems.append(((0.5, 1.2, 0.3), tq, (0.5, 1.2), bound_spec, (0, 0, 0), (0, 0)))
 
     horizon = 1e5

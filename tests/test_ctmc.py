@@ -27,8 +27,6 @@ from coupledq.allocation import (
 )
 from coupledq.ctmc import (
     DEFAULT_RESIDUAL_TOL,
-    LimitTable,
-    TabulatedDeaths,
     adaptive_stationary,
     build_truncated_generator,
     solve_stationary,
@@ -36,6 +34,7 @@ from coupledq.ctmc import (
 from coupledq.engine import StabilityEngine, Tolerances
 from coupledq.errors import BoundViolation, BoxTooLarge, DivergentSeries, NoConvergence
 from oracles import (
+    array_deaths,
     limit_at,
     lower_partial_limit_scalar,
     marginal,
@@ -105,9 +104,8 @@ def test_saturated_pair_generator_uses_case_table():
     spec = make_three_queue()
     ctx = SaturationContext((0, 1))
 
-    table = LimitTable(lambda k, U: lower_partial_limit(spec, ctx, k, U), 2)
-    gen = build_truncated_generator((0.5, 1.2), TabulatedDeaths(table, (0, 1)), (40, 40),
-                                    death_bound=spec.bound)
+    deaths = array_deaths(lambda k, U: lower_partial_limit(spec, ctx, k, U), (0, 1))
+    gen = build_truncated_generator((0.5, 1.2), deaths, (40, 40), death_bound=spec.bound)
     grid = gen.death_values.reshape(41, 41, 2)
     # queue 1 death: pairwise rate only while queue 2 is empty (queue 3 busy)
     assert grid[3, 0, 0] == 2.0
@@ -143,10 +141,16 @@ def _oracle_specs():
     }
 
 
-def _both_paths(rates, ref, table, box, bound):
-    """(state-by-state reference result or error, table-path result or error)."""
+def _both_paths(rates, ref, eng, box, bound):
+    """(state-by-state reference result or error, result or error from the
+    engine's limit store, read as ``prefix_law`` reads it)."""
+    prefix = frozenset(range(len(rates)))
+
+    def stored(b):
+        return np.stack([eng._limits(prefix, q, b) for q in sorted(prefix)], axis=1)
+
     out = []
-    for deaths in (ref, TabulatedDeaths(table, tuple(range(len(rates))))):
+    for deaths in (ref, stored):
         try:
             out.append(build_truncated_generator(rates, deaths, box, death_bound=bound))
         except BoundViolation as exc:
@@ -161,27 +165,42 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
     spec = _oracle_specs()[name]
     dim = len(boxes[0])
     rates = (0.4, 0.3, 0.2)[:dim]
-    ctx = SaturationContext(range(dim), limit_tol=1e-12)
+    prefix = frozenset(range(dim))
+    eng = StabilityEngine(spec, Tolerances(limit_tol=1e-12))
+    tol = eng.tol
+    ctx = SaturationContext(prefix, sat_level=tol.sat_level, growth_factor=tol.growth,
+                            limit_tol=tol.limit_tol)
 
     def death(k, u):
         return lower_partial_limit_scalar(spec, ctx, k, u)
 
-    def death_nan_at_empty(k, U):
-        # never consulted where u_k = 0: a table holds it, the generator ignores it
-        return np.where(U[:, k] == 0, math.nan, lower_partial_limit(spec, ctx, k, U))
+    real_ell = eng._ell
+    asked = []  # the states of each limit call, by queue
 
-    table = LimitTable(death_nan_at_empty, dim)
-    for box in boxes:  # grows the table, then reads a slice of it
-        ref, got = _both_paths(rates, tabulated(death, dim), table, box, spec.bound)
+    def nan_at_empty(p, q, U):
+        # never consulted where u_q = 0: the store holds it, the generator ignores it
+        assert p == prefix
+        asked.append((q, U.shape[0]))
+        return np.where(U[:, q] == 0, math.nan, real_ell(p, q, U))
+
+    eng._ell = nan_at_empty
+    side, stored = 0, 0  # the stored cube's side and state count
+    for box in boxes:  # grows the store, then reads a slice of it
+        grown = max(box) > side
+        side = max(side, *box)
+        before, added = len(asked), (side + 1) ** dim - stored
+        stored += added
+        ref, got = _both_paths(rates, tabulated(death, dim), eng, box, spec.bound)
         assert ref.box == got.box == box
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(ref.matrix, attr), getattr(got.matrix, attr))
         assert np.array_equal(ref.death_values, got.death_values)
         assert np.array_equal(ref.boundary_mask, got.boundary_mask)
         assert ref.uniformization_constant == got.uniformization_constant
-    assert set(table.arrays) == set(range(dim))
-    assert all(a.shape == (max(b[0] for b in boxes) + 1,) * dim
-               for a in table.arrays.values())
+        # one call per queue and growth, at the states the growth adds
+        assert asked[before:] == ([(q, added) for q in range(dim)] if grown else [])
+        assert {k: a.shape for k, a in eng._limit_arrays.items()} == {
+            (prefix, q): (side + 1,) * dim for q in range(dim)}
 
     # out-of-range rates: both paths name the same first offending (i, x)
     first = (1,) * dim
@@ -189,11 +208,13 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
         def bad(k, u, _v=bad_value):
             return _v if k == dim - 1 and u in (first, (2,) * dim) else death(k, u)
 
-        def bad_array(k, U):
-            return np.array([bad(k, u) for u in map(tuple, U.tolist())])
+        def bad_array(p, q, U, _v=bad_value):
+            hit = (q == dim - 1) & ((U == 1).all(axis=1) | (U == 2).all(axis=1))
+            return np.where(hit, _v, real_ell(p, q, U))
 
-        ref, got = _both_paths(rates, tabulated(bad, dim), LimitTable(bad_array, dim),
-                               boxes[0], spec.bound)
+        bad_eng = StabilityEngine(spec, tol)
+        bad_eng._ell = bad_array
+        ref, got = _both_paths(rates, tabulated(bad, dim), bad_eng, boxes[0], spec.bound)
         assert isinstance(ref, str) and ref == got
         assert f"at (i={dim - 1}, x={first})" in ref
 
@@ -328,12 +349,11 @@ _INTERIOR_ZEROS = {5, 17, 18}
 
 
 def _base_station_deaths():
-    # queue 0's saturated limit with queue 1 saturated, tabulated as the
-    # engine tabulates it
+    # queue 0's saturated limit with queue 1 saturated, one array call per
+    # box as the engine's store makes it
     spec = base_station_pair(2.0)
     ctx = SaturationContext((0,))
-    table = LimitTable(lambda k, U: lower_partial_limit(spec, ctx, k, U), 1)
-    return TabulatedDeaths(table, (0,)), spec.bound
+    return array_deaths(lambda k, U: lower_partial_limit(spec, ctx, k, U), (0,)), spec.bound
 
 
 ONE_D_CASES = {
@@ -616,8 +636,8 @@ def test_monotone_rate_perturbation_converges():
         def death(k, U):
             return lower_partial_limit(spec, ctx, k, U) + eps
 
-        deaths = TabulatedDeaths(LimitTable(death, 1), (0,))
-        dist, _ = adaptive_stationary((lam1,), deaths, death_bound=spec.bound + eps)
+        dist, _ = adaptive_stationary((lam1,), array_deaths(death, (0,)),
+                                      death_bound=spec.bound + eps)
         return dist.expect(lambda u: limit_at(spec, ctx, 1, u))
 
     base = avg_with_eps(0.0)

@@ -286,22 +286,27 @@ def test_sweep_reuses_limit_tables(monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    growth_calls = []  # the limit calls of each table growth, moved out of calls
-    real_grow = coupledq.ctmc.LimitTable._grow
+    growth_calls = []  # the limit calls of each store growth, moved out of calls
+    real_limits = StabilityEngine._limits
 
-    def grow(*args):
-        before = len(calls)
-        arr = real_grow(*args)
-        growth_calls.append(calls[before:])
+    def limits(self, prefix, queue, box):
+        before, old = len(calls), self._limit_arrays.get((prefix, queue))
+        out = real_limits(self, prefix, queue, box)
+        made = calls[before:]
         del calls[before:]
-        return arr
+        if self._limit_arrays[(prefix, queue)] is not old:
+            growth_calls.append(made)
+        else:
+            assert made == []
+        return out
 
     monkeypatch.setattr(coupledq.engine, "lower_partial_limit", counting)
-    monkeypatch.setattr(coupledq.ctmc.LimitTable, "_grow", grow)
+    monkeypatch.setattr(StabilityEngine, "_limits", limits)
     eng = StabilityEngine(base_station_pair(2.0))
     first = eng.sweep(LIMIT_GRID)
-    # one array call per (prefix, queue, table growth); the other calls are
-    # the lower envelopes', one per saturation level for the levels {r, r+1, 2r}
+    # one array call per (prefix, queue, store growth) and none on a read
+    # that does not grow; the other calls are the lower envelopes', one per
+    # saturation level for the levels {r, r+1, 2r}
     assert growth_calls and all(len(c) == 1 for c in growth_calls)
     assert 0 < len(calls) <= 2 * 49
     assert all(len(args[3]) == 3 for args in calls)
@@ -327,11 +332,11 @@ def test_limit_tables_bounded_by_largest_box(monkeypatch):
     eng = StabilityEngine(base_station_pair(2.0))
     eng.sweep(LIMIT_GRID)
     assert sides[1] == 65_536
-    for prefix, table in eng._tables.items():
-        assert set(table.arrays) <= {0, 1}
-        for arr in table.arrays.values():
-            assert arr.ndim == len(prefix)
-            assert all(n <= sides[len(prefix)] + 1 for n in arr.shape)
+    assert eng._limit_arrays
+    for (prefix, queue), arr in eng._limit_arrays.items():
+        assert queue in {0, 1}
+        assert arr.ndim == len(prefix)
+        assert all(n <= sides[len(prefix)] + 1 for n in arr.shape)
 
 
 # -- cross-theory consistency ---------------------------------------------------------------

@@ -144,6 +144,14 @@ def test_cli_sweep_rejects_bad_grid_axis(grid, capsys, deadline):
     assert "scenario error" in captured.err and "ERR" not in captured.out
 
 
+def test_cli_sweep_of_one_queue_needs_two_queues(capsys):
+    # said "1-queue sweeps must fix all but two coordinates (got 1 varying axes)"
+    assert main(["sweep", "--scenario", "mm1", "--grid", "0.1:0.5:0.1"]) == 64
+    captured = capsys.readouterr()
+    assert "a region map needs at least two queues" in captured.err
+    assert captured.out == ""
+
+
 def test_grid_axis_point_count_is_bounded(deadline):
     with deadline(2.0):
         axis = GridAxis(1.0, float(MAX_GRID_POINTS), 1.0)

@@ -27,7 +27,7 @@ from coupledq.simulate import (
     simulate_path,
     _stream,
 )
-from oracles import _Draws, limit_at, reference_coupled_pair, reference_path
+from oracles import _Draws, limit_at, reference_coupled_pair, reference_path, scalar_limits
 
 
 def make_three_queue():
@@ -253,8 +253,8 @@ def test_coupled_pair_matches_reference(deadline):
             _assert_same_pair(lam, sx, eta, sy, x0, y0, seed=70_000 + k, max_events=1000)
 
         tq = make_three_queue()
-        ctx = SaturationContext((0, 1))
-        bound_spec = AllocationSpec(2, lambda k, u: limit_at(tq, ctx, k, u), bound=tq.bound)
+        limits = scalar_limits(tq)  # as criterion 6 reads the saturated limits
+        bound_spec = AllocationSpec(2, lambda k, u: limits((0, 1), k, u), bound=tq.bound)
         lo3 = constant_allocation((2.0, 1.5, 1.0))
         hi2 = constant_allocation((1.0, 1.0))
         systems = [  # criterion 6's three systems, then nx > ny and nx < ny from busy starts
@@ -291,12 +291,50 @@ def test_coupled_pair_matches_reference(deadline):
     lambda spec, x0: simulate_coupled_pair((0.5,), spec, (0.5,), spec, (0,), x0,
                                            seed=1, horizon=10.0),
 ], ids=["path", "probe", "pair-x", "pair-y"])
-@pytest.mark.parametrize("x0", [(0.7,), (-3,), (0, 0), ()])
+@pytest.mark.parametrize("x0", [(0.7,), (-3,), (0, 0), (), (math.inf,), (math.nan,),
+                                (2 ** 70,), (2 ** 62,), ("1",), (None,)])
 def test_start_must_be_nonnegative_integers_of_the_right_length(run, x0):
     # a start of (0.7,) was floored to (0,), and the pair booked x0 = (-3,)
-    # into the overflow column of its histograms through index -1
+    # into the overflow column of its histograms through index -1; an
+    # infinite or int64-overflowing start raised OverflowError, and a NaN one
+    # Python's own ValueError
     with pytest.raises(ValueError, match="initial state"):
         run(constant_allocation((1.0,)), x0)
+
+
+def test_largest_start_runs():
+    spec = constant_allocation((1.0,))
+    top = 2 ** 62 - 1
+    path = simulate_path((0.5,), spec, (top,), 10.0, seed=1)
+    assert path.final_state[0] > top - path.event_count
+    rep = simulate_coupled_pair((0.5,), spec, (0.5,), spec, (top,), (top,),
+                                seed=1, max_events=10)
+    assert rep.sampled_instants == 10
+
+
+BAD_COUNTS = {
+    "probe-replicas-bool": lambda spec: empirical_stability_probe(
+        (0.5,), spec, (0,), [10.0], True, 1),
+    "probe-replicas-float": lambda spec: empirical_stability_probe(
+        (0.5,), spec, (0,), [10.0], 2.5, 1),
+    "probe-replicas-zero": lambda spec: empirical_stability_probe(
+        (0.5,), spec, (0,), [10.0], 0, 1),
+    "pair-max-events-float": lambda spec: simulate_coupled_pair(
+        (0.5,), spec, (0.5,), spec, (0,), (0,), seed=1, max_events=2.5),
+    "pair-max-events-bool": lambda spec: simulate_coupled_pair(
+        (0.5,), spec, (0.5,), spec, (0,), (0,), seed=1, max_events=True),
+    "pair-max-events-nan": lambda spec: simulate_coupled_pair(
+        (0.5,), spec, (0.5,), spec, (0,), (0,), seed=1, max_events=math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COUNTS))
+def test_counts_must_be_integers(case):
+    # replicas=True or 2.5 raised TypeError inside numpy; max_events=2.5 ran
+    # 3 events and max_events=True ran 1
+    name = "max_events" if "max-events" in case else "replicas"
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        BAD_COUNTS[case](constant_allocation((1.0,)))
 
 
 @pytest.mark.parametrize("rates_x, rates_y", [
