@@ -12,7 +12,6 @@ import numpy as np
 
 from coupledq import (
     AllocationSpec,
-    SaturationContext,
     constant_allocation,
     lower_partial_limit,
     simulate_coupled_pair,
@@ -37,9 +36,8 @@ print(f"   occupancy TV between coupled lower marginal and a free run: {tv:.4f}"
 print("\n3) three coupled queues below their saturated two-queue bound")
 a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
 spec = three_queue_table((3.0, 3.0, 3.0), a_pair)
-ctx = SaturationContext((0, 1))
 bound_spec = AllocationSpec(
-    2, lambda k, u: float(lower_partial_limit(spec, ctx, k, [u])[0]), bound=spec.bound
+    2, lambda k, u: float(lower_partial_limit(spec, (0, 1), k, [u])[0]), bound=spec.bound
 )
 rep = simulate_coupled_pair((0.5, 1.2, 0.3), spec, (0.5, 1.2), bound_spec,
                             (0, 0, 0), (0, 0), seed=13, max_events=50_000)

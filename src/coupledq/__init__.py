@@ -17,7 +17,6 @@ Library layout:
 from .allocation import (
     AllocationSpec,
     ArrivalRates,
-    SaturationContext,
     StructureReport,
     base_station_pair,
     build_product_allocation,

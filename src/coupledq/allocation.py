@@ -199,67 +199,6 @@ class _FactorTable:
         return np.array([float(self.f(x)) for x in keys.tolist()])[inverse]
 
 
-@dataclass(eq=False)
-class SaturationContext:
-    """Evaluator for rate limits with every queue outside ``prefix`` saturated.
-
-    ``prefix`` is the set of unsaturated queues, kept as a sorted tuple.
-    Numeric values come from minimizing the rate over the grid
-    ``{R, R+1, ceil(R*growth)}`` per saturated coordinate and escalating
-    ``R`` until two consecutive levels agree within ``limit_tol``.  The
-    ``R+1`` probe catches parity-periodic rate functions that levels ``R``
-    and ``2R`` alone would miss.
-    """
-
-    prefix: tuple
-    sat_level: int = DEFAULT_SAT_LEVEL
-    growth_factor: float = DEFAULT_GROWTH
-    limit_tol: float = DEFAULT_LIMIT_TOL
-
-    def __post_init__(self):
-        self.prefix = tuple(sorted(self.prefix))
-        if len(set(self.prefix)) != len(self.prefix) or any(q < 0 for q in self.prefix):
-            raise ValueError(f"prefix {self.prefix} must list distinct queue indices")
-        if self.sat_level < 1 or self.growth_factor <= 1.0 or self.limit_tol <= 0:
-            raise ValueError("bad saturation parameters")
-
-    def _grid_min(self, spec: AllocationSpec, queue: int, u, r: int) -> float:
-        levels = sorted({r, r + 1, max(r + 2, math.ceil(r * self.growth_factor))})
-        x = [0] * spec.n_queues
-        for q, c in zip(self.prefix, u):
-            x[q] = c
-        saturated = [q for q in range(spec.n_queues) if q not in self.prefix]
-        best = math.inf
-        for combo in itertools.product(levels, repeat=len(saturated)):
-            for q, v in zip(saturated, combo):
-                x[q] = v
-            best = min(best, spec.rate(queue, tuple(x)))
-        return best
-
-    def values(self, spec: AllocationSpec, queue: int, U: np.ndarray) -> np.ndarray:
-        """Saturated limits of queue ``queue``'s rate with the prefix at each
-        row of ``U``, escalated state by state on Python ints, because a
-        level can pass int64 before the limit settles."""
-        out = np.empty(len(U))
-        for k, u in enumerate(U.tolist()):
-            r = self.sat_level
-            prev = self._grid_min(spec, queue, u, r)
-            for _ in range(MAX_ESCALATIONS):
-                r = max(r + 1, math.ceil(r * self.growth_factor))
-                cur = self._grid_min(spec, queue, u, r)
-                if abs(cur - prev) < self.limit_tol:
-                    break
-                prev = cur
-            else:
-                raise SaturationNotConverged(
-                    f"saturated limit for queue {queue} at prefix {self.prefix} = "
-                    f"{tuple(u)} did not stabilize within {self.limit_tol} after "
-                    f"{MAX_ESCALATIONS} escalations"
-                )
-            out[k] = cur
-        return out
-
-
 def _probe_side(dim: int, cap: int, budget: int = 256) -> int:
     """Side ``c + 1`` of the prefix probe box {0..c}^dim, with c shrunk so
     the box fits the budget."""
@@ -279,25 +218,75 @@ def _state_grid(axes) -> np.ndarray:
     return X.reshape(math.prod(X.shape[:-1]), n)
 
 
-def lower_partial_limit(spec: AllocationSpec, ctx: SaturationContext, queue: int,
-                        U) -> np.ndarray:
+def _escalate(spec: AllocationSpec, prefix: tuple, queue: int, U: np.ndarray,
+              sat_level: int, growth: float, limit_tol: float) -> np.ndarray:
+    """Numeric saturated limits at each row of ``U``, escalated state by state
+    on Python ints: a level can pass int64 before the limit settles."""
+    saturated = [q for q in range(spec.n_queues) if q not in prefix]
+
+    def grid_min(u, r):  # the least rate over the saturation grid of level r
+        levels = sorted({r, r + 1, max(r + 2, math.ceil(r * growth))})
+        x = [0] * spec.n_queues
+        for q, c in zip(prefix, u):
+            x[q] = c
+        best = math.inf
+        for combo in itertools.product(levels, repeat=len(saturated)):
+            for q, v in zip(saturated, combo):
+                x[q] = v
+            best = min(best, spec.rate(queue, tuple(x)))
+        return best
+
+    out = np.empty(len(U))
+    for k, u in enumerate(U.tolist()):
+        r = sat_level
+        prev = grid_min(u, r)
+        for _ in range(MAX_ESCALATIONS):
+            r = max(r + 1, math.ceil(r * growth))
+            cur = grid_min(u, r)
+            if abs(cur - prev) < limit_tol:
+                break
+            prev = cur
+        else:
+            raise SaturationNotConverged(
+                f"saturated limit for queue {queue} at prefix {prefix} = "
+                f"{tuple(u)} did not stabilize within {limit_tol} after "
+                f"{MAX_ESCALATIONS} escalations"
+            )
+        out[k] = cur
+    return out
+
+
+def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
+                        sat_level: int = DEFAULT_SAT_LEVEL, growth: float = DEFAULT_GROWTH,
+                        limit_tol: float = DEFAULT_LIMIT_TOL) -> np.ndarray:
     """Worst-case limiting rates of queue ``queue`` with every queue outside
-    ``ctx.prefix`` saturated, one per row of ``U``, an ``(m, len(ctx.prefix))``
-    nonnegative integer array of prefix occupancies: the allocation's
-    analytic limits when available (the first one outside ``[0, bound]``
-    raises :class:`BoundViolation`), otherwise the context's numeric
-    escalation.
+    ``prefix`` saturated, one per row of ``U``.
+
+    ``prefix`` lists distinct queues of the spec in any order, and ``U`` is
+    an ``(m, len(prefix))`` nonnegative integer array of their occupancies
+    in increasing queue order.  The allocation's analytic limits are used
+    when available (the first one outside ``[0, bound]`` raises
+    :class:`BoundViolation`).  Otherwise each value is the least rate over
+    the grid ``{R, R+1, ceil(R*growth)}`` per saturated queue, with ``R``
+    escalated from ``sat_level`` until two consecutive levels agree within
+    ``limit_tol``; the ``R+1`` probe catches parity-periodic rate functions
+    that levels ``R`` and ``2R`` alone would miss.
     """
+    prefix, n = tuple(sorted(prefix)), spec.n_queues
+    if len(set(prefix)) < len(prefix) or not set(prefix) | {queue} <= set(range(n)):
+        raise ValueError(f"need distinct queues of range({n}): prefix {prefix}, queue {queue}")
+    if not (sat_level >= 1 and growth > 1.0 and limit_tol > 0):
+        raise ValueError("bad saturation parameters")
     U = np.asarray(U)
     if U.ndim == 2 and U.size == 0:  # e.g. [()] for the empty prefix reads as float
         U = U.astype(np.intp)
-    if U.ndim != 2 or U.shape[1] != len(ctx.prefix) or U.dtype.kind not in "iu":
-        raise ValueError(f"states must be an integer array of shape (m, {len(ctx.prefix)})")
+    if U.ndim != 2 or U.shape[1] != len(prefix) or U.dtype.kind not in "iu":
+        raise ValueError(f"states must be an integer array of shape (m, {len(prefix)})")
     if U.size and np.minimum.reduce(U, axis=None) < 0:
         raise ValueError("queue lengths must be nonnegative")
-    v = None if spec.analytic_limits is None else spec.analytic_limits(ctx.prefix, queue, U)
+    v = None if spec.analytic_limits is None else spec.analytic_limits(prefix, queue, U)
     if v is None:
-        return ctx.values(spec, queue, U)
+        return _escalate(spec, prefix, queue, U, sat_level, growth, limit_tol)
     v = np.asarray(v, dtype=float)
     bad = ~((v >= 0.0) & (v <= spec.bound + _MONO_SLACK))
     if bad.any():

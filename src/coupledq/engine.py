@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -27,13 +27,11 @@ from .allocation import (
     DEFAULT_UNIFORM_TOL,
     AllocationSpec,
     ArrivalRates,
-    SaturationContext,
     StructureReport,
     _state_grid,
     as_rates,
     check_partially_decreasing,
     check_uniform_limits,
-    default_pd_box,
     lower_partial_limit,
 )
 from .ctmc import (
@@ -300,9 +298,8 @@ class StabilityEngine:
     # -- saturated limit plumbing ------------------------------------------
 
     def _ell(self, prefix: frozenset, queue: int, U) -> np.ndarray:
-        ctx = SaturationContext(prefix, sat_level=self.tol.sat_level,
-                                growth_factor=self.tol.growth, limit_tol=self.tol.limit_tol)
-        return lower_partial_limit(self.spec, ctx, queue, U)
+        return lower_partial_limit(self.spec, prefix, queue, U, sat_level=self.tol.sat_level,
+                                   growth=self.tol.growth, limit_tol=self.tol.limit_tol)
 
     def _limits(self, prefix: frozenset, queue: int, box: tuple) -> np.ndarray:
         """``ell(prefix, queue, u)`` at every state ``u`` of ``box``, in state
@@ -322,13 +319,20 @@ class StabilityEngine:
             self._limit_arrays[key] = old = arr
         return np.ravel(old[tuple(slice(t + 1) for t in box)])
 
+    def _rates(self, rates) -> ArrivalRates:
+        """``rates`` as :class:`ArrivalRates`; ``ValueError`` unless one per queue."""
+        rates, n = as_rates(rates), self.spec.n_queues
+        if len(rates.rates) != n:
+            raise ValueError(f"rate vector length mismatch: {len(rates)} rates for {n} queues")
+        return rates
+
     def _at(self, rates) -> ArrivalRates:
-        """``rates`` as :class:`ArrivalRates`, made the kept point: the laws
-        of any other vector are dropped.  The key is the normalized tuple,
-        so a plain tuple and an ``ArrivalRates`` of the same rates agree."""
+        """``rates`` made the kept point; a new vector passes :meth:`_rates`
+        and drops the old one's laws.  The key is the normalized tuple, so a
+        plain tuple and an ``ArrivalRates`` of the same rates agree."""
         rates = as_rates(rates)
         if rates.rates != self._point:
-            self._point = rates.rates
+            self._point = self._rates(rates).rates
             self._laws = {}
             self._lvals = {}
         return rates
@@ -346,9 +350,11 @@ class StabilityEngine:
         (the unconverged law itself is not kept).
         """
         rates = self._at(rates)
-        prefix = frozenset(prefix)
+        prefix, n = frozenset(prefix), self.spec.n_queues
         law = self._laws.get(prefix)
         if law is None:
+            if not prefix <= set(range(n)):
+                raise ValueError(f"prefix {sorted(prefix)} holds a queue outside range({n})")
             order = tuple(sorted(prefix))
             try:
                 law = adaptive_stationary(
@@ -389,26 +395,19 @@ class StabilityEngine:
 
     # -- structure gates -----------------------------------------------------
 
-    def structure(self) -> tuple:
-        """(partially_decreasing_ok, uniform_limits_ok, merged report)."""
+    def structure(self) -> StructureReport:
+        """The partial-monotonicity report on ``pd_box``, with the
+        uniform-limit gate's ``uniform_limits``, ``worst_residual`` and
+        ``guaranteed_by_shape``; the monotonicity gate runs first."""
         if self._structure is None:
-            box = self.tol.pd_box or default_pd_box(self.spec.n_queues)
-            pd = check_partially_decreasing(self.spec, box=box)
+            pd = check_partially_decreasing(self.spec, box=self.tol.pd_box)
             try:
                 ul = check_uniform_limits(self.spec, tol=self.tol.uniform_tol)
-                ul_ok = bool(ul.uniform_limits)
             except NoUniformLimit as exc:
                 ul = exc.report or StructureReport(uniform_limits=False)
-                ul_ok = False
-            merged = StructureReport(
-                probe_box=pd.probe_box,
-                partially_decreasing=pd.partially_decreasing,
-                pd_counterexample=pd.pd_counterexample,
-                uniform_limits=ul_ok,
-                worst_residual=ul.worst_residual,
-                guaranteed_by_shape=ul.guaranteed_by_shape,
-            )
-            self._structure = (bool(pd.partially_decreasing), ul_ok, merged)
+            self._structure = replace(pd, uniform_limits=bool(ul.uniform_limits),
+                                      worst_residual=ul.worst_residual,
+                                      guaranteed_by_shape=ul.guaranteed_by_shape)
         return self._structure
 
     # -- envelope (model-free) bounds ----------------------------------------
@@ -419,7 +418,7 @@ class StabilityEngine:
             return self._envelopes[key]
         spec, n = self.spec, self.spec.n_queues
         pick = np.min if kind == "lower" else np.max
-        pd_ok = self.structure()[0]
+        pd_ok = self.structure().partially_decreasing
         own_prefix = frozenset({i})
         # Monotone in the other coordinates, the inner extremum over them sits
         # at their saturation limit (lower) or at zero (upper); otherwise the
@@ -456,7 +455,7 @@ class StabilityEngine:
         envelope with margin, transient when above the best-case envelope.
         Valid for arbitrary bounded allocations.
         """
-        rates = as_rates(rates)
+        rates = self._rates(rates)
         out = []
         for i in range(self.spec.n_queues):
             lo = self._envelope(i, "lower")
@@ -475,9 +474,9 @@ class StabilityEngine:
     def sequential_prefix(self, rates, sigma) -> PrefixScan:
         """Longest stable prefix of the permutation: consecutive queues whose
         arrival rate clears the saturated average rate with margin."""
-        rates = as_rates(rates)
-        sigma = tuple(sigma)
-        n = self.spec.n_queues
+        rates, sigma, n = self._rates(rates), tuple(sigma), self.spec.n_queues
+        if sorted(sigma) != list(range(n)):
+            raise ValueError(f"sigma {sigma} is not a permutation of range({n})")
         stages = []
         n_max = 0
         for pos in range(n):
@@ -527,16 +526,14 @@ class StabilityEngine:
     # -- classification ---------------------------------------------------------
 
     def classify(self, rates) -> StabilityVerdict:
-        rates = as_rates(rates)
-        nq = self.spec.n_queues
-        if len(rates) != nq:
-            raise ValueError("rate vector length mismatch")
+        rates, nq = self._rates(rates), self.spec.n_queues
         if nq > self.tol.permutation_cap:
             raise PermutationCapExceeded(
                 f"{nq} queues exceeds the permutation search cap "
                 f"{self.tol.permutation_cap}; use general_bounds instead"
             )
-        pd_ok, ul_ok, structure = self.structure()
+        structure = self.structure()
+        pd_ok, ul_ok = structure.partially_decreasing, structure.uniform_limits
         t1 = self.general_bounds(rates)
         notes = []
         if structure.guaranteed_by_shape:
@@ -675,24 +672,37 @@ def verify_certificate(spec: AllocationSpec, rates, verdict: StabilityVerdict) -
     witness test and envelope bounds, on a fresh engine whose solves start
     from twice the verdict's start box.
 
-    At the certificate's rates (the witness rates of a descent witness,
+    The certificate must support the label: ``sigma[:n]`` and the STABLE
+    bounds cover every queue (STABLE), or it has excess records or an
+    UNSTABLE bound (UNSTABLE); ``sigma``, when set, is a permutation and
+    ``0 <= n <= N``.  At its rates (the witness rates of a descent witness,
     ``rates`` otherwise) the scan of ``sigma`` must reach depth ``n``, the
     witness test must hold after it when there are excess records, and
     every envelope bound must keep its label.  A definite verdict without a
     certificate fails; an indeterminate one claims nothing and passes.
     """
-    cert = verdict.certificate
+    cert, nq = verdict.certificate, spec.n_queues
     if verdict.system not in (SystemLabel.STABLE, SystemLabel.UNSTABLE):
         return True
     if cert is None:
         return False
+    sigma = tuple(cert.sigma or ())
+    if sigma and (sorted(sigma) != list(range(nq)) or cert.n not in range(nq + 1)):
+        return False
+    if verdict.system is SystemLabel.STABLE:
+        stable = {b.queue for b in cert.bounds if b.label is Label.STABLE}
+        supported = stable | set(sigma[:cert.n]) == set(range(nq))
+    else:
+        supported = cert.excess or any(b.label is Label.UNSTABLE for b in cert.bounds)
+    if not supported:
+        return False
     tol = verdict.tolerances or Tolerances()
     engine = StabilityEngine(spec, tol.replace(start_box=2 * tol.start_box))
-    at = as_rates(cert.witness_rates or rates)
-    if cert.sigma is not None:
-        if engine.sequential_prefix(at, cert.sigma).n_max < cert.n:
+    at = engine._rates(cert.witness_rates or rates)
+    if sigma:
+        if engine.sequential_prefix(at, sigma).n_max < cert.n:
             return False
-        if cert.excess and engine._excess(at, cert.sigma, cert.n) is None:
+        if cert.excess and not engine._excess(at, sigma, cert.n):
             return False
     if not cert.bounds:
         return True

@@ -44,7 +44,9 @@ _MAX_START = 2 ** 62  # a start leaves the lockstep's int64 states room to grow
 
 
 def _stream(seed: int, replica: int = 0) -> np.random.Generator:
-    bit = np.random.Philox(key=np.uint64(seed & (2 ** 64 - 1)))
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    bit = np.random.Philox(key=np.uint64(int(seed) & (2 ** 64 - 1)))
     if replica:
         bit = bit.jumped(replica)
     return np.random.Generator(bit)

@@ -9,10 +9,12 @@ import numpy as np
 
 from coupledq.allocation import (
     _MONO_SLACK,
+    DEFAULT_GROWTH,
+    DEFAULT_LIMIT_TOL,
+    DEFAULT_SAT_LEVEL,
     MAX_ESCALATIONS,
     AllocationSpec,
     ArrivalRates,
-    SaturationContext,
     StructureReport,
     _probe_side,
     _state_grid,
@@ -231,15 +233,14 @@ def envelope_scalar(engine, i: int, kind: str) -> float:
     pick = min if kind == "lower" else max
     others = [j for j in range(n) if j != i]
 
-    if engine.structure()[0]:
-        ctx = SaturationContext((i,), sat_level=tol.sat_level, growth_factor=tol.growth,
-                                limit_tol=tol.limit_tol)
-
+    if engine.structure().partially_decreasing:
         def level_val(r):
             vals = []
             for own in sorted({r, r + 1, 2 * r}):
                 if kind == "lower":
-                    vals.append(lower_partial_limit_scalar(spec, ctx, i, (own,)))
+                    vals.append(lower_partial_limit_scalar(
+                        spec, (i,), i, (own,), sat_level=tol.sat_level,
+                        growth=tol.growth, limit_tol=tol.limit_tol))
                 else:
                     x = [0] * n
                     x[i] = own
@@ -313,17 +314,20 @@ def scalar_limits(spec: AllocationSpec):
     raise ValueError(f"no scalar limits for a spec built by {builder}")
 
 
-def saturation_value(ctx, spec: AllocationSpec, queue: int, u) -> float:
-    """State-by-state reference for ``SaturationContext.values`` at one state:
-    the grid minimum over ``{R, R+1, ceil(R*growth)}`` per saturated queue,
-    escalating ``R`` until two levels agree within ``ctx.limit_tol``."""
-    u = tuple(int(c) for c in u)
-    saturated = [q for q in range(spec.n_queues) if q not in ctx.prefix]
+def saturation_value(spec: AllocationSpec, prefix, queue: int, u, *,
+                     sat_level=DEFAULT_SAT_LEVEL, growth=DEFAULT_GROWTH,
+                     limit_tol=DEFAULT_LIMIT_TOL) -> float:
+    """State-by-state reference for the numeric escalation of
+    ``lower_partial_limit`` at one state: the grid minimum over ``{R, R+1,
+    ceil(R*growth)}`` per saturated queue, escalating ``R`` from
+    ``sat_level`` until two levels agree within ``limit_tol``."""
+    prefix, u = tuple(sorted(prefix)), tuple(int(c) for c in u)
+    saturated = [q for q in range(spec.n_queues) if q not in prefix]
 
     def grid_min(r):
-        levels = sorted({r, r + 1, max(r + 2, math.ceil(r * ctx.growth_factor))})
+        levels = sorted({r, r + 1, max(r + 2, math.ceil(r * growth))})
         x = [0] * spec.n_queues
-        for q, c in zip(ctx.prefix, u):
+        for q, c in zip(prefix, u):
             x[q] = c
         best = math.inf
         for combo in itertools.product(levels, repeat=len(saturated)):
@@ -332,34 +336,37 @@ def saturation_value(ctx, spec: AllocationSpec, queue: int, u) -> float:
             best = min(best, spec.rate(queue, tuple(x)))
         return best
 
-    r = ctx.sat_level
+    r = sat_level
     prev = grid_min(r)
     for _ in range(MAX_ESCALATIONS):
-        r = max(r + 1, math.ceil(r * ctx.growth_factor))
+        r = max(r + 1, math.ceil(r * growth))
         cur = grid_min(r)
-        if abs(cur - prev) < ctx.limit_tol:
+        if abs(cur - prev) < limit_tol:
             return cur
         prev = cur
     raise SaturationNotConverged(
-        f"saturated limit for queue {queue} at prefix {ctx.prefix} = {u} did "
-        f"not stabilize within {ctx.limit_tol} after {MAX_ESCALATIONS} escalations"
+        f"saturated limit for queue {queue} at prefix {prefix} = {u} did "
+        f"not stabilize within {limit_tol} after {MAX_ESCALATIONS} escalations"
     )
 
 
-def lower_partial_limit_scalar(spec: AllocationSpec, ctx, queue: int, u) -> float:
-    """State-by-state reference for ``lower_partial_limit``."""
+def lower_partial_limit_scalar(spec: AllocationSpec, prefix, queue: int, u, **kw) -> float:
+    """State-by-state reference for ``lower_partial_limit``; ``kw`` are its
+    escalation settings."""
     u = tuple(int(c) for c in u)
     if spec.analytic_limits is not None:
-        v = float(scalar_limits(spec)(ctx.prefix, queue, u))
+        v = float(scalar_limits(spec)(tuple(sorted(prefix)), queue, u))
         if not (0.0 <= v <= spec.bound + _MONO_SLACK):
             raise BoundViolation(f"analytic limit {v} outside [0, {spec.bound}]")
         return min(v, spec.bound)
-    return saturation_value(ctx, spec, queue, u)
+    return saturation_value(spec, prefix, queue, u, **kw)
 
 
-def limit_at(spec: AllocationSpec, ctx, queue: int, u) -> float:
-    """The library's ``lower_partial_limit`` at the one state ``u``."""
-    return float(lower_partial_limit(spec, ctx, queue, np.array([u], dtype=np.intp))[0])
+def limit_at(spec: AllocationSpec, prefix, queue: int, u, **kw) -> float:
+    """The library's ``lower_partial_limit`` at the one state ``u``; ``kw``
+    are its escalation settings."""
+    return float(lower_partial_limit(spec, prefix, queue, np.array([u], dtype=np.intp),
+                                     **kw)[0])
 
 
 def tabulated(fn, dim: int):

@@ -13,7 +13,6 @@ import pytest
 
 from coupledq.allocation import (
     AllocationSpec,
-    SaturationContext,
     base_station_pair,
     constant_allocation,
     exp_interference,
@@ -100,9 +99,7 @@ def test_criterion_2_stage2_closed_form():
 
 def test_criterion_3_stage3_probabilities():
     spec = make_three_queue()
-    ctx = SaturationContext((0, 1))
-
-    deaths = array_deaths(lambda k, U: lower_partial_limit(spec, ctx, k, U), (0, 1))
+    deaths = array_deaths(lambda k, U: lower_partial_limit(spec, (0, 1), k, U), (0, 1))
 
     def splits(box):
         gen = build_truncated_generator((0.5, 1.2), deaths, (box, box), death_bound=spec.bound)
@@ -122,10 +119,9 @@ def test_criterion_3_stage3_probabilities():
 
 def test_criterion_4_corner_and_diagonal(bs_engine):
     spec = bs_engine.spec
-    ctx = SaturationContext(())
-    corner_analytic = limit_at(spec, ctx, 0, ())
+    corner_analytic = limit_at(spec, (), 0, ())
     blind = AllocationSpec(2, spec.rate_fn, spec.bound)
-    corner_numeric = limit_at(blind, SaturationContext(()), 0, ())
+    corner_numeric = limit_at(blind, (), 0, ())
     corner_ok = abs(corner_analytic - 0.5) < 1e-9 and abs(corner_numeric - 0.5) < 1e-9
 
     last_stable = None
@@ -198,10 +194,9 @@ def test_criterion_6_coupling_suite():
     two_hi = constant_allocation((1.0, 1.0))
     systems.append(((0.4, 0.5), two_lo, (0.6, 0.5), two_hi, (0, 0), (0, 0)))
     tq = make_three_queue()
-    ctx = SaturationContext((0, 1))
     # the saturated limits in closed form, read once per rate the pair reads
     limits = scalar_limits(tq)
-    assert all(limits((0, 1), k2, u) == limit_at(tq, ctx, k2, u)
+    assert all(limits((0, 1), k2, u) == limit_at(tq, (0, 1), k2, u)
                for k2 in (0, 1) for u in itertools.product(range(6), repeat=2))
     bound_spec = AllocationSpec(2, lambda k2, u: limits((0, 1), k2, u), bound=tq.bound)
     systems.append(((0.5, 1.2, 0.3), tq, (0.5, 1.2), bound_spec, (0, 0, 0), (0, 0)))

@@ -13,7 +13,6 @@ from coupledq.allocation import (
     _FactorTable,
     _state_grid,
     ArrivalRates,
-    SaturationContext,
     base_station_pair,
     build_product_allocation,
     busy_table_allocation,
@@ -209,10 +208,9 @@ def case_table_saturated_q2(spec, x1):
 
 def test_lower_partial_limit_three_queue():
     spec = make_three_queue(a_pair_val=2.0)
-    ctx = SaturationContext((0,))
-    assert limit_at(spec, ctx, 1, (0,)) == case_table_saturated_q2(spec, 0) == 2.0
+    assert limit_at(spec, (0,), 1, (0,)) == case_table_saturated_q2(spec, 0) == 2.0
     for x1 in (1, 2, 9):
-        assert limit_at(spec, ctx, 1, (x1,)) == case_table_saturated_q2(spec, x1) == 1.0
+        assert limit_at(spec, (0,), 1, (x1,)) == case_table_saturated_q2(spec, x1) == 1.0
 
 
 def test_lower_partial_limit_numeric_matches_analytic():
@@ -222,69 +220,59 @@ def test_lower_partial_limit_numeric_matches_analytic():
     blind = strip_analytic(spec)
     for m in range(4):
         for prefix in itertools.combinations(range(3), m):
-            ctx = SaturationContext(prefix)
             for queue in range(3):
                 for u in itertools.product(range(3), repeat=m):
-                    va = limit_at(spec, ctx, queue, u)
-                    vb = limit_at(blind, ctx, queue, u)
+                    va = limit_at(spec, prefix, queue, u)
+                    vb = limit_at(blind, prefix, queue, u)
                     assert va == pytest.approx(vb, abs=1e-9)
 
 
 def test_lower_partial_limit_product_analytic():
     spec = base_station_pair(2.0)
-    ctx = SaturationContext((0,))
     h = exp_interference(2.0)[0]
     for x1 in range(6):
-        assert limit_at(spec, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-12)
-    ctx0 = SaturationContext(())
-    assert limit_at(spec, ctx0, 0, ()) == pytest.approx(0.5, abs=1e-12)
+        assert limit_at(spec, (0,), 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-12)
+    assert limit_at(spec, (), 0, ()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_lower_partial_limit_product_numeric_route():
     blind = strip_analytic(base_station_pair(2.0))
-    ctx = SaturationContext((0,))
     h = exp_interference(2.0)[0]
     for x1 in (0, 1, 4):
-        assert limit_at(blind, ctx, 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-7)
+        assert limit_at(blind, (0,), 1, (x1,)) == pytest.approx(3.0 * h(x1), abs=1e-7)
 
 
 def test_lower_partial_limit_constant_n0():
     spec = constant_allocation((0.7, 1.3))
-    ctx = SaturationContext(())
-    assert limit_at(spec, ctx, 1, ()) == 1.3
+    assert limit_at(spec, (), 1, ()) == 1.3
 
 
 def test_power_law_numeric_limit_is_one():
     spec = one_server_power_law(2.0)
-    ctx = SaturationContext(())
-    assert limit_at(spec, ctx, 0, ()) == pytest.approx(1.0, abs=1e-7)
+    assert limit_at(spec, (), 0, ()) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_saturation_not_converged_for_slow_tail():
     # 1/log decay stabilizes far too slowly for the default tolerance
     spec = AllocationSpec(1, lambda i, x: 1.0 + 1.0 / math.log(x[0] + 2.0), bound=3.0)
-    ctx = SaturationContext(())
     with pytest.raises(SaturationNotConverged):
-        limit_at(spec, ctx, 0, ())
+        limit_at(spec, (), 0, ())
 
 
 def test_prefix_consistency_inequality():
     # dropping one coordinate from the saturated set can only lower the limit
     spec = make_three_queue()
     tol = 1e-9
-    ctx1 = SaturationContext((0,))
-    ctx2 = SaturationContext((0, 1))
     for i in range(3):
         for x1 in range(4):
-            v1 = limit_at(spec, ctx1, i, (x1,))
+            v1 = limit_at(spec, (0,), i, (x1,))
             for x2 in (64, 100, 1000):
-                v2 = limit_at(spec, ctx2, i, (x1, x2))
+                v2 = limit_at(spec, (0, 1), i, (x1, x2))
                 assert v1 <= v2 + tol
 
 
 def test_saturated_limits_inherit_partial_monotonicity():
     spec = make_three_queue()
-    ctx = SaturationContext((0, 1))
     cap = 6
     for i in range(3):
         for x in itertools.product(range(cap + 1), repeat=2):
@@ -292,8 +280,8 @@ def test_saturated_limits_inherit_partial_monotonicity():
                 if x[j] >= cap or (i < 2 and j == i):
                     continue
                 y = x[:j] + (x[j] + 1,) + x[j + 1:]
-                assert limit_at(spec, ctx, i, x) >= \
-                    limit_at(spec, ctx, i, y) - 1e-12
+                assert limit_at(spec, (0, 1), i, x) >= \
+                    limit_at(spec, (0, 1), i, y) - 1e-12
 
 
 # -- relabeling -------------------------------------------------------------------
@@ -342,11 +330,10 @@ def test_relabel_transports_analytic_limits():
     blind2 = strip_analytic(spec2)
     for m in range(4):
         for prefix in itertools.combinations(range(3), m):
-            ctx = SaturationContext(prefix)
             for queue in range(3):
                 for u in itertools.product(range(2), repeat=m):
-                    assert limit_at(spec2, ctx, queue, u) == pytest.approx(
-                        limit_at(blind2, ctx, queue, u), abs=1e-9
+                    assert limit_at(spec2, prefix, queue, u) == pytest.approx(
+                        limit_at(blind2, prefix, queue, u), abs=1e-9
                     )
 
 
@@ -379,9 +366,8 @@ def test_product_structure_gates_pass():
 
 def test_product_corner_value():
     spec = base_station_pair(2.0)
-    ctx = SaturationContext(())
     for i in range(2):
-        assert limit_at(spec, ctx, i, ()) == pytest.approx(0.5, abs=1e-12)
+        assert limit_at(spec, (), i, ()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_product_rejects_decreasing_gain():
@@ -588,8 +574,9 @@ def test_fresh_three_queue_structure_is_fast_and_uncached(deadline):
     assert "_memo" not in {f.name for f in dataclasses.fields(AllocationSpec)}
     assert not hasattr(spec, "_memo")
     with deadline(2.0):
-        pd_ok, ul_ok, report = StabilityEngine(spec).structure()
-    assert pd_ok and ul_ok and report.probe_box == (63, 63, 63)
+        report = StabilityEngine(spec).structure()
+    assert report.partially_decreasing and report.uniform_limits
+    assert report.probe_box == (63, 63, 63)
 
 
 def test_factor_table_evaluates_far_entries_one_by_one():
@@ -660,8 +647,8 @@ def _limit_outcome(fn):
         return (type(exc).__name__, str(exc))
 
 
-def _scalar_limits(spec, ctx, queue, U):
-    return [lower_partial_limit_scalar(spec, ctx, queue, u) for u in U.tolist()]
+def _scalar_limits(spec, prefix, queue, U):
+    return [lower_partial_limit_scalar(spec, prefix, queue, u) for u in U.tolist()]
 
 
 @pytest.mark.parametrize("black_box", [False, True], ids=["builder", "black-box"])
@@ -673,11 +660,10 @@ def test_lower_partial_limit_matches_scalar_oracle(name, black_box):
     n = spec.n_queues
     for m in range(n + 1):
         for prefix in itertools.combinations(range(n), m):
-            ctx = SaturationContext(prefix)
             U = _state_grid((LIMIT_SIDES[m],) * m)
             for queue in range(n):
-                got = _limit_outcome(lambda: lower_partial_limit(spec, ctx, queue, U))
-                want = _limit_outcome(lambda: _scalar_limits(spec, ctx, queue, U))
+                got = _limit_outcome(lambda: lower_partial_limit(spec, prefix, queue, U))
+                want = _limit_outcome(lambda: _scalar_limits(spec, prefix, queue, U))
                 assert got == want, (prefix, queue)
 
 
@@ -692,30 +678,45 @@ def test_lower_partial_limit_raises_the_scalar_errors():
     jump = (lambda x: 1.0 if x < 2000 else x / 500.0, 1.0)
     table = build_product_allocation(
         [jump, jump], [{1: exp_interference(1.0)}, {0: exp_interference(1.0)}])
-    ctx = SaturationContext((0,))
     cases = [(black_box, [0, 1, 3, 4, 5], "SaturationNotConverged", "= (3,)"),
              (black_box, [0, 5, 3], "BoundViolation", "rate_fn(0, (5, 64)) = 9.0"),
              (table, [1, 2500, 3000], "BoundViolation", "analytic limit 0.8333333333333333")]
     for spec, rows, kind, text in cases:
         U = np.array(rows)[:, None]
-        got = _limit_outcome(lambda: lower_partial_limit(spec, ctx, 0, U))
-        assert got == _limit_outcome(lambda: _scalar_limits(spec, ctx, 0, U))
+        got = _limit_outcome(lambda: lower_partial_limit(spec, (0,), 0, U))
+        assert got == _limit_outcome(lambda: _scalar_limits(spec, (0,), 0, U))
         assert got[0] == kind and text in got[1]
 
 
 def test_lower_partial_limit_rejects_bad_state_arrays():
     spec = base_station_pair(2.0)
-    ctx = SaturationContext((0,))
     for bad in (np.zeros((3, 2), dtype=int), np.zeros((3, 1)), np.zeros(3, dtype=int),
                 np.array([[2], [-1]])):
         with pytest.raises(ValueError):
-            lower_partial_limit(spec, ctx, 0, bad)
+            lower_partial_limit(spec, (0,), 0, bad)
+
+
+def test_lower_partial_limit_checks_prefix_queue_and_settings():
+    # a prefix (5,) read as 0.5, queue -1 read queue 1's limit, and a
+    # black-box spec raised IndexError
+    spec = base_station_pair(2.0)
+    for s in (spec, strip_analytic(spec)):
+        for prefix, queue in [((5,), 0), ((0,), -1), ((0,), 2), ((0, 0), 1), ((-1,), 0)]:
+            with pytest.raises(ValueError, match="need distinct queues of range"):
+                lower_partial_limit(s, prefix, queue, np.zeros((1, len(prefix)), dtype=int))
+        U = np.array([[0], [3]])
+        want = lower_partial_limit(s, (0,), 1, U)
+        assert np.array_equal(lower_partial_limit(s, frozenset({0}), 1, U), want)
+        assert np.array_equal(lower_partial_limit(s, [1, 0], 1, np.array([[0, 3]])),
+                              lower_partial_limit(s, (0, 1), 1, np.array([[0, 3]])))
+    for bad in ({"sat_level": 0}, {"growth": 1.0}, {"limit_tol": 0.0}, {"growth": math.nan}):
+        with pytest.raises(ValueError, match="bad saturation parameters"):
+            lower_partial_limit(spec, (0,), 0, np.zeros((1, 1), dtype=int), **bad)
 
 
 def test_lower_partial_limit_takes_a_list_of_empty_prefix_states():
-    ctx = SaturationContext(())
     for spec in (base_station_pair(2.0), strip_analytic(base_station_pair(2.0))):
         for q in range(2):
-            want = lower_partial_limit(spec, ctx, q, np.zeros((2, 0), dtype=int))
-            got = lower_partial_limit(spec, ctx, q, [(), ()])
+            want = lower_partial_limit(spec, (), q, np.zeros((2, 0), dtype=int))
+            got = lower_partial_limit(spec, (), q, [(), ()])
             assert [v.hex() for v in got] == [v.hex() for v in want]

@@ -16,7 +16,6 @@ from coupledq import ctmc
 from coupledq.allocation import (
     AllocationSpec,
     ArrivalRates,
-    SaturationContext,
     base_station_pair,
     build_product_allocation,
     constant_allocation,
@@ -102,9 +101,7 @@ def test_only_unit_steps_carry_rate():
 
 def test_saturated_pair_generator_uses_case_table():
     spec = make_three_queue()
-    ctx = SaturationContext((0, 1))
-
-    deaths = array_deaths(lambda k, U: lower_partial_limit(spec, ctx, k, U), (0, 1))
+    deaths = array_deaths(lambda k, U: lower_partial_limit(spec, (0, 1), k, U), (0, 1))
     gen = build_truncated_generator((0.5, 1.2), deaths, (40, 40), death_bound=spec.bound)
     grid = gen.death_values.reshape(41, 41, 2)
     # queue 1 death: pairwise rate only while queue 2 is empty (queue 3 busy)
@@ -168,11 +165,10 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
     prefix = frozenset(range(dim))
     eng = StabilityEngine(spec, Tolerances(limit_tol=1e-12))
     tol = eng.tol
-    ctx = SaturationContext(prefix, sat_level=tol.sat_level, growth_factor=tol.growth,
-                            limit_tol=tol.limit_tol)
 
     def death(k, u):
-        return lower_partial_limit_scalar(spec, ctx, k, u)
+        return lower_partial_limit_scalar(spec, prefix, k, u, sat_level=tol.sat_level,
+                                          growth=tol.growth, limit_tol=tol.limit_tol)
 
     real_ell = eng._ell
     asked = []  # the states of each limit call, by queue
@@ -352,8 +348,7 @@ def _base_station_deaths():
     # queue 0's saturated limit with queue 1 saturated, one array call per
     # box as the engine's store makes it
     spec = base_station_pair(2.0)
-    ctx = SaturationContext((0,))
-    return array_deaths(lambda k, U: lower_partial_limit(spec, ctx, k, U), (0,)), spec.bound
+    return array_deaths(lambda k, U: lower_partial_limit(spec, (0,), k, U), (0,)), spec.bound
 
 
 ONE_D_CASES = {
@@ -629,16 +624,15 @@ def test_monotone_rate_perturbation_converges():
     # saturated average under death rates raised by eps decreases to the
     # unperturbed value as eps -> 0
     spec = make_three_queue()
-    ctx = SaturationContext((0,))
     lam1 = 0.5
 
     def avg_with_eps(eps):
         def death(k, U):
-            return lower_partial_limit(spec, ctx, k, U) + eps
+            return lower_partial_limit(spec, (0,), k, U) + eps
 
         dist, _ = adaptive_stationary((lam1,), array_deaths(death, (0,)),
                                       death_bound=spec.bound + eps)
-        return dist.expect(lambda u: limit_at(spec, ctx, 1, u))
+        return dist.expect(lambda u: limit_at(spec, (0,), 1, u))
 
     base = avg_with_eps(0.0)
     vals = [avg_with_eps(eps) for eps in (0.1, 0.01, 0.001)]

@@ -1,6 +1,7 @@
 """Classification engine: bounds, sequential chains, witnesses, verdicts, sweeps."""
 
 import csv
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -13,7 +14,6 @@ import coupledq.engine
 from coupledq.allocation import (
     AllocationSpec,
     ArrivalRates,
-    SaturationContext,
     base_station_pair,
     build_product_allocation,
     constant_allocation,
@@ -22,6 +22,7 @@ from coupledq.allocation import (
     three_queue_table,
 )
 from coupledq.engine import (
+    Certificate,
     Label,
     StabilityEngine,
     SystemLabel,
@@ -94,7 +95,7 @@ ENVELOPE_SPECS = {
 def check_envelope_against_oracle(name, **tol):
     spec = ENVELOPE_SPECS[name]()
     eng = StabilityEngine(spec, Tolerances(bounds_probe_cap=4, **tol))
-    assert eng.structure()[0] is name.startswith("monotone")
+    assert eng.structure().partially_decreasing is name.startswith("monotone")
     for i in range(spec.n_queues):
         for kind in ("lower", "upper"):
             assert eng._envelope(i, kind).hex() == envelope_scalar(eng, i, kind).hex()
@@ -117,7 +118,7 @@ def test_envelope_levels_stay_in_the_state_arrays_range(deadline):
     spec = AllocationSpec(
         2, lambda i, x: 1.0 + 1.0 / math.log(x[i] + 2.0) + 0.1 / (1.0 + x[1 - i]), 3.0)
     eng = StabilityEngine(spec, Tolerances(growth=3))
-    assert eng.structure()[0]
+    assert eng.structure().partially_decreasing
     for kind in ("lower", "upper"):
         with deadline(10.0), pytest.raises(SaturationNotConverged,
                                            match=f"envelope {kind} bound for queue 0"):
@@ -161,8 +162,8 @@ def unstable_at(engine, rates, sigma, n):
     ``n`` queues of ``sigma``: the scan reaches depth ``n`` and every later
     queue exceeds its saturated average.  The structure gate it sits behind
     must pass."""
-    pd_ok, ul_ok, _ = engine.structure()
-    assert pd_ok and ul_ok
+    report = engine.structure()
+    assert report.partially_decreasing and report.uniform_limits
     if engine.sequential_prefix(rates, sigma).n_max < n:
         return False
     return engine._excess(rates, sigma, n) is not None
@@ -457,13 +458,61 @@ def test_certificate_recheck_rejects_other_rates(bs_engine):
         assert not verify_certificate(eng.spec, other, v)
 
 
+def test_certificate_must_support_its_label(bs_engine):
+    # relabelled the other way, each verdict verified: the replay never read the label
+    spec = bs_engine.spec
+    other = {SystemLabel.STABLE: SystemLabel.UNSTABLE, SystemLabel.UNSTABLE: SystemLabel.STABLE}
+    for pt, system in [((0.3, 1.4), SystemLabel.UNSTABLE), ((0.3, 0.3), SystemLabel.STABLE)]:
+        v = bs_engine.classify(pt)
+        assert v.system is system and verify_certificate(spec, pt, v)
+        assert not verify_certificate(spec, pt, dataclasses.replace(v, system=other[system]))
+    # excess records after a scan of full depth claim nothing
+    stable = bs_engine.classify((0.3, 0.3))
+    forged = dataclasses.replace(stable.certificate, excess=stable.certificate.stages[1:])
+    assert not verify_certificate(spec, (0.3, 0.3), dataclasses.replace(
+        stable, system=SystemLabel.UNSTABLE, certificate=forged))
+
+
+def test_stable_certificate_must_cover_every_queue():
+    # queue 1 is unstable; a scan of depth 0, or of a sigma that lists queue 0
+    # twice, verified as STABLE
+    eng = StabilityEngine(constant_allocation((1.0, 0.1)))
+    v = eng.classify((0.3, 0.5))
+    assert v.per_queue == (Label.STABLE, Label.UNSTABLE)
+    for sigma, n in [((0, 1), 0), ((1, 0), 0), ((0, 0), 2), ((0,), 1), ((0, 1), 3),
+                     ((0, 1), None), ((0, 1, 2), 1)]:
+        cert = Certificate(kind="sequential", sigma=sigma, n=n)
+        forged = dataclasses.replace(v, system=SystemLabel.STABLE, certificate=cert)
+        assert not verify_certificate(eng.spec, (0.3, 0.5), forged), (sigma, n)
+    assert v.system is SystemLabel.UNSTABLE and verify_certificate(eng.spec, (0.3, 0.5), v)
+
+
+def test_entry_points_check_rates_and_sigma():
+    # a third rate was dropped silently, a missing one raised IndexError, and
+    # a sigma listing a queue twice scanned queue 0 against itself
+    eng = StabilityEngine(base_station_pair(2.0))
+    v = eng.classify((0.3, 0.3))
+    calls = [eng.classify, eng.general_bounds, lambda r: eng.sequential_prefix(r, (0, 1)),
+             lambda r: eng.prefix_law(r, (0,)), lambda r: verify_certificate(eng.spec, r, v)]
+    for rates in ((0.3, 0.3, 0.3), (0.3,)):
+        for call in calls:
+            with pytest.raises(ValueError, match="rate vector length mismatch"):
+                call(rates)
+    for sigma in ((0, 0), (0,), (0, 5), (0, 1, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            eng.sequential_prefix((0.3, 0.3), sigma)
+    for prefix in ((5,), (0, -1)):
+        with pytest.raises(ValueError, match="outside range"):
+            eng.prefix_law((0.3, 0.3), prefix)
+    assert eng.sequential_prefix((0.3, 0.3), [1, 0]).n_max == 2
+
+
 def test_prefix_law_matches_hand_built_saturated_pair(tq_engine):
     # reference: the generator built from per-state saturated-limit callbacks
     spec = tq_engine.spec
     rates = (0.5, 1.2, 0.3)
-    ctx = SaturationContext((0, 1))
     ref, ref_report = adaptive_stationary(
-        rates[:2], tabulated(lambda k, u: lower_partial_limit_scalar(spec, ctx, k, u), 2),
+        rates[:2], tabulated(lambda k, u: lower_partial_limit_scalar(spec, (0, 1), k, u), 2),
         death_bound=spec.bound,
     )
     dist, report = tq_engine.prefix_law(rates, (1, 0))

@@ -9,7 +9,6 @@ import pytest
 
 from coupledq.allocation import (
     AllocationSpec,
-    SaturationContext,
     base_station_pair,
     constant_allocation,
     one_server_power_law,
@@ -140,10 +139,9 @@ def test_coupled_mm1_pair_preserves_order():
 def test_coupled_three_queue_vs_saturated_bound():
     # full system below its two-queue saturated bound on the compared prefix
     spec = make_three_queue()
-    ctx = SaturationContext((0, 1))
 
     def bound_rate(k, u):
-        return limit_at(spec, ctx, k, u)
+        return limit_at(spec, (0, 1), k, u)
 
     bound_spec = AllocationSpec(2, bound_rate, bound=spec.bound)
     rep = simulate_coupled_pair(
@@ -350,6 +348,28 @@ def test_pair_rate_vectors_must_match_the_specs(rates_x, rates_y):
     with pytest.raises(ValueError, match="rate vector length"):
         simulate_coupled_pair(rates_x[:1], two, rates_y[:1], two, (0, 0), (0, 0),
                               seed=1, horizon=10.0)
+
+
+SEEDED_RUNS = {
+    "path": lambda spec, seed: simulate_path((0.5,), spec, (0,), 10.0, seed=seed).final_state,
+    "probe": lambda spec, seed: empirical_stability_probe(
+        (0.5,), spec, (0,), [10.0], 2, seed).slope_mean,
+    "pair": lambda spec, seed: simulate_coupled_pair(
+        (0.5,), spec, (0.5,), spec, (0,), (0,), seed=seed, max_events=50).final_x,
+}
+
+
+@pytest.mark.parametrize("run", sorted(SEEDED_RUNS))
+def test_seeds_are_integers(run):
+    # seed=1.5, "3" and None raised TypeError, np.int64(1) OverflowError,
+    # and seed=True ran as seed 1
+    spec, go = constant_allocation((1.0,)), SEEDED_RUNS[run]
+    for bad in (1.5, "3", None, True, np.float64(2.0)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            go(spec, bad)
+    assert go(spec, np.int64(7)) == go(spec, 7)
+    # negative seeds wrap mod 2**64
+    assert go(spec, np.uint64(2 ** 64 - 5)) == go(spec, 2 ** 64 - 5) == go(spec, -5)
 
 
 # -- probe ------------------------------------------------------------------------
