@@ -53,7 +53,6 @@ from .errors import (
     BoundViolation,
     BoxTooLarge,
     CoupledQError,
-    DivergentSeries,
     HypothesisViolated,
     InvalidShape,
     NoConvergence,
@@ -61,7 +60,6 @@ from .errors import (
     PermutationCapExceeded,
     SaturationNotConverged,
     ScenarioError,
-    SolveFailure,
 )
 from .scenario import Scenario, builtin_scenario, load_scenario, resolve_scenario
 from .simulate import (

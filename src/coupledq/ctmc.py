@@ -8,21 +8,21 @@ returns every coordinate's rate at every state of ``box``, and this module
 caches none of them.  A generator keeps its death rates as an array; its
 canonical CSR matrix is assembled from them on first use and cached.
 
-Stationary distributions come from ``solve_stationary``.  A 1-D chain (every
-saturated prefix of one queue) is reversible, so its law follows exactly from
-detailed balance, computed in log space from the top of the box; a chain of
-two or more dimensions gets a sparse LU solve grounded at one state.  Each
-result must pass the same residual check, and a failure falls through to the
-grounded LU solve and then to a uniformized power iteration that polishes the
-best candidate.  A 1-D chain's residual comes from a three-term recurrence on
-its death array, so a detailed-balance law that passes never assembles the
-matrix; only the LU solves and the polish read it.  ``adaptive_stationary``
-doubles the box until the tail is certified; the engine builds every saturated
-prefix law through it.
+Stationary distributions come from ``solve_stationary``, which has two
+candidates.  A 1-D chain (every saturated prefix of one queue) is reversible,
+so its law follows first from detailed balance, computed in log space from the
+top of the box.  Every other chain, and a 1-D chain whose detailed-balance law
+misses the residual check, gets a sparse LU solve grounded at the origin.  A
+law that misses the check on both raises :class:`NoConvergence`, which the
+engine reads as an untrustworthy stage.  A 1-D chain's residual comes from a
+three-term recurrence on its death array, so a detailed-balance law that
+passes never assembles the matrix; only the LU solve reads it.
+``adaptive_stationary`` doubles the box until the tail is certified; the
+engine builds every saturated prefix law through it.
 
 scipy is imported on first use, in ``_assemble_csr`` and ``_direct_solve``
-alone: only a chain of two or more dimensions, the LU fallback and the power
-polish load it.  Importing this module, and every 1-D prefix solve, does not.
+alone: only the LU solve loads it, so importing this module, and every 1-D
+prefix solve that detailed balance settles, does not.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
@@ -37,18 +38,12 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .allocation import _state_grid, as_rates
-from .errors import (
-    BoundViolation,
-    BoxTooLarge,
-    NoConvergence,
-    SolveFailure,
-)
+from .errors import BoundViolation, BoxTooLarge, NoConvergence
 
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
 STATE_CAP = 50_000_000
-SWEEP_BUDGET = 1_000_000
 DEFAULT_TAIL_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-10
 DEFAULT_START_BOX = 32
@@ -66,7 +61,6 @@ class TruncatedGenerator:
     dim: int
     box: tuple
     birth_rates: tuple
-    uniformization_constant: float
     death_values: np.ndarray      # (n_states, dim), zero where x_i = 0
     boundary_mask: np.ndarray     # bool, any coordinate at its cap
 
@@ -180,12 +174,10 @@ def build_truncated_generator(
         )
 
     boundary_mask = (coords == np.asarray(box)).any(axis=1)
-    uniformization = sum(rates) + dim * death_bound
     return TruncatedGenerator(
         dim=dim,
         box=box,
         birth_rates=tuple(rates),
-        uniformization_constant=uniformization,
         death_values=death_values,
         boundary_mask=boundary_mask,
     )
@@ -203,9 +195,9 @@ class StationaryDistribution:
     def __post_init__(self):
         total = float(self.masses.sum())
         if abs(total - 1.0) > 1e-12:
-            raise SolveFailure(f"mass sums to {total}, not 1")
+            raise ValueError(f"mass sums to {total}, not 1")
         if float(self.masses.min(initial=0.0)) < 0.0:
-            raise SolveFailure("negative probability mass")
+            raise ValueError("negative probability mass")
 
     def grid(self) -> np.ndarray:
         return self.masses.reshape(tuple(t + 1 for t in self.box))
@@ -242,8 +234,8 @@ def _direct_solve(matrix: sp.csr_matrix, ground: int) -> np.ndarray:
 
     Grounding preserves sparsity for the LU solve (no dense normalization
     row); it is well conditioned when the ground state carries substantial
-    stationary mass, so callers ground at the origin for stable chains and
-    retry at the box corner when mass has drifted outward.
+    stationary mass.  ``solve_stationary`` grounds at the origin; the tests
+    compare a 1-D law with both the origin and the box corner.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
@@ -263,23 +255,6 @@ def _direct_solve(matrix: sp.csr_matrix, ground: int) -> np.ndarray:
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
         x = np.atleast_1d(spla.spsolve(a, rhs))
     return np.concatenate([x[:ground], [1.0], x[ground:]])
-
-
-def _power_polish(matrix: sp.csr_matrix, pi: np.ndarray, lam: float,
-                  tol: float, budget: int) -> tuple:
-    """Uniformized power iteration pi <- pi (I + Q/Lambda), vector form."""
-    qt = matrix.T.tocsr()
-    check_every = 64
-    sweeps = 0
-    residual = float(np.abs(qt @ pi).max())
-    while residual > tol and sweeps < budget:
-        for _ in range(check_every):
-            pi = pi + (qt @ pi) / lam
-        pi = np.maximum(pi, 0.0)
-        pi /= pi.sum()
-        sweeps += check_every
-        residual = float(np.abs(qt @ pi).max())
-    return pi, residual, sweeps
 
 
 def _flux_1d(gen: TruncatedGenerator, pi: np.ndarray) -> np.ndarray:
@@ -320,17 +295,18 @@ def _detailed_balance_1d(gen: TruncatedGenerator) -> np.ndarray:
         return np.exp(log_w - log_w.max())
 
 
-def _direct_candidates(gen: TruncatedGenerator):
-    """Unnormalized solutions in the order ``solve_stationary`` tries them:
-    detailed balance for a 1-D chain, then the LU solve grounded at the
-    origin (where a stable chain keeps its mass), then at the box corner
-    (where the load has pushed it).  Each is computed only when asked for."""
-    if gen.dim == 1:
-        yield _detailed_balance_1d(gen)
-    for ground in (0, gen.n_states - 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = _direct_solve(gen.matrix, ground)
-        yield raw
+def _check_positive(name: str, value) -> None:
+    """``ValueError`` unless ``value`` is a finite real number above 0."""
+    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (ok and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
+
+
+def _check_count(name: str, value) -> None:
+    """``ValueError`` unless ``value`` is an integer of at least 1, not a bool."""
+    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (ok and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def solve_stationary(gen: TruncatedGenerator,
@@ -342,45 +318,34 @@ def solve_stationary(gen: TruncatedGenerator,
     solve is well posed; states outside that class receive mass zero
     automatically.
 
-    Candidates are tried in order until one, normalized, has residual
-    ``max |pi Q|`` at most ``tol``: detailed balance when ``gen.dim == 1``;
-    the LU solve grounded at the origin; the LU solve grounded at the box
-    corner.  If none passes, the best candidate is polished by uniformized
-    power iteration, and :class:`SolveFailure` is raised when that does not
-    reach ``tol`` either.
+    Two candidates are tried in order until one, normalized, has residual
+    ``max |pi Q|`` at most ``tol``: detailed balance when ``gen.dim == 1``,
+    then the LU solve grounded at the origin.  If neither does,
+    :class:`NoConvergence` is raised naming the box and the smallest
+    residual reached.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    count = gen.n_states
+    _check_positive("tol", tol)
 
-    def normalize(vec):
-        vec = np.maximum(vec, 0.0)
-        total = vec.sum()
-        if not math.isfinite(total) or total <= 0:
-            return None, math.inf
-        vec = vec / total
-        return vec, _residual(gen, vec)
+    def origin_lu(g):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _direct_solve(g.matrix, 0)
 
-    pi, residual = None, math.inf
-    for raw in _direct_candidates(gen):
-        cand, cand_res = normalize(raw)
-        if cand is not None and cand_res < residual:
-            pi, residual = cand, cand_res
+    best = math.inf
+    for candidate in (_detailed_balance_1d, origin_lu) if gen.dim == 1 else (origin_lu,):
+        pi = np.maximum(candidate(gen), 0.0)
+        total = pi.sum()
+        if not (math.isfinite(total) and total > 0):
+            continue
+        pi = pi / total
+        residual = _residual(gen, pi)
         if residual <= tol:
-            break
-    if pi is None:
-        pi = np.full(count, 1.0 / count)
-
-    if residual > tol:
-        pi, residual, _ = _power_polish(
-            gen.matrix, pi, gen.uniformization_constant, tol, SWEEP_BUDGET
-        )
-        if residual > tol:
-            raise SolveFailure(
-                f"residual {residual:.3e} still above {tol:.3e} after polish"
-            )
-    boundary = float(pi[gen.boundary_mask].sum())
-    return StationaryDistribution(pi, gen.box, residual, boundary)
+            boundary = float(pi[gen.boundary_mask].sum())
+            return StationaryDistribution(pi, gen.box, residual, boundary)
+        best = min(best, residual)
+    raise NoConvergence(
+        f"stationary solve on box {gen.box} missed residual tol {tol:.1e}: "
+        f"best residual {best:.3e}"
+    )
 
 
 def saturated_average(masses: np.ndarray, values: np.ndarray) -> float:
@@ -415,10 +380,15 @@ def adaptive_stationary(
     bounded test functionals (the expected death rates) to move by less than
     ``tail_tol`` between consecutive boxes.  Hitting the state cap with
     boundary mass still large raises :class:`NoConvergence` -- the expected
-    signal for an unstable chain, mapped by callers to a zero average rate.
+    signal for an unstable chain, mapped by callers to a zero average rate --
+    and so does a box whose :func:`solve_stationary` misses
+    ``residual_tol``.  The tolerances must be finite and above 0, and
+    ``start_box`` and ``state_cap`` integers of at least 1.
     """
-    if tail_tol <= 0 or residual_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    _check_positive("tail_tol", tail_tol)
+    _check_positive("residual_tol", residual_tol)
+    _check_count("start_box", start_box)
+    _check_count("state_cap", state_cap)
     rates = as_rates(rates)
     n = len(rates)
     if n == 0:

@@ -344,7 +344,8 @@ class StabilityEngine:
         in ``rates`` and are served at their saturated limits with every
         other queue at infinity, read from the engine's limit store.  The
         box escalation follows the engine's tolerances; an escalation that
-        does not converge raises :class:`NoConvergence`.  The outcome is
+        does not converge, or a box whose stationary solve misses
+        ``residual_tol``, raises :class:`NoConvergence`.  The outcome is
         kept with the point's other laws: a repeated call returns the same
         law, or raises :class:`NoConvergence` again with the same message
         (the unconverged law itself is not kept).

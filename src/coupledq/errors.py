@@ -33,26 +33,21 @@ class BoxTooLarge(CoupledQError):
     """Requested truncation box exceeds the configured state-count cap."""
 
 
-class SolveFailure(CoupledQError):
-    """Stationary solve stagnated above the residual tolerance."""
-
-
 class NoConvergence(CoupledQError):
-    """Box escalation hit the cap while boundary mass was still above tail_tol.
+    """A stationary law could not be certified.
 
-    This is the expected signal for an unstable saturated prefix process; the
-    caller maps it to a zero worst-case average rate.  Carries the last
-    (uncertified) distribution and the solve report.
+    Raised when box escalation hits the cap while boundary mass is still
+    above tail_tol -- the expected signal for an unstable saturated prefix
+    process -- and when no stationary solve candidate meets residual_tol.
+    The engine maps either to a zero, untrustworthy worst-case average rate.
+    A cap hit carries the last (uncertified) distribution and the solve
+    report; a residual miss carries neither.
     """
 
     def __init__(self, message, distribution=None, report=None):
         super().__init__(message)
         self.distribution = distribution
         self.report = report
-
-
-class DivergentSeries(CoupledQError):
-    """Closed-form stationary series failed the ratio test."""
 
 
 class HypothesisViolated(CoupledQError):

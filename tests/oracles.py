@@ -26,7 +26,6 @@ from coupledq.allocation import (
 from coupledq.ctmc import StationaryDistribution
 from coupledq.errors import (
     BoundViolation,
-    DivergentSeries,
     HypothesisViolated,
     NoUniformLimit,
     SaturationNotConverged,
@@ -94,6 +93,10 @@ def relabel(spec: AllocationSpec, rates, sigma) -> tuple:
     )
     new_rates = ArrivalRates(tuple(rates[sigma[i]] for i in range(n)))
     return new_spec, new_rates
+
+
+class DivergentSeries(Exception):
+    """Closed-form stationary series failed the ratio test."""
 
 
 def stationary_1d_closed_form(

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -26,13 +27,15 @@ from coupledq.allocation import (
 )
 from coupledq.ctmc import (
     DEFAULT_RESIDUAL_TOL,
+    StationaryDistribution,
     adaptive_stationary,
     build_truncated_generator,
     solve_stationary,
 )
 from coupledq.engine import StabilityEngine, Tolerances
-from coupledq.errors import BoundViolation, BoxTooLarge, DivergentSeries, NoConvergence
+from coupledq.errors import BoundViolation, BoxTooLarge, NoConvergence
 from oracles import (
+    DivergentSeries,
     array_deaths,
     limit_at,
     lower_partial_limit_scalar,
@@ -72,7 +75,6 @@ def test_mm1_generator_rows():
         [0.0, 1.0, -1.0],
     ])
     assert np.allclose(gen.matrix.toarray(), expected)
-    assert gen.uniformization_constant == pytest.approx(1.5)
 
 
 def test_two_queue_generator_conservative():
@@ -192,7 +194,6 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
             assert np.array_equal(getattr(ref.matrix, attr), getattr(got.matrix, attr))
         assert np.array_equal(ref.death_values, got.death_values)
         assert np.array_equal(ref.boundary_mask, got.boundary_mask)
-        assert ref.uniformization_constant == got.uniformization_constant
         # one call per queue and growth, at the states the growth adds
         assert asked[before:] == ([(q, added) for q in range(dim)] if grown else [])
         assert {k: a.shape for k, a in eng._limit_arrays.items()} == {
@@ -328,19 +329,6 @@ def test_product_form_3d():
     assert tv < 1e-8
 
 
-def test_power_backend_agrees():
-    # the power polish, run from the uniform law, reaches the direct solve
-    gen = build_truncated_generator((0.5,), tabulated(lambda i, x: 1.0, 1), (40,),
-                                    death_bound=1.0)
-    direct = solve_stationary(gen, tol=1e-10)
-    uniform = np.full(gen.n_states, 1.0 / gen.n_states)
-    power, residual, _ = ctmc._power_polish(
-        gen.matrix, uniform, gen.uniformization_constant, 1e-10, ctmc.SWEEP_BUDGET
-    )
-    assert residual <= 1e-10
-    assert np.abs(direct.masses - power).max() < 1e-8
-
-
 _INTERIOR_ZEROS = {5, 17, 18}
 
 
@@ -426,6 +414,66 @@ def test_1d_solve_falls_back_to_grounded_lu(bad, monkeypatch):
     ref, residual = _grounded_lu(gen, 0)
     assert np.array_equal(dist.masses, ref)
     assert dist.residual == residual <= DEFAULT_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", ["nan", "inaccurate"])
+def test_solve_raises_no_convergence_when_every_candidate_misses(dim, bad, monkeypatch):
+    gen = build_truncated_generator((0.6,) * dim, tabulated(lambda i, x: 1.0, dim),
+                                    (100,) if dim == 1 else (6, 6), death_bound=1.0)
+    count = gen.n_states
+    fake = np.full(count, math.nan) if bad == "nan" else np.ones(count)
+    monkeypatch.setattr(ctmc, "_detailed_balance_1d", lambda g: fake)
+    monkeypatch.setattr(ctmc, "_direct_solve", lambda matrix, ground: fake)
+    best = math.inf if bad == "nan" else ctmc._residual(gen, np.full(count, 1.0 / count))
+    assert best > DEFAULT_RESIDUAL_TOL
+    with pytest.raises(NoConvergence, match=rf"box {re.escape(str(gen.box))} .* "
+                                            rf"best residual {best:.3e}$"):
+        solve_stationary(gen)
+    with pytest.raises(NoConvergence, match=f"best residual {best:.3e}$"):
+        adaptive_stationary((0.6,) * dim, tabulated(lambda i, x: 1.0, dim), death_bound=1.0,
+                            start_box=100 if dim == 1 else 6)
+
+
+_MM1_DEATHS = tabulated(lambda i, x: 1.0, 1)
+
+
+@pytest.mark.parametrize("entry, name, value", [
+    ("solve", "tol", math.nan),
+    ("solve", "tol", math.inf),
+    ("solve", "tol", 0.0),
+    ("solve", "tol", True),
+    ("adaptive", "tail_tol", math.nan),
+    ("adaptive", "tail_tol", -math.inf),
+    ("adaptive", "residual_tol", math.nan),
+    ("adaptive", "residual_tol", -1e-10),
+    ("adaptive", "start_box", 0),
+    ("adaptive", "start_box", 32.0),
+    ("adaptive", "start_box", True),
+    ("adaptive", "state_cap", math.nan),
+    ("adaptive", "state_cap", math.inf),
+    ("adaptive", "state_cap", 0),
+    ("adaptive", "state_cap", True),
+])
+def test_entry_points_reject_bad_tolerances(entry, name, value, deadline):
+    # a stable M/M/1 chain: an unchecked value returns a law, it cannot run away
+    with deadline(30), pytest.raises(ValueError, match=f"^{name} must be"):
+        if entry == "solve":
+            gen = build_truncated_generator((0.5,), _MM1_DEATHS, (40,), death_bound=1.0)
+            solve_stationary(gen, **{name: value})
+        else:
+            kw = {"state_cap": 1 << 12, name: value}
+            adaptive_stationary((0.5,), _MM1_DEATHS, death_bound=1.0, **kw)
+
+
+def test_distribution_mass_must_sum_to_one():
+    with pytest.raises(ValueError, match="mass sums to 0.9, not 1"):
+        StationaryDistribution(np.array([0.5, 0.4]), (1,), 0.0, 0.4)
+
+
+def test_distribution_mass_must_be_nonnegative():
+    with pytest.raises(ValueError, match="negative probability mass"):
+        StationaryDistribution(np.array([1.5, -0.5]), (1,), 0.0, -0.5)
 
 
 def _random_1d_chain(rng):

@@ -565,6 +565,29 @@ def test_repeated_no_convergence_solves_once(count_solves):
     assert len(count_solves) == 1
 
 
+def test_missed_residual_gives_untrustworthy_stages(deadline):
+    # no solve meets residual_tol = 1e-300: each solved stage is untrustworthy,
+    # and the verdicts fall back to the envelope bounds
+    spec = base_station_pair(2.0)
+    tol = Tolerances(residual_tol=1e-300)
+    with deadline(10):
+        eng = StabilityEngine(spec, tol)
+        stable = eng.classify((0.3, 0.4))
+        with pytest.raises(NoConvergence, match="missed residual tol .* best residual"):
+            eng.prefix_law((0.3, 0.4), {0})
+        boundary = StabilityEngine(spec, tol).classify((0.5, 0.9))
+        default = StabilityEngine(spec).classify((0.5, 0.9))
+        for rates, verdict in (((0.3, 0.4), stable), ((0.5, 0.9), boundary)):
+            assert verify_certificate(spec, rates, verdict)
+    assert stable.system is SystemLabel.STABLE
+    assert stable.per_queue == (Label.STABLE, Label.STABLE)
+    assert [b.label for b in stable.certificate.bounds] == [Label.STABLE, Label.STABLE]
+    solved = stable.certificate.stages[1]
+    assert solved.as_dict()["trustworthy"] is False and solved.avg_rate == 0.0
+    assert boundary.system is SystemLabel.BOUNDARY_INDETERMINATE
+    assert default.system is SystemLabel.UNSTABLE
+
+
 def test_descent_witness_solves_as_before(count_solves):
     # the scans at the point solve nothing; the descent's one step below it
     # solves queue 0's prefix once

@@ -446,6 +446,16 @@ def test_cli_analyze_exit_codes(capsys):
     assert '"margins_tol"' in out
 
 
+def test_cli_analyze_with_a_residual_tol_no_solve_meets(capsys, deadline):
+    # every prefix solve misses the residual: envelope bounds decide (0.3, 0.4),
+    # (0.5, 0.9) is left indeterminate
+    argv = ["analyze", "--scenario", "two_basestations", "--tol", "residual_tol=1e-300"]
+    with deadline(10):
+        assert main([*argv, "--rates", "0.3,0.4"]) == 0
+        assert main([*argv, "--rates", "0.5,0.9"]) == 2
+    assert '"trustworthy": false' in capsys.readouterr().out
+
+
 def test_cli_malformed_scenario_exit_64(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{oops")
