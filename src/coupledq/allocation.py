@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -108,10 +109,8 @@ class AllocationSpec:
     _array_fn: Optional[ArrayRateFn] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.n_queues < 1:
-            raise ValueError("n_queues must be positive")
-        if not (self.bound > 0 and math.isfinite(self.bound)):
-            raise ValueError("bound must be a positive finite real")
+        _check_integer("n_queues", self.n_queues)
+        _check_real("bound", self.bound)
 
     def rate(self, i: int, x: State) -> float:
         """Validated rate of queue ``i`` at state ``x``."""
@@ -134,13 +133,7 @@ class AllocationSpec:
         validated the same way: the first bad row raises the
         :class:`BoundViolation` that ``rate_unmemoized`` raises for it.
         """
-        X = np.asarray(X)
-        if X.ndim != 2 or X.shape[1] != self.n_queues or X.dtype.kind not in "iu":
-            raise ValueError(
-                f"states must be an integer array of shape (m, {self.n_queues})"
-            )
-        if X.size and np.minimum.reduce(X, axis=None) < 0:
-            raise ValueError("queue lengths must be nonnegative")
+        X = _check_states(X, self.n_queues)
         if self._array_fn is None:
             return np.array(
                 [self.rate_unmemoized(i, row) for row in map(tuple, X.tolist())],
@@ -218,6 +211,32 @@ def _state_grid(axes) -> np.ndarray:
     return X.reshape(math.prod(X.shape[:-1]), n)
 
 
+def _check_real(name: str, value, floor: float = 0.0) -> None:
+    """``ValueError`` unless ``value`` is a finite real above ``floor``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            floor < value < math.inf):
+        raise ValueError(f"{name} must be a finite number above {floor:g}, got {value!r}")
+
+
+def _check_integer(name: str, value, floor: int = 1) -> None:
+    """``ValueError`` unless ``value`` is an integer of at least ``floor``, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
+        raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
+
+
+def _check_states(X, width: int) -> np.ndarray:
+    """``X`` as an ``(m, width)`` array of nonnegative integers, or
+    ``ValueError``; an empty one, such as ``[()]``, reads as integers."""
+    X = np.asarray(X)
+    if X.ndim == 2 and X.size == 0:
+        X = X.astype(np.intp)
+    if X.ndim != 2 or X.shape[1] != width or X.dtype.kind not in "iu":
+        raise ValueError(f"states must be an integer array of shape (m, {width})")
+    if X.size and np.minimum.reduce(X, axis=None) < 0:
+        raise ValueError("queue lengths must be nonnegative")
+    return X
+
+
 def _escalate(spec: AllocationSpec, prefix: tuple, queue: int, U: np.ndarray,
               sat_level: int, growth: float, limit_tol: float) -> np.ndarray:
     """Numeric saturated limits at each row of ``U``, escalated state by state
@@ -271,19 +290,19 @@ def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
     escalated from ``sat_level`` until two consecutive levels agree within
     ``limit_tol``; the ``R+1`` probe catches parity-periodic rate functions
     that levels ``R`` and ``2R`` alone would miss.
+    ``ValueError`` rejects, before any rate is read, a queue outside the spec
+    or given as a bool, a ``sat_level`` not an integer >= 1, a ``growth``
+    not a finite real above 1, a ``limit_tol`` not one above 0, and a bad ``U``.
     """
     prefix, n = tuple(sorted(prefix)), spec.n_queues
     if len(set(prefix)) < len(prefix) or not set(prefix) | {queue} <= set(range(n)):
         raise ValueError(f"need distinct queues of range({n}): prefix {prefix}, queue {queue}")
-    if not (sat_level >= 1 and growth > 1.0 and limit_tol > 0):
-        raise ValueError("bad saturation parameters")
-    U = np.asarray(U)
-    if U.ndim == 2 and U.size == 0:  # e.g. [()] for the empty prefix reads as float
-        U = U.astype(np.intp)
-    if U.ndim != 2 or U.shape[1] != len(prefix) or U.dtype.kind not in "iu":
-        raise ValueError(f"states must be an integer array of shape (m, {len(prefix)})")
-    if U.size and np.minimum.reduce(U, axis=None) < 0:
-        raise ValueError("queue lengths must be nonnegative")
+    for q in (*prefix, queue):  # in range already: this rejects a bool or 1.0
+        _check_integer("queue", q, 0)
+    _check_integer("sat_level", sat_level)
+    _check_real("growth", growth, 1.0)
+    _check_real("limit_tol", limit_tol)
+    U = _check_states(U, len(prefix))
     v = None if spec.analytic_limits is None else spec.analytic_limits(prefix, queue, U)
     if v is None:
         return _escalate(spec, prefix, queue, U, sat_level, growth, limit_tol)
@@ -330,12 +349,12 @@ def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) 
     An out-of-bound rate anywhere on the box raises :class:`BoundViolation`,
     also when a counterexample comes before it in that order.  The message
     names the lowest-numbered queue with a bad rate, at its first bad state
-    in ``itertools.product`` order.
+    in ``itertools.product`` order.  A ``box`` other than ``None`` or an
+    integer >= 1 (a bool, say) raises ``ValueError``.
     """
     if box is None:
         box = default_pd_box(spec.n_queues)
-    if box < 1:
-        raise ValueError("box must be nonempty")
+    _check_integer("box", box)
     n = spec.n_queues
     report = StructureReport(probe_box=(box,) * n, partially_decreasing=True)
     if n == 1:  # a single queue has no other coordinate to compare along
@@ -379,14 +398,17 @@ def check_uniform_limits(
     ``{R, R+1, 2R}`` per saturated coordinate; it must fall below ``tol`` at
     some schedule level.  Raises :class:`NoUniformLimit` when the final level
     still misses ``tol`` and the allocation does not carry a shape guarantee.
+    ``ValueError`` rejects a ``tol`` not a finite real above 0, a ``schedule``
+    not strictly increasing integers >= 1, and a ``prefix_cap`` not an
+    integer >= 0; a bool is none of these.
     """
-    if schedule is None:
-        schedule = default_schedule()
-    schedule = tuple(int(r) for r in schedule)
+    schedule = default_schedule() if schedule is None else tuple(schedule)
+    for r in schedule:
+        _check_integer("schedule level", r)
     if any(b <= a for a, b in zip(schedule, schedule[1:])) or not schedule:
         raise ValueError("schedule must be strictly increasing and nonempty")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_real("tol", tol)
+    _check_integer("prefix_cap", prefix_cap, 0)
 
     n = spec.n_queues
     worst = 0.0

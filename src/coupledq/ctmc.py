@@ -30,14 +30,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .allocation import _state_grid, as_rates
+from .allocation import _check_integer, _check_real, _state_grid, as_rates
 from .errors import BoundViolation, BoxTooLarge, NoConvergence
 
 if TYPE_CHECKING:
@@ -71,15 +70,6 @@ class TruncatedGenerator:
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
         return _assemble_csr(self.box, self.birth_rates, self.death_values)
-
-
-def _box_tuple(box, dim) -> tuple:
-    if isinstance(box, int):
-        box = (box,) * dim
-    box = tuple(int(t) for t in box)
-    if len(box) != dim or any(t < 1 for t in box):
-        raise ValueError(f"box {box} invalid for dimension {dim}")
-    return box
 
 
 def _out_rate(rates, up: np.ndarray, death_values: np.ndarray) -> np.ndarray:
@@ -148,11 +138,20 @@ def build_truncated_generator(
     of ``box``, in state order, with column ``i`` for coordinate ``i``.  They
     are used only where ``x_i > 0`` and must stay within ``[0, death_bound]``
     there; the first one outside raises :class:`BoundViolation` naming its
-    ``(i, x)``.
+    ``(i, x)``.  ``box`` is one side for all coordinates or one for each;
+    ``ValueError`` rejects a side or ``state_cap`` not an integer >= 1 and a
+    ``death_bound`` not a finite real above 0, and a bool as any of them.
     """
+    _check_real("death_bound", death_bound)
+    _check_integer("state_cap", state_cap)
     rates = as_rates(rates)
     dim = len(rates)
-    box = _box_tuple(box, dim)
+    box = (box,) * dim if np.ndim(box) == 0 else tuple(box)
+    for t in box:
+        _check_integer("box", t)
+    if len(box) != dim:
+        raise ValueError(f"box {box} invalid for dimension {dim}")
+    box = tuple(int(t) for t in box)
     shape = tuple(t + 1 for t in box)
     count = math.prod(shape)
     if count > state_cap:
@@ -295,20 +294,6 @@ def _detailed_balance_1d(gen: TruncatedGenerator) -> np.ndarray:
         return np.exp(log_w - log_w.max())
 
 
-def _check_positive(name: str, value) -> None:
-    """``ValueError`` unless ``value`` is a finite real number above 0."""
-    ok = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    if not (ok and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be a finite number above 0, got {value!r}")
-
-
-def _check_count(name: str, value) -> None:
-    """``ValueError`` unless ``value`` is an integer of at least 1, not a bool."""
-    ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not (ok and value >= 1):
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def solve_stationary(gen: TruncatedGenerator,
                      tol: float = DEFAULT_RESIDUAL_TOL) -> StationaryDistribution:
     """Stationary distribution of the truncated chain, residual-checked.
@@ -324,7 +309,7 @@ def solve_stationary(gen: TruncatedGenerator,
     :class:`NoConvergence` is raised naming the box and the smallest
     residual reached.
     """
-    _check_positive("tol", tol)
+    _check_real("tol", tol)
 
     def origin_lu(g):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -385,10 +370,10 @@ def adaptive_stationary(
     ``residual_tol``.  The tolerances must be finite and above 0, and
     ``start_box`` and ``state_cap`` integers of at least 1.
     """
-    _check_positive("tail_tol", tail_tol)
-    _check_positive("residual_tol", residual_tol)
-    _check_count("start_box", start_box)
-    _check_count("state_cap", state_cap)
+    _check_real("tail_tol", tail_tol)
+    _check_real("residual_tol", residual_tol)
+    _check_integer("start_box", start_box)
+    _check_integer("state_cap", state_cap)
     rates = as_rates(rates)
     n = len(rates)
     if n == 0:
@@ -398,17 +383,13 @@ def adaptive_stationary(
 
     report = SolveReport(history=[], certified=False)
     prev = None
-    dist = None
     t = start_box
+    # past the first box, a box is tried only if it fits the cap
+    if (t + 1) ** n > state_cap:
+        raise NoConvergence(f"state cap {state_cap} reached at box {t} with boundary mass n/a",
+                            report=report)
     while True:
         count = (t + 1) ** n
-        if count > state_cap:
-            raise NoConvergence(
-                f"state cap {state_cap} reached at box {t} with boundary mass "
-                f"{dist.boundary_mass if dist is not None else 'n/a'}",
-                distribution=dist,
-                report=report,
-            )
         gen = build_truncated_generator(
             rates, deaths, (t,) * n,
             death_bound=death_bound, state_cap=state_cap,

@@ -28,6 +28,8 @@ from .allocation import (
     AllocationSpec,
     ArrivalRates,
     StructureReport,
+    _check_integer,
+    _check_real,
     _state_grid,
     as_rates,
     check_partially_decreasing,
@@ -76,7 +78,9 @@ class Tolerances:
     Values are checked and normalized on construction: a number or numeric
     string becomes a float, or an int for the integer knobs, and a value out
     of range raises ``ValueError``.  ``pd_box`` may also be ``None`` (the
-    default box).
+    default box).  The converted value must then pass the rule of the
+    library argument of the same name: an integer at least the knob's floor,
+    or a finite real above 0 (``growth``: above 1), and never a bool.
     """
 
     margins_tol: float = 1e-4
@@ -98,22 +102,17 @@ class Tolerances:
             v = getattr(self, f.name)
             if v is None and f.name == "pd_box":
                 continue
-            try:
-                num = math.nan if isinstance(v, bool) else float(v)
+            try:  # an int stays exact; what does not convert is left to the rule
+                num = v if isinstance(v, int) else float(v)
             except (TypeError, ValueError):
-                num = math.nan
+                num = v
             floor = _INT_FLOORS.get(f.name)
             if floor is None:
-                low = 1.0 if f.name == "growth" else 0.0
-                ok = math.isfinite(num) and num > low
-                need = f"a finite number above {low:g}"
+                _check_real(f"tolerance {f.name}", num, 1.0 if f.name == "growth" else 0.0)
+                num = float(num)
             else:
-                ok = num.is_integer() and num >= floor
-                need = f"an integer >= {floor}"
-            if not ok:
-                raise ValueError(f"tolerance {f.name} must be {need}, got {v!r}")
-            if floor is not None:
-                num = v if isinstance(v, int) else int(num)
+                num = int(num) if isinstance(num, float) and num.is_integer() else num
+                _check_integer(f"tolerance {f.name}", num, floor)
             object.__setattr__(self, f.name, num)
 
     def replace(self, **kw) -> "Tolerances":

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .allocation import AllocationSpec, as_rates
+from .allocation import AllocationSpec, _check_integer, _check_real, as_rates
 from .errors import HypothesisViolated
 
 HIST_CAP = 4096
@@ -68,12 +68,6 @@ def _checked_start(rates, spec: AllocationSpec, x0) -> tuple:
         raise ValueError(f"initial state {given} invalid: need {spec.n_queues} "
                          f"nonnegative integers below 2**62")
     return rates, tuple(int(c) for c in given)
-
-
-def _check_count(name: str, value, floor: int) -> None:
-    """``ValueError`` unless ``value`` is an integer (not a bool) >= ``floor``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < floor:
-        raise ValueError(f"{name} must be an integer of at least {floor}, got {value!r}")
 
 
 @dataclass
@@ -137,9 +131,7 @@ def check_sampling(horizon: float, sample_interval: Optional[float]) -> None:
         raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
     if sample_interval is None:
         return
-    if not (math.isfinite(sample_interval) and sample_interval > 0):
-        raise ValueError(f"sample_interval must be positive and finite, "
-                         f"got {sample_interval!r}")
+    _check_real("sample_interval", sample_interval)
     if horizon / sample_interval >= MAX_SAMPLES:
         raise ValueError(f"horizon {horizon!r} at sample_interval {sample_interval!r} "
                          f"asks for more than {MAX_SAMPLES} samples")
@@ -192,6 +184,9 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
     and after every move; a violation aborts with a precise witness.  Each
     rate is read at most once per joint state: by the check, or when the
     walk through the table reaches its slot.
+    ``ValueError`` rejects rates or starts that do not fit their specs or
+    their order, neither ``horizon`` nor ``max_events``, a horizon that
+    :func:`check_sampling` rejects, and a ``max_events`` not an integer >= 0.
     """
     rates_x, x = _checked_start(rates_x, spec_x, x0)
     rates_y, y = _checked_start(rates_y, spec_y, y0)
@@ -201,10 +196,10 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
         raise ValueError(f"initial states not ordered on compared coordinates: {x} vs {y}")
     if horizon is None and max_events is None:
         raise ValueError("need a time horizon or an event budget")
-    if horizon is not None and not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    if horizon is not None:
+        check_sampling(horizon, None)
     if max_events is not None:
-        _check_count("max_events", max_events, 0)
+        _check_integer("max_events", max_events, 0)
 
     big = sum(rates_x) + sum(rates_y) + nx * spec_x.bound + ny * spec_y.bound
     hist_x, hist_y = np.zeros((nx, HIST_CAP + 1)), np.zeros((ny, HIST_CAP + 1))
@@ -685,7 +680,7 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     horizons = sorted(float(h) for h in horizons)
     if not horizons or not all(math.isfinite(h) and h > 0 for h in horizons):
         raise ValueError(f"horizons must be positive and finite, got {horizons!r}")
-    _check_count("replicas", replicas, 1)
+    _check_integer("replicas", replicas, 1)
     warnings = []
     if replicas < 30:
         warnings.append(

@@ -710,7 +710,7 @@ def test_lower_partial_limit_checks_prefix_queue_and_settings():
         assert np.array_equal(lower_partial_limit(s, [1, 0], 1, np.array([[0, 3]])),
                               lower_partial_limit(s, (0, 1), 1, np.array([[0, 3]])))
     for bad in ({"sat_level": 0}, {"growth": 1.0}, {"limit_tol": 0.0}, {"growth": math.nan}):
-        with pytest.raises(ValueError, match="bad saturation parameters"):
+        with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be"):
             lower_partial_limit(spec, (0,), 0, np.zeros((1, 1), dtype=int), **bad)
 
 

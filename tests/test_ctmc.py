@@ -19,6 +19,8 @@ from coupledq.allocation import (
     ArrivalRates,
     base_station_pair,
     build_product_allocation,
+    check_partially_decreasing,
+    check_uniform_limits,
     constant_allocation,
     exp_interference,
     log_gain,
@@ -294,10 +296,10 @@ def test_detailed_balance_on_1d_solves():
     for lam, death in (
         (0.5, lambda x: 1.0),
         (0.9, lambda x: 1.0),
-        (0.7, lambda x: 1.0 + 1.0 / (1.0 + x[0] if isinstance(x, tuple) else x)),
+        (0.7, lambda x: 1.0 + 1.0 / (1.0 + x[0])),
     ):
-        death_fn = (lambda i, x, _d=death: _d(x[0])) if True else None
-        gen = build_truncated_generator((lam,), tabulated(lambda i, x, _d=death: _d(x[0] if isinstance(x, tuple) else x), 1), (200,), death_bound=2.0)
+        gen = build_truncated_generator((lam,), tabulated(lambda i, x, _d=death: _d(x), 1),
+                                        (200,), death_bound=2.0)
         dist = solve_stationary(gen, tol=1e-10)
         m = dist.masses
         for x in range(200):
@@ -464,6 +466,86 @@ def test_entry_points_reject_bad_tolerances(entry, name, value, deadline):
         else:
             kw = {"state_cap": 1 << 12, name: value}
             adaptive_stationary((0.5,), _MM1_DEATHS, death_bound=1.0, **kw)
+
+
+# rates that settle at no saturation level
+_PARITY = AllocationSpec(2, lambda i, x: 1.0 + 0.5 * (x[1 - i] % 2), 1.5)
+
+
+def _never_read(i, x):
+    raise AssertionError(f"rate read at {x} before the arguments were checked")
+
+
+_BLACK_BOX = AllocationSpec(1, _never_read, 2.0)
+_REAL_BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1")
+_COUNT_BAD = (math.nan, math.inf, -1, 2.5, True, "1")
+# case -> (the argument's name in the message, the call, the bad values);
+# tol=NaN passed _PARITY, box 2.5 built box 2, sat_level=2.5 read rates at
+# levels 2.5 and 3.5, and queue=True read queue 1
+_BAD_ARGUMENTS = {
+    "uniform-tol": ("tol", lambda v: check_uniform_limits(_PARITY, tol=v), _REAL_BAD),
+    "uniform-schedule": ("schedule level",
+                         lambda v: check_uniform_limits(_PARITY, schedule=(v, 128)),
+                         _COUNT_BAD + (0,)),
+    "uniform-prefix-cap": ("prefix_cap", lambda v: check_uniform_limits(_PARITY, prefix_cap=v),
+                           _COUNT_BAD + (-3,)),
+    "pd-box": ("box", lambda v: check_partially_decreasing(_PARITY, box=v), _COUNT_BAD + (0,)),
+    "build-box": ("box", lambda v: build_truncated_generator(
+        (0.5,), _MM1_DEATHS, (v,), death_bound=1.0), _COUNT_BAD + (0,)),
+    "build-state-cap": ("state_cap", lambda v: build_truncated_generator(
+        (0.5,), _MM1_DEATHS, (4,), death_bound=1.0, state_cap=v), _COUNT_BAD + (0,)),
+    "build-death-bound": ("death_bound", lambda v: build_truncated_generator(
+        (0.5,), _MM1_DEATHS, (4,), death_bound=v), _REAL_BAD),
+    "limit-sat-level": ("sat_level",
+                        lambda v: lower_partial_limit(_BLACK_BOX, (), 0, [()], sat_level=v),
+                        _COUNT_BAD + (0,)),
+    "limit-growth": ("growth",
+                     lambda v: lower_partial_limit(_BLACK_BOX, (), 0, [()], growth=v),
+                     _REAL_BAD + (1.0,)),
+    "limit-limit-tol": ("limit_tol",
+                        lambda v: lower_partial_limit(_BLACK_BOX, (), 0, [()], limit_tol=v),
+                        _REAL_BAD),
+    # a queue out of range gets the range message; a bool is in range
+    "limit-queue": ("queue", lambda v: lower_partial_limit(_PARITY, (0,), v, [[1]]),
+                    (True, False)),
+}
+
+
+@pytest.mark.parametrize("case, value", [
+    (case, value) for case, (_, _, values) in _BAD_ARGUMENTS.items() for value in values
+])
+def test_library_arguments_reject_bad_values(case, value, deadline):
+    name, call, _ = _BAD_ARGUMENTS[case]
+    with deadline(30), pytest.raises(ValueError, match=f"^{name} must be"):
+        call(value)
+
+
+# each knob's entry point, and the name it gives the knob
+_KNOB_ENTRIES = {
+    "sat_level": ("sat_level", _BAD_ARGUMENTS["limit-sat-level"][1]),
+    "growth": ("growth", _BAD_ARGUMENTS["limit-growth"][1]),
+    "limit_tol": ("limit_tol", _BAD_ARGUMENTS["limit-limit-tol"][1]),
+    "uniform_tol": ("tol", _BAD_ARGUMENTS["uniform-tol"][1]),
+    "pd_box": ("box", _BAD_ARGUMENTS["pd-box"][1]),
+    **{knob: (knob, lambda v, _k=knob: adaptive_stationary(
+        (0.5,), _MM1_DEATHS, death_bound=1.0, **{"state_cap": 1 << 12, _k: v}))
+       for knob in ("tail_tol", "residual_tol", "start_box", "state_cap")},
+}
+
+
+@pytest.mark.parametrize("knob", sorted(_KNOB_ENTRIES))
+def test_entry_points_reject_what_tolerances_rejects(knob, deadline):
+    name, call = _KNOB_ENTRIES[knob]
+    rejected = 0
+    for value in (math.nan, math.inf, -math.inf, -1, 0, 0.0, 1, 1.0, 2.5, True, False,
+                  "1", "2.5", "nan", "x", None, [2]):
+        try:
+            Tolerances(**{knob: value})
+        except ValueError:
+            rejected += 1
+            with deadline(30), pytest.raises(ValueError, match=f"^{name} must be"):
+                call(value)
+    assert rejected >= 10
 
 
 def test_distribution_mass_must_sum_to_one():
