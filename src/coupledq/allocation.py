@@ -48,15 +48,14 @@ _MONO_SLACK = 1e-12  # absorbs float noise in composed rate functions
 
 @dataclass(frozen=True)
 class ArrivalRates:
-    """Strictly positive Poisson arrival rates, one per queue."""
+    """Poisson arrival rates, one per queue, as floats; ``ValueError``
+    rejects a rate that is not a finite real above 0, such as a bool or "1"."""
 
     rates: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        for r in self.rates:
-            if not (r > 0.0 and math.isfinite(r)):
-                raise ValueError(f"arrival rates must be strictly positive, got {r}")
+        object.__setattr__(self, "rates",
+                           tuple(_check_real("arrival rate", r) for r in self.rates))
 
     def __len__(self):
         return len(self.rates)
@@ -68,10 +67,14 @@ class ArrivalRates:
         return iter(self.rates)
 
 
-def as_rates(rates) -> ArrivalRates:
-    if isinstance(rates, ArrivalRates):
-        return rates
-    return ArrivalRates(tuple(rates))
+def as_rates(rates, n: Optional[int] = None) -> ArrivalRates:
+    """``rates`` as :class:`ArrivalRates`, whose rule it must pass; with
+    ``n`` given, ``ValueError`` also rejects a vector without ``n`` rates."""
+    if not isinstance(rates, ArrivalRates):
+        rates = ArrivalRates(tuple(rates))
+    if n is not None and len(rates) != n:
+        raise ValueError(f"rate vector length mismatch: {len(rates)} rates for {n} queues")
+    return rates
 
 
 @dataclass(eq=False)
@@ -211,11 +214,19 @@ def _state_grid(axes) -> np.ndarray:
     return X.reshape(math.prod(X.shape[:-1]), n)
 
 
-def _check_real(name: str, value, floor: float = 0.0) -> None:
-    """``ValueError`` unless ``value`` is a finite real above ``floor``, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            floor < value < math.inf):
-        raise ValueError(f"{name} must be a finite number above {floor:g}, got {value!r}")
+def _check_real(name: str, value, floor: float = 0.0, *, inclusive: bool = False) -> float:
+    """``value`` as a float, or ``ValueError`` unless it is a real, not a
+    bool, that fits a float and is finite and above ``floor`` (at least
+    ``floor`` when ``inclusive``)."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        v = float(value) if real else math.nan
+    except OverflowError:  # an int or a fraction beyond the float range
+        v = math.nan
+    if not (floor < v < math.inf or inclusive and v == floor):
+        rule = ">=" if inclusive else "above"
+        raise ValueError(f"{name} must be a finite number {rule} {floor:g}, got {value!r}")
+    return v
 
 
 def _check_integer(name: str, value, floor: int = 1) -> None:
@@ -450,10 +461,9 @@ def check_uniform_limits(
 # ---------------------------------------------------------------------------
 
 def constant_allocation(mus) -> AllocationSpec:
-    """phi_i identically mu_i; saturated limits are the constants themselves."""
-    mus = tuple(float(m) for m in mus)
-    if any(m < 0 or not math.isfinite(m) for m in mus):
-        raise ValueError("service rates must be finite and nonnegative")
+    """phi_i identically mu_i; saturated limits are the constants themselves.
+    ``ValueError`` rejects a rate that is not a finite real >= 0, such as a bool or "1"."""
+    mus = tuple(_check_real("service rate", m, inclusive=True) for m in mus)
     bound = max(mus) if max(mus) > 0 else 1.0
 
     def rate(i, x, _mus=mus):
@@ -479,7 +489,8 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
     rate.  Saturated limits are exact table lookups (a pinned coordinate is
     simply busy).  With ``strict`` the table must be monotone under subset
     inclusion (more busy neighbors never helps), which is exactly the partial
-    monotonicity hypothesis for this family.
+    monotonicity hypothesis for this family.  ``ValueError`` rejects a
+    missing busy set and a rate that is not a finite real >= 0, such as a bool or "1".
     """
     n = len(tables)
     norm = []
@@ -490,10 +501,9 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
                 for m in range(n))):
             if subset not in tab:
                 raise ValueError(f"table for queue {i} missing busy set {set(subset)}")
-            t[subset] = v = float(tab[subset])
-            if v < 0 or not math.isfinite(v):
-                raise ValueError(f"table rate {v} of queue {i} for busy set "
-                                 f"{set(subset)} must be finite and nonnegative")
+            v = tab[subset]
+            t[subset] = _check_real(f"table rate {v!r} of queue {i} for busy set "
+                                    f"{set(subset)}", v, inclusive=True)
         norm.append(t)
     if strict:
         for i, t in enumerate(norm):
@@ -534,16 +544,16 @@ def three_queue_table(a: Sequence[float], a_pair: Mapping, strict: bool = True) 
 
     Queue ``i`` serves at ``a[i]`` when both other queues are empty, at
     ``a_pair[(i, j)]`` when only queue ``j`` is busy, and at 1 when both are.
-    Monotonicity needs ``a[i] >= a_pair[(i, j)] >= 1``.
-    """
+    Monotonicity needs ``a[i] >= a_pair[(i, j)] >= 1``; the rates are checked
+    as :func:`busy_table_allocation` checks them."""
     if len(a) != 3:
         raise ValueError("need exactly three solo rates")
     tables = []
     for i in range(3):
         others = [j for j in range(3) if j != i]
-        tab = {frozenset(): float(a[i]), frozenset(others): 1.0}
+        tab = {frozenset(): a[i], frozenset(others): 1.0}
         for j in others:
-            tab[frozenset({j})] = float(a_pair[(i, j)])
+            tab[frozenset({j})] = a_pair[(i, j)]
         tables.append(tab)
     return busy_table_allocation(tables, strict=strict)
 
@@ -639,21 +649,18 @@ def log_gain(cap: float = 3.0):
     return (lambda x: min(cap, math.log1p(x)), cap)
 
 
-def _check_gamma(gamma: float) -> None:
-    # at gamma = 0 the factor stays at 1/2 and never reaches its limit 1/6
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-
-
 def exp_interference(gamma: float):
-    """Interference factor 1 / (6 - 4 exp(-gamma t)): decreasing to 1/6."""
-    _check_gamma(gamma)
+    """Interference factor 1 / (6 - 4 exp(-gamma t)): decreasing to 1/6.
+    ``ValueError`` rejects a ``gamma`` that is not a finite real above 0, such
+    as a bool or "1": at gamma = 0 the factor stays at 1/2, above its limit."""
+    gamma = _check_real("gamma", gamma)
     return (lambda t: 1.0 / (6.0 - 4.0 * math.exp(-gamma * t)), 1.0 / 6.0)
 
 
 def poly_interference(gamma: float):
-    """Interference factor 1 / (6 - 4 (1+t)^-gamma): decreasing to 1/6."""
-    _check_gamma(gamma)
+    """Interference factor 1 / (6 - 4 (1+t)^-gamma): decreasing to 1/6;
+    ``gamma`` as for :func:`exp_interference`."""
+    gamma = _check_real("gamma", gamma)
     return (lambda t: 1.0 / (6.0 - 4.0 * (1.0 + t) ** (-gamma)), 1.0 / 6.0)
 
 
@@ -666,7 +673,8 @@ GAIN_FORMS = {"log_gain": log_gain}
 
 def base_station_pair(gamma: float, form: str = "exp_interference",
                       cap: float = 3.0) -> AllocationSpec:
-    """Two interfering base stations with channel-aware scheduling gain."""
+    """Two interfering base stations with channel-aware scheduling gain;
+    ``ValueError`` rejects an unknown ``form`` or a ``gamma`` the form rejects."""
     try:
         factor = INTERFERENCE_FORMS[form]
     except KeyError:
@@ -684,9 +692,9 @@ def one_server_power_law(alpha: float) -> AllocationSpec:
     Carries no analytic limits on purpose: it exercises the numeric
     saturation escalation.  The value at 0 is irrelevant (no departures
     there) and is pinned to the x=1 value to keep the function bounded.
+    ``ValueError`` rejects an ``alpha`` that is not a finite real >= 0, such as a bool or "1".
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = _check_real("alpha", alpha, inclusive=True)
     bound = 2.0 ** alpha
 
     def rate(i, x, _a=alpha, _b=bound):

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .engine import StabilityEngine, SystemLabel
 from .errors import CoupledQError, HypothesisViolated, NoConvergence, ScenarioError
-from .scenario import GridAxis, Scenario, builtin_scenario, resolve_scenario
+from .scenario import DEFAULT_SEED, GridAxis, Scenario, resolve_scenario
 from .simulate import (
     check_sampling,
     empirical_stability_probe,
@@ -299,8 +299,7 @@ def cmd_couple_check(args) -> int:
 
 
 def cmd_three_queues(args) -> int:
-    scn = builtin_scenario("three_queues", _typed_params(args.param))
-    scn = _apply_overrides(scn, args)
+    scn = _scenario_from_args(args)
     rates = scn.rates
     a = scn.params["a_i"]
     a_pair = scn.params["a_ij"]
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="order-preservation check on coupled pairs")
     sp.add_argument("--pairs", type=_positive_int, default=100)
     sp.add_argument("--events", type=_positive_int, default=1000)
-    sp.add_argument("--seed", type=int, default=20080447)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--scenario", help="lower system (built-in or file)")
     sp.add_argument("--scenario-y", help="upper system (built-in or file)")
     sp.add_argument("--param", action="append", metavar="KEY=VAL")
@@ -408,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="a1..a3, a12..a32 table rates")
     sp.add_argument("--tol", action="append", metavar="KEY=VAL")
     sp.add_argument("--seed", type=int, default=None)
-    sp.set_defaults(fn=cmd_three_queues, scenario_required=False)
+    sp.set_defaults(fn=cmd_three_queues, scenario="three_queues", scenario_required=False)
     return p
 
 

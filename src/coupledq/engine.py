@@ -104,12 +104,11 @@ class Tolerances:
                 continue
             try:  # an int stays exact; what does not convert is left to the rule
                 num = v if isinstance(v, int) else float(v)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 num = v
             floor = _INT_FLOORS.get(f.name)
             if floor is None:
-                _check_real(f"tolerance {f.name}", num, 1.0 if f.name == "growth" else 0.0)
-                num = float(num)
+                num = _check_real(f"tolerance {f.name}", num, 1.0 if f.name == "growth" else 0.0)
             else:
                 num = int(num) if isinstance(num, float) and num.is_integer() else num
                 _check_integer(f"tolerance {f.name}", num, floor)
@@ -318,20 +317,13 @@ class StabilityEngine:
             self._limit_arrays[key] = old = arr
         return np.ravel(old[tuple(slice(t + 1) for t in box)])
 
-    def _rates(self, rates) -> ArrivalRates:
-        """``rates`` as :class:`ArrivalRates`; ``ValueError`` unless one per queue."""
-        rates, n = as_rates(rates), self.spec.n_queues
-        if len(rates.rates) != n:
-            raise ValueError(f"rate vector length mismatch: {len(rates)} rates for {n} queues")
-        return rates
-
     def _at(self, rates) -> ArrivalRates:
-        """``rates`` made the kept point; a new vector passes :meth:`_rates`
-        and drops the old one's laws.  The key is the normalized tuple, so a
-        plain tuple and an ``ArrivalRates`` of the same rates agree."""
+        """``rates`` made the kept point; a new vector must have one rate per
+        queue, and drops the old one's laws.  The key is the normalized
+        tuple, so a plain tuple and an ``ArrivalRates`` of the same rates agree."""
         rates = as_rates(rates)
         if rates.rates != self._point:
-            self._point = self._rates(rates).rates
+            self._point = as_rates(rates, self.spec.n_queues).rates
             self._laws = {}
             self._lvals = {}
         return rates
@@ -455,7 +447,7 @@ class StabilityEngine:
         envelope with margin, transient when above the best-case envelope.
         Valid for arbitrary bounded allocations.
         """
-        rates = self._rates(rates)
+        rates = as_rates(rates, self.spec.n_queues)
         out = []
         for i in range(self.spec.n_queues):
             lo = self._envelope(i, "lower")
@@ -474,7 +466,7 @@ class StabilityEngine:
     def sequential_prefix(self, rates, sigma) -> PrefixScan:
         """Longest stable prefix of the permutation: consecutive queues whose
         arrival rate clears the saturated average rate with margin."""
-        rates, sigma, n = self._rates(rates), tuple(sigma), self.spec.n_queues
+        rates, sigma, n = as_rates(rates, self.spec.n_queues), tuple(sigma), self.spec.n_queues
         if sorted(sigma) != list(range(n)):
             raise ValueError(f"sigma {sigma} is not a permutation of range({n})")
         stages = []
@@ -526,7 +518,7 @@ class StabilityEngine:
     # -- classification ---------------------------------------------------------
 
     def classify(self, rates) -> StabilityVerdict:
-        rates, nq = self._rates(rates), self.spec.n_queues
+        rates, nq = as_rates(rates, self.spec.n_queues), self.spec.n_queues
         if nq > self.tol.permutation_cap:
             raise PermutationCapExceeded(
                 f"{nq} queues exceeds the permutation search cap "
@@ -698,7 +690,7 @@ def verify_certificate(spec: AllocationSpec, rates, verdict: StabilityVerdict) -
         return False
     tol = verdict.tolerances or Tolerances()
     engine = StabilityEngine(spec, tol.replace(start_box=2 * tol.start_box))
-    at = engine._rates(cert.witness_rates or rates)
+    at = as_rates(cert.witness_rates or rates, nq)
     if sigma:
         if engine.sequential_prefix(at, sigma).n_max < cert.n:
             return False

@@ -57,6 +57,7 @@ from .errors import InvalidShape, ScenarioError
 
 # the most points an axis, or a whole grid, may hold; checked before building
 MAX_GRID_POINTS = 100_000
+DEFAULT_SEED = 20080447  # of a scenario, and of couple-check's random pairs
 
 
 @dataclass
@@ -99,7 +100,7 @@ class Scenario:
     rates: Optional[tuple] = None
     grid: Optional[list] = None
     tolerances: Tolerances = field(default_factory=Tolerances)
-    seed: int = 20080447
+    seed: int = DEFAULT_SEED
     params: dict = field(default_factory=dict)  # the allocation block
 
     def __post_init__(self):
@@ -280,7 +281,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         rates=rates,
         grid=grid,
         tolerances=tolerances,
-        seed=_number(data.get("seed", 20080447), "seed", int),
+        seed=_number(data.get("seed", DEFAULT_SEED), "seed", int),
         params=dict(data.get("allocation", {})),
     )
 

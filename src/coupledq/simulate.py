@@ -53,18 +53,13 @@ def _stream(seed: int, replica: int = 0) -> np.random.Generator:
 
 
 def _checked_start(rates, spec: AllocationSpec, x0) -> tuple:
-    """``(rates, x0)`` as tuples, or ``ValueError`` unless both have
-    ``spec.n_queues`` entries and ``x0`` holds integers in ``[0, 2**62)``."""
-    rates = tuple(as_rates(rates))
-    if len(rates) != spec.n_queues:
-        raise ValueError(f"rate vector length mismatch: {len(rates)} rates "
-                         f"for {spec.n_queues} queues")
+    """``(rates, x0)`` as tuples; ``ValueError`` unless each has one entry per
+    queue, the rates pass :class:`ArrivalRates` and ``x0`` holds integers in ``[0, 2**62)``."""
+    rates = tuple(as_rates(rates, spec.n_queues))
     given = tuple(x0)
-    try:  # NaN, infinity and what is not a number fail in int()
-        ok = all(int(c) == c and 0 <= c < _MAX_START for c in given)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok or len(given) != spec.n_queues:
+    for c in given:
+        _check_integer("initial state entry", c, 0)
+    if len(given) != spec.n_queues or any(c >= _MAX_START for c in given):
         raise ValueError(f"initial state {given} invalid: need {spec.n_queues} "
                          f"nonnegative integers below 2**62")
     return rates, tuple(int(c) for c in given)
@@ -101,6 +96,8 @@ def simulate_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
     The lockstep run of :func:`_lockstep` with one replica, on
     ``_stream(seed)``.  With a ``sample_interval`` ``s``, the sample times
     ``0, s, s + s, ...`` up to ``horizon + 1e-15`` are its checkpoints.
+    ``ValueError`` rejects what :func:`check_sampling` or :class:`ArrivalRates`
+    rejects, and rates or a start (integers in ``[0, 2**62)``) not one per queue.
     """
     check_sampling(horizon, sample_interval)
     times = []
@@ -124,11 +121,10 @@ def simulate_path(rates, spec: AllocationSpec, x0, horizon: float, seed: int,
 
 def check_sampling(horizon: float, sample_interval: Optional[float]) -> None:
     """Raise ``ValueError`` unless :func:`simulate_path` takes ``horizon``
-    and ``sample_interval``: a finite nonnegative horizon, and a positive
-    finite interval with ``horizon / sample_interval`` below
-    ``MAX_SAMPLES``."""
-    if not (math.isfinite(horizon) and horizon >= 0):
-        raise ValueError(f"horizon must be finite and nonnegative, got {horizon!r}")
+    and ``sample_interval``: a finite real horizon >= 0, and a finite real
+    interval above 0 with ``horizon / sample_interval`` below ``MAX_SAMPLES``;
+    a bool or a numeric string is neither."""
+    _check_real("horizon", horizon, inclusive=True)
     if sample_interval is None:
         return
     _check_real("sample_interval", sample_interval)
@@ -675,11 +671,14 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     Looks unstable when some queue's mean drift slope is significantly
     positive; looks stable when, at the longest horizon, at most 1% of
     occupancy mass sits above the level covering 99.9% of early-horizon mass.
+    ``ValueError`` rejects no horizons, one not a finite real above 0 (such as
+    a bool or "1"), a ``replicas`` not an integer >= 1, and rates and a start
+    as :func:`simulate_path` does.
     """
     n = spec.n_queues
-    horizons = sorted(float(h) for h in horizons)
-    if not horizons or not all(math.isfinite(h) and h > 0 for h in horizons):
-        raise ValueError(f"horizons must be positive and finite, got {horizons!r}")
+    horizons = sorted(_check_real("horizon", h) for h in horizons)
+    if not horizons:
+        raise ValueError("need at least one horizon")
     _check_integer("replicas", replicas, 1)
     warnings = []
     if replicas < 30:

@@ -74,7 +74,7 @@ def test_three_queue_case_table():
 @pytest.mark.parametrize("bad", [-3.0, -0.5, math.nan, math.inf])
 @pytest.mark.parametrize("strict", [True, False])
 def test_busy_table_rejects_negative_and_non_finite_rates(bad, strict):
-    with pytest.raises(ValueError, match="table rate .* must be finite and nonnegative"):
+    with pytest.raises(ValueError, match="table rate .* must be a finite number >= 0"):
         busy_table_allocation([{frozenset(): 2.0, frozenset({1}): bad},
                                {frozenset(): 1.5, frozenset({0}): 0.5}], strict=strict)
     a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}

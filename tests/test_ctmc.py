@@ -19,12 +19,15 @@ from coupledq.allocation import (
     ArrivalRates,
     base_station_pair,
     build_product_allocation,
+    busy_table_allocation,
     check_partially_decreasing,
     check_uniform_limits,
     constant_allocation,
     exp_interference,
     log_gain,
     lower_partial_limit,
+    one_server_power_law,
+    poly_interference,
     three_queue_table,
 )
 from coupledq.ctmc import (
@@ -36,6 +39,7 @@ from coupledq.ctmc import (
 )
 from coupledq.engine import StabilityEngine, Tolerances
 from coupledq.errors import BoundViolation, BoxTooLarge, NoConvergence
+from coupledq.simulate import empirical_stability_probe, simulate_coupled_pair, simulate_path
 from oracles import (
     DivergentSeries,
     array_deaths,
@@ -477,11 +481,16 @@ def _never_read(i, x):
 
 
 _BLACK_BOX = AllocationSpec(1, _never_read, 2.0)
-_REAL_BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1")
+_ONE = constant_allocation((1.0,))
+_HUGE = 10 ** 400  # does not fit a float: it raised OverflowError, or passed
+_REAL_BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1", _HUGE)
+_NONNEGATIVE_BAD = tuple(v for v in _REAL_BAD if v != 0.0)  # 0 is legal here
 _COUNT_BAD = (math.nan, math.inf, -1, 2.5, True, "1")
 # case -> (the argument's name in the message, the call, the bad values);
 # tol=NaN passed _PARITY, box 2.5 built box 2, sat_level=2.5 read rates at
-# levels 2.5 and 3.5, and queue=True read queue 1
+# levels 2.5 and 3.5, and queue=True read queue 1; an arrival rate, a
+# horizon, gamma, alpha or a service rate of True was read as 1.0, and one
+# of "1" too, or it raised TypeError
 _BAD_ARGUMENTS = {
     "uniform-tol": ("tol", lambda v: check_uniform_limits(_PARITY, tol=v), _REAL_BAD),
     "uniform-schedule": ("schedule level",
@@ -508,12 +517,33 @@ _BAD_ARGUMENTS = {
     # a queue out of range gets the range message; a bool is in range
     "limit-queue": ("queue", lambda v: lower_partial_limit(_PARITY, (0,), v, [[1]]),
                     (True, False)),
+    "classify-rate": ("arrival rate",
+                      lambda v: StabilityEngine(base_station_pair(2.0)).classify((v, 0.5)),
+                      _REAL_BAD),
+    "adaptive-rate": ("arrival rate", lambda v: adaptive_stationary(
+        (v,), _MM1_DEATHS, death_bound=1.0), _REAL_BAD),
+    "path-rate": ("arrival rate", lambda v: simulate_path((v,), _ONE, (0,), 10.0, 1),
+                  _REAL_BAD),
+    "path-horizon": ("horizon", lambda v: simulate_path((0.5,), _ONE, (0,), v, 1),
+                     _NONNEGATIVE_BAD),
+    "pair-horizon": ("horizon", lambda v: simulate_coupled_pair(
+        (0.5,), _ONE, (0.5,), _ONE, (0,), (0,), 1, horizon=v), _NONNEGATIVE_BAD),
+    "probe-horizon": ("horizon", lambda v: empirical_stability_probe(
+        (0.5,), _ONE, (0,), [10.0, v], 2, 1), _REAL_BAD),
+    "exp-gamma": ("gamma", exp_interference, _REAL_BAD),
+    "poly-gamma": ("gamma", poly_interference, _REAL_BAD),
+    "base-station-gamma": ("gamma", base_station_pair, _REAL_BAD),
+    "alpha": ("alpha", one_server_power_law, _NONNEGATIVE_BAD),
+    "constant-rate": ("service rate", lambda v: constant_allocation((1.0, v)),
+                      _NONNEGATIVE_BAD),
+    "table-rate": (r"table rate .+ of queue 0 for busy set set\(\)",
+                   lambda v: busy_table_allocation([{frozenset(): v}]), _NONNEGATIVE_BAD),
 }
 
 
 @pytest.mark.parametrize("case, value", [
     (case, value) for case, (_, _, values) in _BAD_ARGUMENTS.items() for value in values
-])
+], ids=lambda v: "10**400" if v is _HUGE else None)
 def test_library_arguments_reject_bad_values(case, value, deadline):
     name, call, _ = _BAD_ARGUMENTS[case]
     with deadline(30), pytest.raises(ValueError, match=f"^{name} must be"):
@@ -538,7 +568,7 @@ def test_entry_points_reject_what_tolerances_rejects(knob, deadline):
     name, call = _KNOB_ENTRIES[knob]
     rejected = 0
     for value in (math.nan, math.inf, -math.inf, -1, 0, 0.0, 1, 1.0, 2.5, True, False,
-                  "1", "2.5", "nan", "x", None, [2]):
+                  "1", "2.5", "nan", "x", None, [2], _HUGE):
         try:
             Tolerances(**{knob: value})
         except ValueError:

@@ -294,11 +294,11 @@ def test_scenario_checks_its_rates_and_grid():
     (1, {"kind": "constant"}, "mu must list 1 rates"),
     (1, {"kind": "constant", "mu": [1.0, 2.0]}, "mu must list 1 rates"),
     (1, {"kind": "constant", "mu": ["1"]}, "mu must be a number"),
-    (1, {"kind": "constant", "mu": [-1.0]}, "allocation: service rates must be finite"),
+    (1, {"kind": "constant", "mu": [-1.0]}, "allocation: service rate must be a finite number >= 0"),
     (1, {"kind": "constant", "mu": [1.0], "lam": 0.5}, "unknown allocation keys"),
     (1, {"kind": "power_law"}, "alpha must be a number, got None"),
     (1, {"kind": "power_law", "alpha": True}, "alpha must be a number"),
-    (1, {"kind": "power_law", "alpha": -1.0}, "allocation: alpha must be nonnegative"),
+    (1, {"kind": "power_law", "alpha": -1.0}, "allocation: alpha must be a finite number >= 0"),
     (1, {"kind": "power_law", "alpha": 2.0, "mu": [1.0]}, "unknown allocation keys"),
     (2, {"kind": "power_law", "alpha": 2.0}, "exactly one queue"),
     (1, {"kind": "queue"}, "allocation kind must be"),
@@ -378,13 +378,13 @@ def test_cli_couple_check_takes_text_params(capsys):
 
 @pytest.mark.parametrize("scenario, param, value, rates, message", [
     ("two_basestations", "form", "bogus", "0.5,0.5", "unknown interference form"),
-    ("mm1", "mu", -1.0, "0.5", "service rates must be finite"),
+    ("mm1", "mu", -1.0, "0.5", "service rate must be a finite number >= 0"),
     ("two_basestations", "rates", 0.5, "0.5,0.5", "'two_basestations'"),
-    ("two_basestations", "gamma", -1.0, "0.3,0.4", "gamma must be positive"),
-    ("two_basestations", "gamma", -0.01, "0.3,0.4", "gamma must be positive"),
-    ("two_basestations", "gamma", 0.0, "0.6,0.6", "gamma must be positive"),
-    ("three_queues", "a1", -3.0, "0.5,1.2,0.3", "must be finite and nonnegative"),
-    ("three_queues", "a23", NAN, "0.5,1.2,0.3", "must be finite and nonnegative"),
+    ("two_basestations", "gamma", -1.0, "0.3,0.4", "gamma must be a finite number above 0"),
+    ("two_basestations", "gamma", -0.01, "0.3,0.4", "gamma must be a finite number above 0"),
+    ("two_basestations", "gamma", 0.0, "0.6,0.6", "gamma must be a finite number above 0"),
+    ("three_queues", "a1", -3.0, "0.5,1.2,0.3", "must be a finite number >= 0"),
+    ("three_queues", "a23", NAN, "0.5,1.2,0.3", "must be a finite number >= 0"),
     # the preset's own rate, with no --rates to replace it
     ("mm1", "lam", -1.0, None, "rates must be positive and finite"),
     ("mm1", "lam", NAN, None, "rates must be positive and finite"),
@@ -407,7 +407,7 @@ def test_param_the_factory_rejects_exit_64(scenario, param, value, rates, messag
 @pytest.mark.parametrize("form", ["exp_interference", "poly_interference"])
 def test_zero_gamma_is_rejected_for_both_forms(form, tmp_path, capsys):
     # at gamma = 0 the factor stays at 1/2 and never reaches its limit 1/6
-    with pytest.raises(ValueError, match="gamma must be positive"):
+    with pytest.raises(ValueError, match="gamma must be a finite number above 0"):
         INTERFERENCE_FORMS[form](0.0)
     argv = ["analyze", "--scenario", "two_basestations", "--rates", "0.6,0.6",
             "--param", "gamma=0", "--param", f"form={form}"]
@@ -417,7 +417,7 @@ def test_zero_gamma_is_rejected_for_both_forms(form, tmp_path, capsys):
     path.write_text(json.dumps(_set_key(PRODUCT_DOC, "allocation.interference", inter)))
     assert main(["analyze", "--scenario", str(path)]) == 64
     err = capsys.readouterr().err
-    assert err.count("scenario error") == 2 and err.count("gamma must be positive") == 2
+    assert err.count("scenario error") == 2 and err.count("gamma must be a finite number above 0") == 2
     assert "scenario error: allocation: gamma" in err
 
 
@@ -544,9 +544,9 @@ def test_cli_rejects_negative_table_rates(key, value, tmp_path, capsys):
     assert main(["analyze", "--scenario", str(path)]) == 64
     err = capsys.readouterr().err
     assert "scenario error: allocation: table rate -" in err
-    assert "must be finite and nonnegative" in err
+    assert "must be a finite number >= 0" in err
     assert main(["three-queues", "--rates", "0.5,1.2,0.3", "--param", "a1=-3"]) == 64
-    assert "must be finite and nonnegative" in capsys.readouterr().err
+    assert "must be a finite number >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--pairs", "--events"])

@@ -290,12 +290,12 @@ def test_coupled_pair_matches_reference(deadline):
                                            seed=1, horizon=10.0),
 ], ids=["path", "probe", "pair-x", "pair-y"])
 @pytest.mark.parametrize("x0", [(0.7,), (-3,), (0, 0), (), (math.inf,), (math.nan,),
-                                (2 ** 70,), (2 ** 62,), ("1",), (None,)])
+                                (2 ** 70,), (2 ** 62,), ("1",), (None,), (True,), (1.0,)])
 def test_start_must_be_nonnegative_integers_of_the_right_length(run, x0):
     # a start of (0.7,) was floored to (0,), and the pair booked x0 = (-3,)
     # into the overflow column of its histograms through index -1; an
     # infinite or int64-overflowing start raised OverflowError, and a NaN one
-    # Python's own ValueError
+    # Python's own ValueError; (True,) ran from (1,), and (1.0,) was taken
     with pytest.raises(ValueError, match="initial state"):
         run(constant_allocation((1.0,)), x0)
 
