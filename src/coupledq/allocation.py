@@ -567,19 +567,21 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
     sampled on a probe range and rejected when violated.  Saturated limits are
     assembled in closed form from the factor limits, and the product of an
     increasing bounded gain with decreasing factors settles uniformly, so the
-    uniform-limit check passes by construction.
+    uniform-limit check passes by construction.  ``ValueError`` rejects a
+    declared limit that is not a finite real >= 0.
     """
     n = len(gains)
     if len(interference) != n:
         raise ValueError("need one interference map per queue")
-    gains = [(g, float(lim)) for g, lim in gains]
+    gains = [(g, _check_real(f"gain limit of queue {i}", lim, inclusive=True))
+             for i, (g, lim) in enumerate(gains)]
     inter = []
     for i, fm in enumerate(interference):
         m = {}
         for j, (f, lim) in dict(fm).items():
             if j == i or not 0 <= j < n:
                 raise ValueError(f"interference factor index {j} invalid for queue {i}")
-            m[int(j)] = (f, float(lim))
+            m[int(j)] = (f, _check_real(f"interference limit ({i},{j})", lim, inclusive=True))
         inter.append(m)
 
     probe = list(range(0, 33)) + [64, 128, 1024]
@@ -645,7 +647,9 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
 # Built-in gain / interference families ------------------------------------
 
 def log_gain(cap: float = 3.0):
-    """Scheduling gain min(cap, log(1+x)): increasing, bounded by cap."""
+    """Scheduling gain min(cap, log(1+x)): increasing, bounded by cap.
+    ``ValueError`` rejects a ``cap`` that is not a finite real above 0."""
+    cap = _check_real("cap", cap)
     return (lambda x: min(cap, math.log1p(x)), cap)
 
 
@@ -692,9 +696,12 @@ def one_server_power_law(alpha: float) -> AllocationSpec:
     Carries no analytic limits on purpose: it exercises the numeric
     saturation escalation.  The value at 0 is irrelevant (no departures
     there) and is pinned to the x=1 value to keep the function bounded.
-    ``ValueError`` rejects an ``alpha`` that is not a finite real >= 0, such as a bool or "1".
+    ``ValueError`` rejects an ``alpha`` that is not a finite real >= 0, such as a bool or "1",
+    and one of 1024 or more, whose bound ``2**alpha`` overflows a float.
     """
     alpha = _check_real("alpha", alpha, inclusive=True)
+    if alpha >= 1024:
+        raise ValueError(f"alpha must be below 1024, got {alpha!r}")
     bound = 2.0 ** alpha
 
     def rate(i, x, _a=alpha, _b=bound):

@@ -5,42 +5,38 @@ the upper face (reflecting truncation), which keeps the generator conservative
 and biases mass inward where the boundary-mass certificate can see it.
 Death rates come from the caller as a function of the box: ``deaths(box)``
 returns every coordinate's rate at every state of ``box``, and this module
-caches none of them.  A generator keeps its death rates as an array; its
-canonical CSR matrix is assembled from them on first use and cached.
+caches none of them.  A generator is its birth rates and its death array;
+no matrix is cached.
 
 Stationary distributions come from ``solve_stationary``, which has two
 candidates.  A 1-D chain (every saturated prefix of one queue) is reversible,
 so its law follows first from detailed balance, computed in log space from the
 top of the box.  Every other chain, and a 1-D chain whose detailed-balance law
-misses the residual check, gets a sparse LU solve grounded at the origin.  A
-law that misses the check on both raises :class:`NoConvergence`, which the
-engine reads as an untrustworthy stage.  A 1-D chain's residual comes from a
-three-term recurrence on its death array, so a detailed-balance law that
-passes never assembles the matrix; only the LU solve reads it.
+misses the residual check, gets a sparse LU solve grounded at the origin,
+whose system ``_direct_solve`` assembles from the rates.  A law that misses
+the check on both raises :class:`NoConvergence`, which the engine reads as an
+untrustworthy stage.  The residual ``max |pi Q|`` is read from the birth rates
+and the death array in every dimension, without a matrix.
 ``adaptive_stationary`` doubles the box until the tail is certified; the
 engine builds every saturated prefix law through it.
 
-scipy is imported on first use, in ``_assemble_csr`` and ``_direct_solve``
-alone: only the LU solve loads it, so importing this module, and every 1-D
-prefix solve that detailed balance settles, does not.
+scipy is imported on first use, in ``_direct_solve`` alone: only the LU solve
+loads it, so importing this module, every residual and every 1-D prefix solve
+that detailed balance settles do not.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
 from .allocation import _check_integer, _check_real, _state_grid, as_rates
 from .errors import BoundViolation, BoxTooLarge, NoConvergence
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 STATE_CAP = 50_000_000
 DEFAULT_TAIL_TOL = 1e-8
@@ -50,78 +46,32 @@ DEFAULT_START_BOX = 32
 
 @dataclass(eq=False)
 class TruncatedGenerator:
-    """Conservative rate matrix of a truncated multiclass birth-death chain.
-
-    The chain is held as its birth rates and death array; ``matrix``, the
-    canonical CSR generator, is assembled from them on first access and then
-    cached, so a solve that never reads it never pays for it.
-    """
+    """Conservative rate matrix of a truncated multiclass birth-death chain,
+    held as its birth rates and death array.  Each state's exit rate, the
+    diagonal's negative, is derived from them once, on the state grid."""
 
     dim: int
     box: tuple
     birth_rates: tuple
     death_values: np.ndarray      # (n_states, dim), zero where x_i = 0
     boundary_mask: np.ndarray     # bool, any coordinate at its cap
+    _exit: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # births, then deaths, summed in coordinate order: that order fixes
+        # the rounding of the diagonal
+        shape = tuple(t + 1 for t in self.box)
+        out = np.zeros(shape)
+        for k, lam in enumerate(self.birth_rates):
+            out.swapaxes(0, k)[:-1] += lam       # below the upper face
+        deaths = self.death_values.reshape(shape + (self.dim,))
+        for k in range(self.dim):
+            out += deaths[..., k]
+        self._exit = out
 
     @property
     def n_states(self) -> int:
         return self.death_values.shape[0]
-
-    @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        return _assemble_csr(self.box, self.birth_rates, self.death_values)
-
-
-def _out_rate(rates, up: np.ndarray, death_values: np.ndarray) -> np.ndarray:
-    """Each state's exit rate: its births, then its deaths, summed in
-    coordinate order; that order fixes the rounding of the diagonal."""
-    out = np.zeros(death_values.shape[0])
-    for i in range(len(rates)):
-        out += np.where(up[:, i], rates[i], 0.0)
-    for i in range(len(rates)):
-        out += death_values[:, i]
-    return out
-
-
-def _assemble_csr(box: tuple, rates, death_values: np.ndarray) -> sp.csr_matrix:
-    """Canonical CSR of the generator, written row by row in column order.
-
-    Strides strictly decrease along the coordinates (every side has at least
-    two states), so each row's columns ascend as deaths along coordinate
-    ``0, 1, ..., dim-1``, the diagonal, then births along ``dim-1, ..., 0``.
-    Births sit below the upper face, deaths wherever the rate is positive.
-    The index dtype is the one scipy picks: int32 while it holds every index
-    and the entry count, int64 beyond.
-    """
-    import scipy.sparse as sp
-
-    count, dim = death_values.shape
-    shape = tuple(t + 1 for t in box)
-    up = _state_grid(shape) < np.asarray(box)
-    down = death_values > 0.0
-    out_rate = _out_rate(rates, up, death_values)
-    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
-    nnz = count + int(np.count_nonzero(up)) + int(np.count_nonzero(down))
-    idx_dtype = np.int32 if max(nnz, count) <= np.iinfo(np.int32).max else np.int64
-    kinds = [(down[:, i], -strides[i], death_values[:, i]) for i in range(dim)]
-    kinds.append((True, 0, -out_rate))
-    kinds += [(up[:, i], strides[i], rates[i]) for i in reversed(range(dim))]
-
-    # one column per entry kind; row-major compression keeps the row order
-    idx = np.arange(count)
-    present = np.empty((count, len(kinds)), dtype=bool)
-    columns = np.empty((count, len(kinds)), dtype=idx_dtype)
-    values = np.empty((count, len(kinds)))
-    per_row = np.zeros(count, dtype=idx_dtype)
-    for k, (mask, offset, vals) in enumerate(kinds):
-        present[:, k] = mask
-        columns[:, k] = idx + offset
-        values[:, k] = vals
-        per_row += mask
-    indptr = np.zeros(count + 1, dtype=idx_dtype)
-    np.cumsum(per_row, out=indptr[1:])
-    return sp.csr_matrix((values[present], columns[present], indptr),
-                         shape=(count, count))
 
 
 def build_truncated_generator(
@@ -227,55 +177,71 @@ class SolveReport:
         return [t.box for t in self.history]
 
 
-def _direct_solve(matrix: sp.csr_matrix, ground: int) -> np.ndarray:
-    """Solve pi Q = 0 grounded at one state: fix its mass to 1, solve the
+def _direct_solve(gen: TruncatedGenerator) -> np.ndarray:
+    """Solve pi Q = 0 grounded at the origin: fix its mass to 1, solve the
     remaining balance equations, renormalize afterwards.
 
-    Grounding preserves sparsity for the LU solve (no dense normalization
-    row); it is well conditioned when the ground state carries substantial
-    stationary mass.  ``solve_stationary`` grounds at the origin; the tests
-    compare a 1-D law with both the origin and the box corner.
+    The system is ``Q`` transposed without the origin's row and column,
+    assembled here as one COO: births where ``x_k < T_k``, deaths where the
+    rate is positive, the diagonal ``-out`` everywhere.  The origin's births
+    give the right-hand side, ``rhs[s_k - 1] = -lam_k``.  Grounding preserves
+    sparsity for the LU solve (no dense normalization row); it is well
+    conditioned when the origin carries substantial stationary mass.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    count = matrix.shape[0]
-    coo = matrix.tocoo()
-    # transposed entries: row <- col, col <- row
-    r, c, d = coo.col, coo.row, coo.data
-    keep = (r != ground) & (c != ground)
-    rows = r[keep] - (r[keep] > ground)
-    cols = c[keep] - (c[keep] > ground)
-    a = sp.coo_matrix((d[keep], (rows, cols)), shape=(count - 1, count - 1)).tocsc()
+    count, dim = gen.death_values.shape
+    shape = gen._exit.shape
+    strides = [math.prod(shape[k + 1:]) for k in range(dim)]
+    up = _state_grid(shape) < np.asarray(gen.box)
+    down = gen.death_values > 0.0
+    down[strides, range(dim)] = False   # the deaths into the origin
+    # (mask, step, rate) of each kind of entry, by source state; grouped in
+    # column order within a row, so the CSC below comes out sorted
+    kinds = [(down[:, k], -strides[k], gen.death_values[:, k]) for k in range(dim)]
+    kinds.append((np.ones(count, bool), 0, -gen._exit.ravel()))
+    kinds += [(up[:, k], strides[k], np.full(count, gen.birth_rates[k]))
+              for k in reversed(range(dim))]
+    rows, cols, data = [], [], []
+    for mask, step, rate in kinds:
+        src = np.flatnonzero(mask[1:]) + 1      # the origin's row goes
+        rows.append(src + (step - 1))
+        cols.append(src - 1)
+        data.append(rate[src])
+    a = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(count - 1, count - 1)).tocsc()
     rhs = np.zeros(count - 1)
-    gmask = (r != ground) & (c == ground)
-    np.add.at(rhs, r[gmask] - (r[gmask] > ground), -d[gmask])
+    rhs[np.subtract(strides, 1)] -= gen.birth_rates
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spla.MatrixRankWarning)
         x = np.atleast_1d(spla.spsolve(a, rhs))
-    return np.concatenate([x[:ground], [1.0], x[ground:]])
+    return np.concatenate([[1.0], x])
 
 
-def _flux_1d(gen: TruncatedGenerator, pi: np.ndarray) -> np.ndarray:
-    """``pi Q`` of a 1-D chain from its death array, bit for bit what
-    ``gen.matrix.T @ pi`` returns: scipy's CSC matvec adds the entries of
-    column ``i`` of ``Q`` in row order, so ``y[i]`` is the birth from
-    ``i-1``, then the diagonal, then the death from ``i+1``."""
-    lam, mu = gen.birth_rates[0], gen.death_values[:, 0]
-    up = np.ones((len(pi), 1), dtype=bool)
-    up[-1] = False
-    out = _out_rate(gen.birth_rates, up, gen.death_values)
-    y = np.zeros(len(pi))
-    y[1:] = lam * pi[:-1]
-    y += (-out) * pi
-    y[:-1] += mu[1:] * pi[1:]
-    return y
+def _flux(gen: TruncatedGenerator, pi: np.ndarray) -> np.ndarray:
+    """``pi Q`` from the birth rates and the death array, in any dimension.
+
+    Bit for bit what scipy's CSC matvec ``Q.T @ pi`` returns: it adds the
+    entries of column ``i`` of ``Q`` in row order, so ``y[i]`` takes the
+    births from ``i - s_0, ..., i - s_{d-1}``, then the diagonal, then the
+    deaths from ``i + s_{d-1}, ..., i + s_0``.
+    """
+    p = pi.reshape(gen._exit.shape)
+    deaths = gen.death_values.reshape(p.shape + (gen.dim,))
+    y = np.zeros(p.shape)
+    for k, lam in enumerate(gen.birth_rates):
+        y.swapaxes(0, k)[1:] += lam * p.swapaxes(0, k)[:-1]
+    y -= gen._exit * p
+    for k in reversed(range(gen.dim)):
+        yk, pk, dk = y.swapaxes(0, k), p.swapaxes(0, k), deaths[..., k].swapaxes(0, k)
+        yk[:-1] += dk[1:] * pk[1:]
+    return y.ravel()
 
 
 def _residual(gen: TruncatedGenerator, pi: np.ndarray) -> float:
-    """``max |pi Q|``; a 1-D chain never needs its matrix for it."""
-    flux = _flux_1d(gen, pi) if gen.dim == 1 else gen.matrix.T @ pi
-    return float(np.abs(flux).max())
+    """``max |pi Q|``, read from the birth rates and the death array."""
+    return float(np.abs(_flux(gen, pi)).max())
 
 
 def _detailed_balance_1d(gen: TruncatedGenerator) -> np.ndarray:
@@ -313,7 +279,7 @@ def solve_stationary(gen: TruncatedGenerator,
 
     def origin_lu(g):
         with np.errstate(over="ignore", invalid="ignore"):
-            return _direct_solve(g.matrix, 0)
+            return _direct_solve(g)
 
     best = math.inf
     for candidate in (_detailed_balance_1d, origin_lu) if gen.dim == 1 else (origin_lu,):

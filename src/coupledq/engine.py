@@ -644,7 +644,8 @@ class StabilityEngine:
     # -- sweeps ------------------------------------------------------------------
 
     def sweep(self, rate_grid) -> list:
-        """Classify every grid point; failures are recorded, not raised."""
+        """Classify every grid point; failures are recorded, not raised, with
+        the point as given."""
         samples = []
         for point in rate_grid:
             start = time.perf_counter()
@@ -653,7 +654,7 @@ class StabilityEngine:
                 samples.append(RegionSample(tuple(as_rates(point).rates), verdict,
                                             time.perf_counter() - start))
             except Exception as exc:  # per-point capture, sweep continues
-                samples.append(RegionSample(tuple(float(x) for x in point), None,
+                samples.append(RegionSample(point, None,
                                             time.perf_counter() - start,
                                             error=f"{type(exc).__name__}: {exc}"))
         return samples

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -399,6 +400,77 @@ def array_deaths(fn, keys):
 
     return deaths
 
+
+
+def coo_reference_matrix(gen):
+    """The generator ``Q`` as a canonical CSR, assembled through COO triplets
+    and scipy's ``tocsr``: births below the upper face, deaths where the rate
+    is positive, the diagonal ``-out`` everywhere."""
+    import scipy.sparse as sp
+
+    box, dim, rates = gen.box, gen.dim, gen.birth_rates
+    shape = tuple(t + 1 for t in gen.box)
+    count = gen.n_states
+    coords = np.stack(np.unravel_index(np.arange(count), shape), axis=1)
+    idx = np.arange(count)
+    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
+    rows_parts, cols_parts, data_parts = [], [], []
+    out_rate = np.zeros(count)
+    for i in range(dim):
+        up = coords[:, i] < box[i]
+        rows_parts.append(idx[up])
+        cols_parts.append(idx[up] + strides[i])
+        data_parts.append(np.full(int(up.sum()), rates[i]))
+        out_rate += np.where(up, rates[i], 0.0)
+    for i in range(dim):
+        down = gen.death_values[:, i] > 0.0
+        rows_parts.append(idx[down])
+        cols_parts.append(idx[down] - strides[i])
+        data_parts.append(gen.death_values[down, i])
+        out_rate += gen.death_values[:, i]
+    rows = np.concatenate(rows_parts + [idx])
+    cols = np.concatenate(cols_parts + [idx])
+    data = np.concatenate(data_parts + [-out_rate])
+    return sp.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
+
+
+def grounded_system(matrix, ground: int) -> tuple:
+    """``(A, rhs)`` of ``pi Q = 0`` with the mass at ``ground`` fixed to 1:
+    ``Q`` transposed through COO without that state's row and column, as a
+    CSC, and minus the ground's row as the right-hand side."""
+    import scipy.sparse as sp
+
+    count = matrix.shape[0]
+    coo = matrix.tocoo()
+    # transposed entries: row <- col, col <- row
+    r, c, d = coo.col, coo.row, coo.data
+    keep = (r != ground) & (c != ground)
+    rows = r[keep] - (r[keep] > ground)
+    cols = c[keep] - (c[keep] > ground)
+    a = sp.coo_matrix((d[keep], (rows, cols)), shape=(count - 1, count - 1)).tocsc()
+    rhs = np.zeros(count - 1)
+    gmask = (r != ground) & (c == ground)
+    np.add.at(rhs, r[gmask] - (r[gmask] > ground), -d[gmask])
+    return a, rhs
+
+
+def grounded_lu(gen, ground: int) -> tuple:
+    """The LU route grounded at any state, on the reference matrix:
+    ``(normalized law, residual)``, or ``(None, inf)`` when the solve gives
+    no finite positive mass."""
+    import scipy.sparse.linalg as spla
+
+    matrix = coo_reference_matrix(gen)
+    a, rhs = grounded_system(matrix, ground)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", spla.MatrixRankWarning)
+        x = np.atleast_1d(spla.spsolve(a, rhs))
+        raw = np.maximum(np.concatenate([x[:ground], [1.0], x[ground:]]), 0.0)
+    total = raw.sum()
+    if not (math.isfinite(total) and total > 0):
+        return None, math.inf
+    vec = raw / total
+    return vec, float(np.abs(matrix.T @ vec).max())
 
 class _Draws:
     """Batched exponential gaps and uniforms from one stream, ``_BATCH`` of

@@ -8,10 +8,11 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from coupledq import ctmc
 from coupledq.allocation import (
@@ -43,6 +44,9 @@ from coupledq.simulate import empirical_stability_probe, simulate_coupled_pair, 
 from oracles import (
     DivergentSeries,
     array_deaths,
+    coo_reference_matrix,
+    grounded_lu,
+    grounded_system,
     limit_at,
     lower_partial_limit_scalar,
     marginal,
@@ -80,7 +84,7 @@ def test_mm1_generator_rows():
         [1.0, -1.5, 0.5],
         [0.0, 1.0, -1.0],
     ])
-    assert np.allclose(gen.matrix.toarray(), expected)
+    assert np.allclose(coo_reference_matrix(gen).toarray(), expected)
 
 
 def test_two_queue_generator_conservative():
@@ -88,7 +92,7 @@ def test_two_queue_generator_conservative():
         (0.3, 0.4), tabulated(lambda i, x: (1.0, 2.0)[i], 2), (1, 1), death_bound=2.0
     )
     assert gen.n_states == 4
-    rowsums = np.asarray(gen.matrix.sum(axis=1)).ravel()
+    rowsums = np.asarray(coo_reference_matrix(gen).sum(axis=1)).ravel()
     assert np.abs(rowsums).max() < 1e-13
 
 
@@ -96,7 +100,7 @@ def test_only_unit_steps_carry_rate():
     gen = build_truncated_generator(
         (0.3, 0.4), tabulated(lambda i, x: 1.0, 2), (3, 3), death_bound=1.0
     )
-    coo = gen.matrix.tocoo()
+    coo = coo_reference_matrix(gen).tocoo()
     shape = tuple(t + 1 for t in gen.box)
     for r, c in zip(coo.row, coo.col):
         if r == c:
@@ -196,8 +200,9 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
         stored += added
         ref, got = _both_paths(rates, tabulated(death, dim), eng, box, spec.bound)
         assert ref.box == got.box == box
+        ref_q, got_q = coo_reference_matrix(ref), coo_reference_matrix(got)
         for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(ref.matrix, attr), getattr(got.matrix, attr))
+            assert np.array_equal(getattr(ref_q, attr), getattr(got_q, attr))
         assert np.array_equal(ref.death_values, got.death_values)
         assert np.array_equal(ref.boundary_mask, got.boundary_mask)
         # one call per queue and growth, at the states the growth adds
@@ -222,40 +227,13 @@ def test_tabulated_deaths_match_callback_oracle(name, boxes):
         assert f"at (i={dim - 1}, x={first})" in ref
 
 
-def _coo_reference_matrix(gen):
-    """The generator assembled the way the solver once did, through COO
-    triplets and scipy's ``tocsr``; the oracle for the direct CSR assembly."""
-    box, dim, rates = gen.box, gen.dim, gen.birth_rates
-    shape = tuple(t + 1 for t in gen.box)
-    count = gen.n_states
-    coords = np.stack(np.unravel_index(np.arange(count), shape), axis=1)
-    idx = np.arange(count)
-    strides = [math.prod(shape[i + 1:]) for i in range(dim)]
-    rows_parts, cols_parts, data_parts = [], [], []
-    out_rate = np.zeros(count)
-    for i in range(dim):
-        up = coords[:, i] < box[i]
-        rows_parts.append(idx[up])
-        cols_parts.append(idx[up] + strides[i])
-        data_parts.append(np.full(int(up.sum()), rates[i]))
-        out_rate += np.where(up, rates[i], 0.0)
-    for i in range(dim):
-        down = gen.death_values[:, i] > 0.0
-        rows_parts.append(idx[down])
-        cols_parts.append(idx[down] - strides[i])
-        data_parts.append(gen.death_values[down, i])
-        out_rate += gen.death_values[:, i]
-    rows = np.concatenate(rows_parts + [idx])
-    cols = np.concatenate(cols_parts + [idx])
-    data = np.concatenate(data_parts + [-out_rate])
-    return sp.coo_matrix((data, (rows, cols)), shape=(count, count)).tocsr()
+_ORACLE_BOXES = [(1,), (7,), (300,), (1, 1), (6, 4), (1, 5), (3, 3, 3), (2, 5, 3), (1, 1, 1)]
 
 
-@pytest.mark.parametrize("box", [(1,), (7,), (300,), (1, 1), (6, 4), (1, 5),
-                                 (3, 3, 3), (2, 5, 3), (1, 1, 1)])
-def test_direct_csr_matches_coo_oracle_bit_for_bit(box):
+def _box_chain(box):
+    """A chain on ``box`` whose zero deaths inside the box (no entry) sit
+    next to positive ones."""
     def death(i, x):
-        # zero deaths inside the box (no entry) next to positive ones
         if (3 * sum(x) + 5 * i) % 4 == 3:
             return 0.0
         return 1.0 + ((7 * x[i] + i) % 5) / 5.0
@@ -265,13 +243,47 @@ def test_direct_csr_matches_coo_oracle_bit_for_bit(box):
     shape = tuple(t + 1 for t in gen.box)
     busy = np.stack(np.unravel_index(np.arange(gen.n_states), shape), axis=1) > 0
     assert (busy & (gen.death_values == 0.0)).any()
-    ref = _coo_reference_matrix(gen)
-    assert type(gen.matrix) is type(ref)
-    assert gen.matrix.shape == ref.shape
-    for attr in ("indptr", "indices", "data"):
-        got, want = getattr(gen.matrix, attr), getattr(ref, attr)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+    return gen
+
+
+def _lu_inputs(gen, monkeypatch):
+    """``_direct_solve(gen)`` and the ``(A, rhs)`` it hands to SuperLU."""
+    seen = []
+    real = spla.spsolve
+
+    def spying(a, rhs):
+        seen.append((a, rhs))
+        return real(a, rhs)
+
+    with monkeypatch.context() as m:
+        m.setattr(spla, "spsolve", spying)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = ctmc._direct_solve(gen)
+    (a, rhs), = seen
+    return x, a, rhs
+
+
+@pytest.mark.parametrize("box", _ORACLE_BOXES)
+def test_direct_csr_matches_coo_oracle_bit_for_bit(box, monkeypatch):
+    # the LU's grounded system, against the route through the oracle's CSR;
+    # a zero birth rate keeps its entries, and its rhs entry reads +0.0
+    gen = _box_chain(box)
+    for chain in (gen, dataclasses.replace(gen, birth_rates=(0.0,) + gen.birth_rates[1:])):
+        x, a, rhs = _lu_inputs(chain, monkeypatch)
+        ref, ref_rhs = grounded_system(coo_reference_matrix(chain), 0)
+        assert type(a) is type(ref)
+        assert a.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(a, attr), getattr(ref, attr)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert rhs.dtype == ref_rhs.dtype
+        assert np.array_equal(rhs, ref_rhs)
+        assert np.array_equal(np.signbit(rhs), np.signbit(ref_rhs))
+        with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+            warnings.simplefilter("ignore", spla.MatrixRankWarning)
+            want_x = np.concatenate([[1.0], np.atleast_1d(spla.spsolve(ref, ref_rhs))])
+        assert np.array_equal(x, want_x, equal_nan=True)
 
 
 # -- stationary solves -------------------------------------------------------------
@@ -360,17 +372,6 @@ ONE_D_CASES = {
 }
 
 
-def _grounded_lu(gen, ground):
-    """The LU route the 1-D solve replaced: normalized solution and residual."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        raw = np.maximum(ctmc._direct_solve(gen.matrix, ground), 0.0)
-    total = raw.sum()
-    if not (math.isfinite(total) and total > 0):
-        return None, math.inf
-    vec = raw / total
-    return vec, float(np.abs(gen.matrix.T @ vec).max())
-
-
 @pytest.mark.parametrize("name", list(ONE_D_CASES))
 def test_detailed_balance_1d_matches_grounded_lu(name, monkeypatch):
     lam, deaths, box, bound = ONE_D_CASES[name]
@@ -379,7 +380,7 @@ def test_detailed_balance_1d_matches_grounded_lu(name, monkeypatch):
     gen = build_truncated_generator((lam,), deaths, (box,), death_bound=bound)
     tol = DEFAULT_RESIDUAL_TOL
 
-    def no_lu(matrix, ground):
+    def no_lu(g):
         raise AssertionError("the 1-D solve fell back to the LU route")
 
     with monkeypatch.context() as m:
@@ -391,7 +392,7 @@ def test_detailed_balance_1d_matches_grounded_lu(name, monkeypatch):
     tests = np.stack([gen.death_values[:, 0], 1.0 / (1.0 + x)], axis=1)
     compared = 0
     for ground in (0, gen.n_states - 1):
-        ref, residual = _grounded_lu(gen, ground)
+        ref, residual = grounded_lu(gen, ground)
         if residual > tol:   # this ground is ill-conditioned for this chain
             continue
         compared += 1
@@ -409,7 +410,7 @@ def test_1d_solve_falls_back_to_grounded_lu(bad, monkeypatch):
     count = gen.n_states
     if bad == "zero-birth":
         # detailed balance divides by the birth rate: lam = 0 gives a
-        # non-finite law; the matrix is built from the same zero rate
+        # non-finite law; the LU system is built from the same zero rate
         gen = dataclasses.replace(gen, birth_rates=(0.0,))
         assert not np.isfinite(ctmc._detailed_balance_1d(gen)).all()
         dist = solve_stationary(gen)
@@ -417,7 +418,7 @@ def test_1d_solve_falls_back_to_grounded_lu(bad, monkeypatch):
         fake = np.full(count, math.nan) if bad == "nan" else np.ones(count)
         monkeypatch.setattr(ctmc, "_detailed_balance_1d", lambda g: fake)
         dist = solve_stationary(gen)
-    ref, residual = _grounded_lu(gen, 0)
+    ref, residual = grounded_lu(gen, 0)
     assert np.array_equal(dist.masses, ref)
     assert dist.residual == residual <= DEFAULT_RESIDUAL_TOL
 
@@ -430,7 +431,7 @@ def test_solve_raises_no_convergence_when_every_candidate_misses(dim, bad, monke
     count = gen.n_states
     fake = np.full(count, math.nan) if bad == "nan" else np.ones(count)
     monkeypatch.setattr(ctmc, "_detailed_balance_1d", lambda g: fake)
-    monkeypatch.setattr(ctmc, "_direct_solve", lambda matrix, ground: fake)
+    monkeypatch.setattr(ctmc, "_direct_solve", lambda g: fake)
     best = math.inf if bad == "nan" else ctmc._residual(gen, np.full(count, 1.0 / count))
     assert best > DEFAULT_RESIDUAL_TOL
     with pytest.raises(NoConvergence, match=rf"box {re.escape(str(gen.box))} .* "
@@ -533,7 +534,17 @@ _BAD_ARGUMENTS = {
     "exp-gamma": ("gamma", exp_interference, _REAL_BAD),
     "poly-gamma": ("gamma", poly_interference, _REAL_BAD),
     "base-station-gamma": ("gamma", base_station_pair, _REAL_BAD),
-    "alpha": ("alpha", one_server_power_law, _NONNEGATIVE_BAD),
+    # 2.0 ** alpha overflowed: OverflowError, not ValueError
+    "alpha": ("alpha", one_server_power_law, _NONNEGATIVE_BAD + (1024.0, 2000.0, 2000)),
+    # cap=True built a gain capped at 1, and "3" raised TypeError
+    "gain-cap": ("cap", log_gain, _REAL_BAD),
+    "base-station-cap": ("cap", lambda v: base_station_pair(2.0, cap=v), _REAL_BAD),
+    # a NaN limit was accepted, with bound 1.5
+    "gain-limit": ("gain limit of queue 1", lambda v: build_product_allocation(
+        gains=[log_gain(), (lambda x: 0.0, v)], interference=[{}, {}]), _NONNEGATIVE_BAD),
+    "interference-limit": (r"interference limit \(0,1\)", lambda v: build_product_allocation(
+        gains=[log_gain(), log_gain()], interference=[{1: (lambda t: 1.0, v)}, {}]),
+        _NONNEGATIVE_BAD),
     "constant-rate": ("service rate", lambda v: constant_allocation((1.0, v)),
                       _NONNEGATIVE_BAD),
     "table-rate": (r"table rate .+ of queue 0 for busy set set\(\)",
@@ -603,10 +614,11 @@ def _random_1d_chain(rng):
 
 
 def _probe_vectors(gen, rng):
-    """Normalized vectors to apply ``Q`` to: the detailed-balance law (where
-    finite), a random law and a law peaked on one state."""
+    """Normalized vectors to apply ``Q`` to: the detailed-balance law of a
+    1-D chain (where finite), a random law and a law peaked on one state."""
     count = gen.n_states
-    raw = [ctmc._detailed_balance_1d(gen), rng.random(count)]
+    raw = [ctmc._detailed_balance_1d(gen)] if gen.dim == 1 else []
+    raw.append(rng.random(count))
     peaked = np.full(count, 1e-300)
     peaked[int(rng.integers(count))] = 1.0
     raw.append(peaked)
@@ -617,15 +629,18 @@ def _probe_vectors(gen, rng):
             yield vec / total
 
 
-def test_1d_flux_matches_csr_matvec_bit_for_bit():
-    # the CSR matvec stays the oracle for the 1-D recurrence
+def test_flux_matches_csr_matvec_bit_for_bit():
+    # the oracle's CSR matvec, in every dimension: random 1-D chains and
+    # the chains of the grounded-system test
     rng = np.random.default_rng(20101)
+    chains = [_random_1d_chain(rng) for _ in range(400)]
+    chains += [_box_chain(box) for box in _ORACLE_BOXES]
     checked = 0
-    for _ in range(400):
-        gen = _random_1d_chain(rng)
+    for gen in chains:
+        matrix = coo_reference_matrix(gen)
         for vec in _probe_vectors(gen, rng):
-            want = gen.matrix.T @ vec
-            got = ctmc._flux_1d(gen, vec)
+            want = matrix.T @ vec
+            got = ctmc._flux(gen, vec)
             assert np.array_equal(got, want)
             assert (ctmc._residual(gen, vec).hex()
                     == float(np.abs(want).max()).hex())
@@ -634,18 +649,19 @@ def test_1d_flux_matches_csr_matvec_bit_for_bit():
 
 
 def _count_assemblies(monkeypatch):
+    """The box of each ``_direct_solve`` call, the one assembly of a system."""
     calls = []
-    real = ctmc._assemble_csr
+    real = ctmc._direct_solve
 
-    def counting(*args):
-        calls.append(args[0])
-        return real(*args)
+    def counting(gen):
+        calls.append(gen.box)
+        return real(gen)
 
-    monkeypatch.setattr(ctmc, "_assemble_csr", counting)
+    monkeypatch.setattr(ctmc, "_direct_solve", counting)
     return calls
 
 
-def test_certified_1d_solve_never_assembles_csr(monkeypatch):
+def test_certified_1d_solve_never_assembles_the_lu_system(monkeypatch):
     calls = _count_assemblies(monkeypatch)
     gen = build_truncated_generator((0.5,), tabulated(lambda i, x: 1.0, 1), (40,),
                                     death_bound=1.0)

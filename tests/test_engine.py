@@ -275,6 +275,15 @@ def test_sweep_records_errors():
     assert samples[1].error
 
 
+def test_sweep_records_an_unreadable_point_as_given(bs_engine):
+    # the failed point was recorded through float(), which raised out of the sweep
+    point = ("abc", 0.5)
+    samples = bs_engine.sweep([point, (0.3, 0.4)])
+    assert [s.region for s in samples] == ["ERR", "S"]
+    assert samples[0].rates is point
+    assert samples[0].error.startswith("ValueError: arrival rate must be")
+
+
 # a stable, a boundary, a one-queue-stable and an unstable point
 LIMIT_GRID = [(0.3, 0.3), (0.9, 0.5), (0.3, 1.0), (1.4, 1.4)]
 

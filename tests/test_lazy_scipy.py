@@ -45,6 +45,23 @@ print("scipy loaded:", "scipy.sparse.linalg" in sys.modules, file=sys.stderr)
 sys.exit(code)
 """
 
+# The residual of a 2-D law, here two independent truncated M/M/1 queues
+# whose law is the product of truncated geometric laws.
+TWO_D_RESIDUAL = """
+import sys
+
+import numpy as np
+
+from coupledq import ctmc
+
+gen = ctmc.build_truncated_generator(
+    (0.5, 0.4), lambda box: np.ones(((box[0] + 1) * (box[1] + 1), 2)), (40, 30),
+    death_bound=1.0)
+law = np.outer(0.5 ** np.arange(41), 0.4 ** np.arange(31)).ravel()
+print(ctmc._residual(gen, law / law.sum()) < 1e-15)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
 
 def _fresh(script, *args):
     return subprocess.run([sys.executable, "-c", script, *args], cwd=ROOT,
@@ -66,3 +83,9 @@ def test_three_queue_report_imports_scipy_on_its_first_2d_solve(deadline):
         run = _fresh(THREE_QUEUE_REPORT)
     assert run.stdout == (GOLDEN / "three_queues_0.5_1.2_0.3.txt").read_bytes()
     assert "scipy loaded: True" in run.stderr.decode()
+
+
+def test_residual_of_a_2d_law_leaves_scipy_unloaded(deadline):
+    with deadline(120):
+        run = _fresh(TWO_D_RESIDUAL)
+    assert run.stdout.decode().splitlines() == ["True", "[]"]

@@ -302,6 +302,7 @@ def test_scenario_checks_its_rates_and_grid():
     (1, {"kind": "power_law", "alpha": 2.0, "mu": [1.0]}, "unknown allocation keys"),
     (2, {"kind": "power_law", "alpha": 2.0}, "exactly one queue"),
     (1, {"kind": "queue"}, "allocation kind must be"),
+    (1, {"kind": "power_law", "alpha": 2000}, "allocation: alpha must be below 1024"),
 ])
 def test_constant_and_power_law_kinds_check_their_keys(n, allocation, message):
     doc = {"n_queues": n, "arrival_rates": [0.5] * n, "allocation": allocation}
@@ -532,6 +533,16 @@ def test_cli_rejects_scenario_values_the_builders_reject(key, value, tmp_path, c
     with deadline(10.0):
         assert main(["analyze", "--scenario", str(path)]) == 64
     assert "scenario error: allocation:" in capsys.readouterr().err
+
+
+def test_cli_rejects_an_alpha_whose_bound_overflows(tmp_path, capsys, deadline):
+    # 2.0 ** 2000 raised OverflowError, and the message did not name alpha
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"n_queues": 1, "arrival_rates": [0.5],
+                                "allocation": {"kind": "power_law", "alpha": 2000}}))
+    with deadline(10.0):
+        assert main(["analyze", "--scenario", str(path)]) == 64
+    assert "scenario error: allocation: alpha must be below 1024" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [
