@@ -56,7 +56,6 @@ from .errors import (
     HypothesisViolated,
     InvalidShape,
     NoConvergence,
-    NoUniformLimit,
     PermutationCapExceeded,
     SaturationNotConverged,
     ScenarioError,

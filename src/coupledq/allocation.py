@@ -19,12 +19,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    BoundViolation,
-    InvalidShape,
-    NoUniformLimit,
-    SaturationNotConverged,
-)
+from .errors import BoundViolation, InvalidShape, SaturationNotConverged
 
 State = tuple  # tuple[int, ...]
 RateFn = Callable[[int, State], float]
@@ -39,6 +34,9 @@ DEFAULT_SAT_LEVEL = 64
 DEFAULT_GROWTH = 2.0
 DEFAULT_LIMIT_TOL = 1e-9
 DEFAULT_UNIFORM_TOL = 1e-6
+# saturation levels R of the uniform-limit check, and the cap on its prefix probe box
+_UNIFORM_LEVELS = tuple(DEFAULT_SAT_LEVEL * 2 ** k for k in range(17))
+_UNIFORM_PROBE_CAP = 8
 MAX_ESCALATIONS = 96
 # factor tables stop growing here; larger queue lengths are evaluated row by row
 FACTOR_TABLE_CAP = 1 << 20
@@ -195,10 +193,10 @@ class _FactorTable:
         return np.array([float(self.f(x)) for x in keys.tolist()])[inverse]
 
 
-def _probe_side(dim: int, cap: int, budget: int = 256) -> int:
-    """Side ``c + 1`` of the prefix probe box {0..c}^dim, with c shrunk so
-    the box fits the budget."""
-    return min(cap, max(1, int(round(budget ** (1.0 / max(dim, 1)))) - 1)) + 1
+def _probe_side(dim: int) -> int:
+    """Side ``c + 1`` of the prefix probe box {0..c}^dim, with c at most
+    ``_UNIFORM_PROBE_CAP`` and shrunk so the box holds about 256 states."""
+    return min(_UNIFORM_PROBE_CAP, max(1, int(round(256 ** (1.0 / max(dim, 1)))) - 1)) + 1
 
 
 def _state_grid(axes) -> np.ndarray:
@@ -342,10 +340,10 @@ class StructureReport:
     guaranteed_by_shape: bool = False
 
 
-def default_pd_box(n_queues: int, cap: int = 64) -> int:
-    """Per-coordinate cap for the monotonicity sweep, shrunk so the
-    exhaustive state count stays near 2**18 for many queues."""
-    return min(cap, max(3, int(round((2 ** 18) ** (1.0 / n_queues))) - 1))
+def default_pd_box(n_queues: int) -> int:
+    """Per-coordinate cap for the monotonicity sweep, at most 64 and shrunk
+    so the exhaustive state count stays near 2**18 for many queues."""
+    return min(64, max(3, int(round((2 ** 18) ** (1.0 / n_queues))) - 1))
 
 
 def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) -> StructureReport:
@@ -391,43 +389,27 @@ def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) 
     return report
 
 
-def default_schedule(start: int = DEFAULT_SAT_LEVEL, levels: int = 17) -> tuple:
-    return tuple(start * 2 ** k for k in range(levels))
-
-
-def check_uniform_limits(
-    spec: AllocationSpec,
-    schedule=None,
-    tol: float = DEFAULT_UNIFORM_TOL,
-    prefix_cap: int = 8,
-) -> StructureReport:
+def check_uniform_limits(spec: AllocationSpec, tol: float = DEFAULT_UNIFORM_TOL) -> StructureReport:
     """Verify that every rate function settles uniformly when any coordinate
-    subset is saturated.
+    subset is saturated, and return the report either way.
 
     For each saturated subset and each probed prefix state, the residual is
     the spread (max - min) of the rate over the saturation grid
     ``{R, R+1, 2R}`` per saturated coordinate; it must fall below ``tol`` at
-    some schedule level.  Raises :class:`NoUniformLimit` when the final level
-    still misses ``tol`` and the allocation does not carry a shape guarantee.
-    ``ValueError`` rejects a ``tol`` not a finite real above 0, a ``schedule``
-    not strictly increasing integers >= 1, and a ``prefix_cap`` not an
-    integer >= 0; a bool is none of these.
+    some level ``R = 64 * 2**k``, ``k < 17``.  When a subset still misses
+    ``tol`` at the last level and the allocation does not carry a shape
+    guarantee, the report has ``uniform_limits=False`` and the worst residual
+    so far.  ``ValueError`` rejects a ``tol`` not a finite real above 0.
     """
-    schedule = default_schedule() if schedule is None else tuple(schedule)
-    for r in schedule:
-        _check_integer("schedule level", r)
-    if any(b <= a for a, b in zip(schedule, schedule[1:])) or not schedule:
-        raise ValueError("schedule must be strictly increasing and nonempty")
     _check_real("tol", tol)
-    _check_integer("prefix_cap", prefix_cap, 0)
-
     n = spec.n_queues
-    worst = 0.0
+    report = StructureReport(probe_box=(_UNIFORM_PROBE_CAP,) * n, uniform_limits=True,
+                             worst_residual=0.0,
+                             guaranteed_by_shape=spec.monotone_by_construction)
     for m in range(1, n + 1):  # size of the saturated subset
         for sat in itertools.combinations(range(n), m):
-            side = range(_probe_side(n - m, prefix_cap))
-            residual = math.inf
-            for r in schedule:
+            side = range(_probe_side(n - m))
+            for r in _UNIFORM_LEVELS:
                 levels = sorted({r, r + 1, 2 * r})
                 axes = [levels if q in sat else side for q in range(n)]
                 X, shape = _state_grid(axes), [len(a) for a in axes]
@@ -436,24 +418,11 @@ def check_uniform_limits(
                                for i in range(n))
                 if residual < tol:
                     break
-            worst = max(worst, residual)
+            report.worst_residual = max(report.worst_residual, residual)
             if residual >= tol and not spec.monotone_by_construction:
-                report = StructureReport(
-                    probe_box=(prefix_cap,) * n,
-                    uniform_limits=False,
-                    worst_residual=worst,
-                )
-                raise NoUniformLimit(
-                    f"saturation residual {residual:.3g} for subset {sat} still above "
-                    f"{tol} at level {schedule[-1]}",
-                    report=report,
-                )
-    return StructureReport(
-        probe_box=(prefix_cap,) * n,
-        uniform_limits=True,
-        worst_residual=worst,
-        guaranteed_by_shape=spec.monotone_by_construction,
-    )
+                report.uniform_limits = False
+                return report
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +450,15 @@ def constant_allocation(mus) -> AllocationSpec:
     )
 
 
-def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
-                          strict: bool = True) -> AllocationSpec:
+def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]]) -> AllocationSpec:
     """Allocation whose rates depend only on which *other* queues are busy.
 
     ``tables[i]`` maps a frozenset of busy other-queue indices to queue ``i``'s
     rate.  Saturated limits are exact table lookups (a pinned coordinate is
-    simply busy).  With ``strict`` the table must be monotone under subset
-    inclusion (more busy neighbors never helps), which is exactly the partial
-    monotonicity hypothesis for this family.  ``ValueError`` rejects a
-    missing busy set and a rate that is not a finite real >= 0, such as a bool or "1".
+    simply busy).  Any table builds: partial monotonicity holds when more busy
+    neighbors never help, and the engine's structure gate judges that and
+    reports it.  ``ValueError`` rejects a missing busy set and a rate that is
+    not a finite real >= 0, such as a bool or "1".
     """
     n = len(tables)
     norm = []
@@ -505,15 +473,6 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
             t[subset] = _check_real(f"table rate {v!r} of queue {i} for busy set "
                                     f"{set(subset)}", v, inclusive=True)
         norm.append(t)
-    if strict:
-        for i, t in enumerate(norm):
-            for s, v in t.items():
-                for s2, v2 in t.items():
-                    if s < s2 and v < v2 - _MONO_SLACK:
-                        raise InvalidShape(
-                            f"queue {i}: rate {v} for busy set {set(s)} below rate "
-                            f"{v2} for larger busy set {set(s2)}"
-                        )
     bound = max(max(t.values()) for t in norm)
     # queue i's rate by the bit mask of all busy queues (bit i ignored)
     by_mask = tuple(
@@ -539,13 +498,13 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]],
     )
 
 
-def three_queue_table(a: Sequence[float], a_pair: Mapping, strict: bool = True) -> AllocationSpec:
+def three_queue_table(a: Sequence[float], a_pair: Mapping) -> AllocationSpec:
     """Three coupled queues whose rates see only the busy pattern of the others.
 
     Queue ``i`` serves at ``a[i]`` when both other queues are empty, at
     ``a_pair[(i, j)]`` when only queue ``j`` is busy, and at 1 when both are.
     Monotonicity needs ``a[i] >= a_pair[(i, j)] >= 1``; the rates are checked
-    as :func:`busy_table_allocation` checks them."""
+    and the table built as :func:`busy_table_allocation` does."""
     if len(a) != 3:
         raise ValueError("need exactly three solo rates")
     tables = []
@@ -555,7 +514,7 @@ def three_queue_table(a: Sequence[float], a_pair: Mapping, strict: bool = True) 
         for j in others:
             tab[frozenset({j})] = a_pair[(i, j)]
         tables.append(tab)
-    return busy_table_allocation(tables, strict=strict)
+    return busy_table_allocation(tables)
 
 
 def build_product_allocation(gains, interference) -> AllocationSpec:
@@ -579,6 +538,7 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
     for i, fm in enumerate(interference):
         m = {}
         for j, (f, lim) in dict(fm).items():
+            _check_integer("interference index", j, 0)
             if j == i or not 0 <= j < n:
                 raise ValueError(f"interference factor index {j} invalid for queue {i}")
             m[int(j)] = (f, _check_real(f"interference limit ({i},{j})", lim, inclusive=True))

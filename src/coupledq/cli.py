@@ -91,7 +91,7 @@ def _parse_grid(text: str, n: int):
 
 def _apply_overrides(scn: Scenario, args) -> Scenario:
     changes = {}
-    tol_kw = _parse_kv(getattr(args, "tol", None))
+    tol_kw = _typed_params(getattr(args, "tol", None))
     if tol_kw:
         try:
             changes["tolerances"] = scn.tolerances.replace(**tol_kw)
@@ -107,7 +107,8 @@ def _apply_overrides(scn: Scenario, args) -> Scenario:
 
 
 def _typed_params(pairs) -> dict:
-    """``--param`` values: numbers where they parse as one, text otherwise."""
+    """``--param`` and ``--tol`` values: numbers where they parse as one,
+    text otherwise."""
     typed = {}
     for k, v in _parse_kv(pairs).items():
         try:
@@ -303,15 +304,10 @@ def cmd_three_queues(args) -> int:
     rates = scn.rates
     a = scn.params["a_i"]
     a_pair = scn.params["a_ij"]
-    ok = all(
-        a[i] >= a_pair[f"{i + 1}{j + 1}"] >= 1.0
-        for i in range(3) for j in range(3) if i != j
-    )
-    if not ok:
+    engine = StabilityEngine(scn.spec, scn.tolerances)
+    if not engine.structure().partially_decreasing:
         print("warning: solo/pair rates break the monotonicity hypothesis "
               "(need a_i >= a_ij >= 1); verdicts may be unsound")
-
-    engine = StabilityEngine(scn.spec, scn.tolerances)
     verdict = engine.classify(scn.rates)
     print(f"arrival rates: {list(rates)}")
     print(f"system: {verdict.system.value}")

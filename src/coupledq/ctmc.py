@@ -377,7 +377,6 @@ def adaptive_stationary(
                 raise NoConvergence(
                     f"state cap {state_cap} reached at box {t} with boundary mass "
                     f"{dist.boundary_mass:.3e} >= {tail_tol:.1e}",
-                    distribution=dist,
                     report=report,
                 )
             return dist, report  # flagged: boundary small but functionals unsettled

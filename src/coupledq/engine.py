@@ -46,7 +46,6 @@ from .ctmc import (
 )
 from .errors import (
     NoConvergence,
-    NoUniformLimit,
     PermutationCapExceeded,
     SaturationNotConverged,
 )
@@ -75,12 +74,13 @@ _INT_FLOORS = {"sat_level": 1, "pd_box": 1, "start_box": 1, "state_cap": 1,
 class Tolerances:
     """All numeric knobs of the classification pipeline; everything explicit.
 
-    Values are checked and normalized on construction: a number or numeric
-    string becomes a float, or an int for the integer knobs, and a value out
-    of range raises ``ValueError``.  ``pd_box`` may also be ``None`` (the
-    default box).  The converted value must then pass the rule of the
-    library argument of the same name: an integer at least the knob's floor,
-    or a finite real above 0 (``growth``: above 1), and never a bool.
+    Values are numbers, checked and normalized on construction by the rule
+    of the library argument of the same name: an integer at least the knob's
+    floor, or a finite real above 0 (``growth``: above 1).  A bool or a
+    numeric string raises ``ValueError``.  Float knobs are stored as floats;
+    an integer knob also takes an integral float, such as a JSON ``32.0``,
+    and is stored as an int.  ``pd_box`` may also be ``None`` (the default
+    box).  The CLI parses ``--tol`` text into numbers before it gets here.
     """
 
     margins_tol: float = 1e-4
@@ -102,17 +102,14 @@ class Tolerances:
             v = getattr(self, f.name)
             if v is None and f.name == "pd_box":
                 continue
-            try:  # an int stays exact; what does not convert is left to the rule
-                num = v if isinstance(v, int) else float(v)
-            except (TypeError, ValueError, OverflowError):
-                num = v
             floor = _INT_FLOORS.get(f.name)
             if floor is None:
-                num = _check_real(f"tolerance {f.name}", num, 1.0 if f.name == "growth" else 0.0)
+                v = _check_real(f"tolerance {f.name}", v, 1.0 if f.name == "growth" else 0.0)
             else:
-                num = int(num) if isinstance(num, float) and num.is_integer() else num
-                _check_integer(f"tolerance {f.name}", num, floor)
-            object.__setattr__(self, f.name, num)
+                v = int(v) if isinstance(v, float) and v.is_integer() else v
+                _check_integer(f"tolerance {f.name}", v, floor)
+                v = int(v)
+            object.__setattr__(self, f.name, v)
 
     def replace(self, **kw) -> "Tolerances":
         """A copy with the given knobs changed; an unknown knob or a bad
@@ -393,11 +390,8 @@ class StabilityEngine:
         ``guaranteed_by_shape``; the monotonicity gate runs first."""
         if self._structure is None:
             pd = check_partially_decreasing(self.spec, box=self.tol.pd_box)
-            try:
-                ul = check_uniform_limits(self.spec, tol=self.tol.uniform_tol)
-            except NoUniformLimit as exc:
-                ul = exc.report or StructureReport(uniform_limits=False)
-            self._structure = replace(pd, uniform_limits=bool(ul.uniform_limits),
+            ul = check_uniform_limits(self.spec, tol=self.tol.uniform_tol)
+            self._structure = replace(pd, uniform_limits=ul.uniform_limits,
                                       worst_residual=ul.worst_residual,
                                       guaranteed_by_shape=ul.guaranteed_by_shape)
         return self._structure

@@ -13,18 +13,6 @@ class InvalidShape(CoupledQError):
     """A sampled gain was not increasing or a sampled interference factor not decreasing."""
 
 
-class NoUniformLimit(CoupledQError):
-    """The saturation residual failed to drop below tolerance at the last schedule level.
-
-    Diagnostic only: a slowly converging allocation can trip this even when the
-    limit exists.  Carries the partially filled StructureReport in ``report``.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class SaturationNotConverged(CoupledQError):
     """Numeric saturation escalation never stabilized within limit_tol."""
 
@@ -40,13 +28,12 @@ class NoConvergence(CoupledQError):
     above tail_tol -- the expected signal for an unstable saturated prefix
     process -- and when no stationary solve candidate meets residual_tol.
     The engine maps either to a zero, untrustworthy worst-case average rate.
-    A cap hit carries the last (uncertified) distribution and the solve
-    report; a residual miss carries neither.
+    A cap hit carries the solve report, with every box tried, in ``report``;
+    a residual miss carries none.
     """
 
-    def __init__(self, message, distribution=None, report=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
-        self.distribution = distribution
         self.report = report
 
 

@@ -21,14 +21,12 @@ from coupledq.allocation import (
     _state_grid,
     as_rates,
     default_pd_box,
-    default_schedule,
     lower_partial_limit,
 )
 from coupledq.ctmc import StationaryDistribution
 from coupledq.errors import (
     BoundViolation,
     HypothesisViolated,
-    NoUniformLimit,
     SaturationNotConverged,
 )
 from coupledq.simulate import (
@@ -180,19 +178,18 @@ def check_partially_decreasing_scalar(spec: AllocationSpec, box=None) -> Structu
     return report
 
 
-def check_uniform_limits_scalar(spec: AllocationSpec, schedule=None, tol=1e-6,
-                                prefix_cap=8) -> StructureReport:
-    """State-by-state reference for ``check_uniform_limits``."""
-    schedule = tuple(int(r) for r in (schedule or default_schedule()))
+def check_uniform_limits_scalar(spec: AllocationSpec, tol=1e-6) -> StructureReport:
+    """State-by-state reference for ``check_uniform_limits``, at its levels
+    64 * 2**k, k < 17, and its probe cap 8."""
     n = spec.n_queues
     worst = 0.0
     for m in range(1, n + 1):
         for sat in itertools.combinations(range(n), m):
             prefix_slots = [j for j in range(n) if j not in sat]
-            probes = list(itertools.product(range(_probe_side(len(prefix_slots), prefix_cap)),
+            probes = list(itertools.product(range(_probe_side(len(prefix_slots))),
                                             repeat=len(prefix_slots)))
             residual = math.inf
-            for r in schedule:
+            for r in (64 * 2 ** k for k in range(17)):
                 levels = sorted({r, r + 1, 2 * r})
                 spread = 0.0
                 for u in probes:
@@ -213,18 +210,10 @@ def check_uniform_limits_scalar(spec: AllocationSpec, schedule=None, tol=1e-6,
                     break
             worst = max(worst, residual)
             if residual >= tol and not spec.monotone_by_construction:
-                report = StructureReport(
-                    probe_box=(prefix_cap,) * n,
-                    uniform_limits=False,
-                    worst_residual=worst,
-                )
-                raise NoUniformLimit(
-                    f"saturation residual {residual:.3g} for subset {sat} still above "
-                    f"{tol} at level {schedule[-1]}",
-                    report=report,
-                )
+                return StructureReport(probe_box=(8,) * n, uniform_limits=False,
+                                       worst_residual=worst)
     return StructureReport(
-        probe_box=(prefix_cap,) * n,
+        probe_box=(8,) * n,
         uniform_limits=True,
         worst_residual=worst,
         guaranteed_by_shape=spec.monotone_by_construction,

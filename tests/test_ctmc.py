@@ -494,11 +494,6 @@ _COUNT_BAD = (math.nan, math.inf, -1, 2.5, True, "1")
 # of "1" too, or it raised TypeError
 _BAD_ARGUMENTS = {
     "uniform-tol": ("tol", lambda v: check_uniform_limits(_PARITY, tol=v), _REAL_BAD),
-    "uniform-schedule": ("schedule level",
-                         lambda v: check_uniform_limits(_PARITY, schedule=(v, 128)),
-                         _COUNT_BAD + (0,)),
-    "uniform-prefix-cap": ("prefix_cap", lambda v: check_uniform_limits(_PARITY, prefix_cap=v),
-                           _COUNT_BAD + (-3,)),
     "pd-box": ("box", lambda v: check_partially_decreasing(_PARITY, box=v), _COUNT_BAD + (0,)),
     "build-box": ("box", lambda v: build_truncated_generator(
         (0.5,), _MM1_DEATHS, (v,), death_bound=1.0), _COUNT_BAD + (0,)),
@@ -545,6 +540,10 @@ _BAD_ARGUMENTS = {
     "interference-limit": (r"interference limit \(0,1\)", lambda v: build_product_allocation(
         gains=[log_gain(), log_gain()], interference=[{1: (lambda t: 1.0, v)}, {}]),
         _NONNEGATIVE_BAD),
+    # each of these keys was read as queue 1: [{1.5: ...}, {}] built with bound 3.0
+    "interference-index": ("interference index", lambda v: build_product_allocation(
+        gains=[log_gain(), log_gain()], interference=[{v: exp_interference(2.0)}, {}]),
+        (True, 1.0, 1.5)),
     "constant-rate": ("service rate", lambda v: constant_allocation((1.0, v)),
                       _NONNEGATIVE_BAD),
     "table-rate": (r"table rate .+ of queue 0 for busy set set\(\)",
@@ -586,6 +585,8 @@ def test_entry_points_reject_what_tolerances_rejects(knob, deadline):
             rejected += 1
             with deadline(30), pytest.raises(ValueError, match=f"^{name} must be"):
                 call(value)
+        else:  # numbers only: the CLI, not Tolerances, reads --tol text
+            assert not isinstance(value, (str, bool)), value
     assert rejected >= 10
 
 
@@ -701,10 +702,15 @@ def test_adaptive_certifies_heavier_load_with_larger_box():
 
 def test_adaptive_unstable_raises_no_convergence():
     # positive drift: mass accumulates at the moving boundary, never certifies
-    with pytest.raises(NoConvergence):
+    with pytest.raises(NoConvergence) as caught:
         adaptive_stationary(
             (1.2,), tabulated(lambda i, x: 1.0, 1), death_bound=1.0, state_cap=1 << 14
         )
+    # the cap hit carries its solve report, with every box tried
+    report = caught.value.report
+    assert not report.certified
+    assert [trial.box for trial in report.history] == [(32 << k,) for k in range(9)]
+    assert report.history[-1].boundary_mass >= 1e-8
 
 
 def test_adaptive_empty_prefix_convention():

@@ -87,8 +87,7 @@ ENVELOPE_SPECS = {
     "rising": lambda: AllocationSpec(
         2, lambda i, x: min(1.0 + x[1], 5.0) / 5.0 if i == 0 else 1.0, bound=1.0),
     "three-queue-non-monotone": lambda: three_queue_table(
-        (3.0, 1.5, 3.0), {(i, j): 2.0 for i in range(3) for j in range(3) if i != j},
-        strict=False),
+        (3.0, 1.5, 3.0), {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}),
 }
 
 
