@@ -71,13 +71,19 @@ def test_three_queue_case_table():
 
 
 @pytest.mark.parametrize("bad", [-3.0, -0.5, math.nan, math.inf])
-def test_busy_table_rejects_negative_and_non_finite_rates(bad):
+@pytest.mark.parametrize("solo", [True, False])
+def test_busy_table_rejects_negative_and_non_finite_rates(bad, solo):
+    # the bad rate sits in the all-empty entry (solo) or in a one-busy entry
+    table = {frozenset(): bad, frozenset({1}): 0.5} if solo else \
+        {frozenset(): 2.0, frozenset({1}): bad}
     with pytest.raises(ValueError, match="table rate .* must be a finite number >= 0"):
-        busy_table_allocation([{frozenset(): 2.0, frozenset({1}): bad},
-                               {frozenset(): 1.5, frozenset({0}): 0.5}])
+        busy_table_allocation([table, {frozenset(): 1.5, frozenset({0}): 0.5}])
+    a = (bad, 3.0, 3.0) if solo else (3.0, 3.0, 3.0)
     a_pair = {(i, j): 2.0 for i in range(3) for j in range(3) if i != j}
+    if not solo:
+        a_pair[(0, 1)] = bad
     with pytest.raises(ValueError, match=f"table rate {bad} of queue 0"):
-        three_queue_table((bad, 3.0, 3.0), a_pair)
+        three_queue_table(a, a_pair)
 
 
 def test_non_monotone_busy_table_builds_and_the_gate_judges_it():
