@@ -11,8 +11,10 @@ death, lower-only death; elsewhere the four separate moves), then per
 uncompared coordinate, and read each rate at most once per joint state.
 
 Randomness comes from counter-based Philox streams: one stream per replica,
-derived deterministically from the base seed.  Single paths and the
-stability probe's replicas are all drawn by one lockstep loop, which
+derived deterministically from the base seed.  A stream gives its events'
+exponential gaps and uniforms in batches of ``_BATCH``: a batch's gaps in
+one call as it starts, then its uniforms a chunk at a time.  Single paths
+and the stability probe's replicas are all drawn by one lockstep loop, which
 advances its replicas one event per step, each on its own stream.  It
 settles the deaths of up to 32 steps at a time from guessed states, and
 the result is the one a loop of single steps gives.  A coupled pair draws
@@ -22,7 +24,6 @@ its one stream as the lockstep draws replica 0.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -283,9 +284,8 @@ def simulate_coupled_pair(rates_x, spec_x: AllocationSpec,
 def _pair_draws(seed: int, scale: float):
     """``(gap, u)`` per event, as the lockstep draws them from ``_stream(seed)``."""
     draws = _ChunkDraws([_stream(seed)], scale)
-    gaps, unis = np.empty((1, _CHUNK)), np.empty((1, _CHUNK))
     while True:
-        draws.next((0,), gaps, unis)
+        gaps, unis = draws.next((0,))
         yield from zip(gaps[0].tolist(), unis[0].tolist())
 
 
@@ -390,28 +390,26 @@ def _advance(t: float, end: float, c: int, cps: Sequence[float]):
 
 class _ChunkDraws:
     """The gaps and uniforms of each stream's next ``_CHUNK`` events, as a
-    scalar loop takes them (``tests/oracles.py``): ``_BATCH`` gaps and then
-    ``_BATCH`` uniforms from the stream at a time, so a clone advanced past
-    the gaps yields the uniforms."""
+    scalar loop takes them (``tests/oracles.py``): ``_BATCH`` gaps, then
+    ``_BATCH`` uniforms.  As a batch starts, each stream in ``which`` draws
+    its gaps in one call, scaled once, and a chunk's gaps are a view of
+    them; the chunk's uniforms come from the same stream, past the gaps."""
 
     def __init__(self, streams: list, scale: float):
-        self.gap_streams = self.uni_streams = streams
-        self.scale = scale
-        self.drawn = 0
-        self._skip = np.empty(_BATCH)
+        self.streams, self.scale, self.drawn = streams, scale, 0
+        self.gaps = np.empty((len(streams), _BATCH))
+        self.unis = np.empty((len(streams), _CHUNK))
 
-    def next(self, which, gaps: np.ndarray, unis: np.ndarray) -> None:
-        """Fill rows ``which`` of the ``(R, _CHUNK)`` arrays."""
-        if self.drawn % _BATCH == 0:
-            self.gap_streams = self.uni_streams
-            self.uni_streams = [copy.deepcopy(g) for g in self.gap_streams]
-            for r in which:
-                self.uni_streams[r].standard_exponential(out=self._skip)
+    def next(self, which) -> tuple:
+        """``(gaps, unis)``, ``(R, _CHUNK)``, drawn in rows ``which``; later calls reuse them."""
+        at = self.drawn % _BATCH
         for r in which:
-            self.gap_streams[r].standard_exponential(out=gaps[r])
-            self.uni_streams[r].random(out=unis[r])
-        gaps *= self.scale
+            if at == 0:
+                self.streams[r].standard_exponential(out=self.gaps[r])
+                self.gaps[r] *= self.scale
+            self.streams[r].random(out=self.unis[r])
         self.drawn += _CHUNK
+        return self.gaps[:, at:at + _CHUNK], self.unis
 
 
 def _meet(row: np.ndarray, gaps: np.ndarray, c: int, cps: Sequence[float],
@@ -503,8 +501,6 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     total_lam = sum(lam)
     big = total_lam + n * spec.bound
     pending = np.array([*cps, math.inf])
-    lam_steps = np.broadcast_to(np.array(lam), (R, C, n))
-    queue_bins = np.arange(n) * B
 
     # states as (n, R), a replica per column, and X = XT.T a replica per row
     XT = np.tile(np.array(start, dtype=np.int64)[:, None], (1, R))
@@ -519,8 +515,7 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     windows = np.zeros((len(bounds) + 1) * n * B)
 
     draws = _ChunkDraws([_stream(seed, r) for r in range(R)], 1.0 / big)
-    G = np.empty((R, C))
-    U = np.empty((R, C))
+    dB = np.empty((C, n, R), dtype=np.int64)  # the births at each step
     S = np.empty((C, n, R), dtype=np.int64)  # the state during each step
     V = np.empty((C, n, R))                  # the rates during each step
     rate = spec.rates_at if spec._array_fn is None else spec._array_fn
@@ -530,7 +525,7 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     guessed = np.empty((guess, n, R), dtype=bool)
     held = np.zeros((n, R))                       # the rates at the last settled step
     while active.any():
-        draws.next(np.flatnonzero(active), G, U)
+        G, U = draws.next(np.flatnonzero(active))
 
         # event times: t = t + gap, save where a checkpoint or the horizon
         # is met; those steps become pieces settled as advance() does
@@ -551,14 +546,14 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
         active &= last == C
 
         # births do not depend on the state: v = u * big, then v -= lam[i]
-        v = U * big
-        is_birth = live & (v < total_lam)
-        born = np.subtract.accumulate(
-            np.concatenate([v[..., None], lam_steps], axis=2), axis=2)[..., 1:] < 0
-        born[..., 1:] ^= born[..., :-1]
-        born &= is_birth[..., None]
-        dB = born.transpose(1, 2, 0).astype(np.int64)
-        V0 = np.where(live & ~is_birth, v - total_lam, np.inf).T.copy()
+        v = np.multiply(U.T, big, order="C")
+        is_birth = live.T & (v < total_lam)
+        rest, below = v, False
+        for i in range(n):  # born: the first i with v - lam[0] - ... - lam[i] < 0
+            rest, was = rest - lam[i], below
+            below = rest < 0
+            dB[:, i] = (below ^ was) & is_birth
+        V0 = np.where(live.T & ~is_birth, v - total_lam, np.inf)
 
         # deaths: v -= total_lam, then v -= rate_i for each busy queue in
         # order; steps k..k+w-1 at a time, their states built from guessed
@@ -613,21 +608,24 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
         for r, steps in met.items():
             for k, _, _ in steps:
                 seg[r, k] = 0.0
-        seg = seg[:, :n_steps].T
-        Sk = S[:n_steps].transpose(0, 2, 1)
-        wid = np.searchsorted(bounds, labels[:, :n_steps].T)
-        idx = (wid[..., None] * n * B + queue_bins) + np.minimum(Sk, B - 1)
-        windows += np.bincount(idx.ravel(),
-                               np.broadcast_to(seg[..., None], Sk.shape).ravel(),
-                               minlength=windows.size)
-        contrib = Sk * seg[..., None]
-        start_area = area
-        area = np.cumsum(np.concatenate([area[None], contrib]), axis=0)[-1]
+        seg = np.ascontiguousarray(seg[:, :n_steps].T)
+        base = np.searchsorted(bounds, labels[:, :n_steps].T) * (n * B)
+        # a queue at a time, over the bins from the lowest it touched; each
+        # bin adds its segments in (step, replica) order
+        for i in range(n):
+            idx = np.minimum(S[:n_steps, i], B - 1) + (base + i * B)
+            lo = int(idx.min())
+            counts = np.bincount((idx - lo).ravel(), seg.ravel())
+            windows[lo:lo + counts.size] += counts
+        contrib = S[:n_steps].transpose(0, 2, 1) * seg[..., None]
+        # add.reduce adds down axis 0 in order, but pairwise down a single column
+        terms = np.concatenate([area[None], contrib])
+        area = np.add.reduce(terms, axis=0) if R * n > 1 else np.cumsum(terms, axis=0)[-1]
         for r, steps in met.items():
-            a, k0 = start_area[r], 0
+            a, k0 = terms[0, r], 0
             for k, pieces, _ in steps:
                 a = np.cumsum(np.concatenate([a[None], contrib[k0:k, r]]), axis=0)[-1]
-                x = Sk[k, r]
+                x = S[k, :, r]
                 for piece, j in pieces:
                     if piece is None:
                         cp_state[j, r] = x
@@ -635,7 +633,7 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
                     else:
                         a = a + x * piece
                         w = bisect.bisect_left(bounds, j)
-                        windows[w * n * B + queue_bins + np.minimum(x, B - 1)] += piece
+                        windows[w * n * B + np.arange(n) * B + np.minimum(x, B - 1)] += piece
                 k0 = k + 1
             area[r] = np.cumsum(np.concatenate([a[None], contrib[k0:, r]]), axis=0)[-1]
 
@@ -673,7 +671,8 @@ def empirical_stability_probe(rates, spec: AllocationSpec, x0,
     occupancy mass sits above the level covering 99.9% of early-horizon mass.
     ``ValueError`` rejects no horizons, one not a finite real above 0 (such as
     a bool or "1"), a ``replicas`` not an integer >= 1, and rates and a start
-    as :func:`simulate_path` does.
+    as :func:`simulate_path` does.  Each replica takes about 130 KB of
+    working memory at two queues, 64 KB of it a batch of gaps (``_BATCH`` floats).
     """
     n = spec.n_queues
     horizons = sorted(_check_real("horizon", h) for h in horizons)

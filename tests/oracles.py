@@ -462,9 +462,11 @@ def grounded_lu(gen, ground: int) -> tuple:
     return vec, float(np.abs(matrix.T @ vec).max())
 
 class _Draws:
-    """Batched exponential gaps and uniforms from one stream, ``_BATCH`` of
-    each at a time: the scalar draws that ``simulate._ChunkDraws`` returns
-    chunk by chunk, and with it the lockstep and the coupled pair."""
+    """Batched exponential gaps and uniforms from one stream: ``_BATCH``
+    gaps, then ``_BATCH`` uniforms, then the next batch.  These are, value
+    for value, the draws of ``simulate._ChunkDraws``, and so of the lockstep
+    and the coupled pair, which take a batch's gaps in one call and its
+    uniforms a chunk at a time from the same stream."""
 
     def __init__(self, rng: np.random.Generator, scale: float):
         self.rng = rng

@@ -767,6 +767,11 @@ SCENARIOS = pathlib.Path(__file__).parents[1] / "demos" / "scenarios"
     (["couple-check", "--scenario", str(GOLDEN / "couple_lower.json"),
       "--scenario-y", str(GOLDEN / "couple_upper.json"), "--events", "2000"], 0,
      "couple_check_lower_upper.txt"),
+    # a 32-replica probe whose paths cross one batch boundary of the draws
+    (["simulate", "--scenario", "two_basestations", "--rates", "0.45,0.45",
+      "--horizon", "4000"], 0, "simulate_two_basestations_0.45_0.45.json"),
+    (["simulate", "--scenario", "three_queues", "--rates", "0.5,1.2,0.3",
+      "--horizon", "1000"], 0, "simulate_three_queues_0.5_1.2_0.3.json"),
 ])
 def test_cli_outputs_match_golden_files(argv, code, golden, capsys):
     assert main(argv) == code

@@ -530,6 +530,8 @@ PROBE_CORPUS = {
     "bs-stable": (base_station_pair(2.0), (0.3, 0.3), (0, 0), (250, 500, 1000), 16, 990_001),
     "bs-unstable": (base_station_pair(2.0), (1.2, 1.0), (0, 0), (250, 500, 1000), 16, 990_002),
     "bs-boundary": (base_station_pair(2.0), (0.5, 0.5), (0, 0), (250, 500, 1000), 16, 990_003),
+    # about 20,000 events per replica: two _BATCH boundaries of a state-dependent spec
+    "bs-long": (base_station_pair(2.0), (0.4, 0.5), (0, 0), (1300, 2600, 5200), 8, 990_004),
     "three-queue": (make_three_queue(), (0.5, 1.2, 0.3), (0, 0, 0), (150, 300, 600), 12, 7),
     "power-law": (one_server_power_law(2.0), (0.9,), (3,), (100, 200, 400), 16, 5),
     "lambda-spec": (AllocationSpec(2, _pair_rate, bound=1.75), (0.6, 0.7), (2, 5),
@@ -558,6 +560,23 @@ def test_lockstep_checkpoint_just_past_an_event():
     c = end + 8e-16
     assert end < c <= end + 1e-15
     _assert_lockstep_matches(spec, rates, (0, 0), (2 * c, 4 * c), 32, seed)
+
+
+def test_chunk_draws_match_the_scalar_draws():
+    # three streams over three batches and more; stream 1 stops in the middle
+    # of the second batch, as a replica does at its horizon
+    B, C, scale = simulate._BATCH, simulate._CHUNK, 0.37
+    draws = simulate._ChunkDraws([_stream(5, r) for r in range(3)], scale)
+    scalar = [_Draws(_stream(5, r), scale) for r in range(3)]
+    for start in range(0, 3 * B + 2 * C, C):
+        which = (0, 1, 2) if start < B + B // 2 else (0, 2)
+        gaps, unis = draws.next(which)
+        for r in which:
+            want = [scalar[r].next() for _ in range(C)]
+            assert gaps[r].tolist() == [g for g, _ in want], (start, r)
+            assert unis[r].tolist() == [u for _, u in want], (start, r)
+    pair, ref = simulate._pair_draws(5, scale), _Draws(_stream(5), scale)
+    assert [next(pair) for _ in range(20_000)] == [ref.next() for _ in range(20_000)]
 
 
 # -- guessed windows of deaths against the window of one step ----------------------
@@ -645,8 +664,10 @@ def test_array_form_never_sees_a_negative_state():
 def test_simulate_path_matches_reference_path(name):
     spec, rates, x0, _, _, seed = PROBE_CORPUS[name]
     # at horizon 0.3 the third sample time, 0.1 + 0.1 + 0.1, lies past it
+    # without samples, the chunks of a long path that meet nothing sum their
+    # areas all at once
     for horizon, interval in itertools.product((0.0, 0.3, 10.0, 100.0, 2000.0),
-                                               (0.1, 0.3, 1 / 3, 2.5, 10.0)):
+                                               (None, 0.1, 0.3, 1 / 3, 2.5, 10.0)):
         got = simulate_path(rates, spec, x0, horizon, seed, sample_interval=interval)
         want = reference_path(rates, spec, x0, horizon, seed, sample_interval=interval)
         case = (horizon, interval)
