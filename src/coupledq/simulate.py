@@ -501,6 +501,7 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     total_lam = sum(lam)
     big = total_lam + n * spec.bound
     pending = np.array([*cps, math.inf])
+    queue_bins = np.arange(n) * B
 
     # states as (n, R), a replica per column, and X = XT.T a replica per row
     XT = np.tile(np.array(start, dtype=np.int64)[:, None], (1, R))
@@ -618,11 +619,10 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
             counts = np.bincount((idx - lo).ravel(), seg.ravel())
             windows[lo:lo + counts.size] += counts
         contrib = S[:n_steps].transpose(0, 2, 1) * seg[..., None]
-        # add.reduce adds down axis 0 in order, but pairwise down a single column
-        terms = np.concatenate([area[None], contrib])
-        area = np.add.reduce(terms, axis=0) if R * n > 1 else np.cumsum(terms, axis=0)[-1]
+        start_area = area
+        area = np.cumsum(np.concatenate([area[None], contrib]), axis=0)[-1]
         for r, steps in met.items():
-            a, k0 = terms[0, r], 0
+            a, k0 = start_area[r], 0
             for k, pieces, _ in steps:
                 a = np.cumsum(np.concatenate([a[None], contrib[k0:k, r]]), axis=0)[-1]
                 x = S[k, :, r]
@@ -633,7 +633,7 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
                     else:
                         a = a + x * piece
                         w = bisect.bisect_left(bounds, j)
-                        windows[w * n * B + np.arange(n) * B + np.minimum(x, B - 1)] += piece
+                        windows[w * n * B + queue_bins + np.minimum(x, B - 1)] += piece
                 k0 = k + 1
             area[r] = np.cumsum(np.concatenate([a[None], contrib[k0:, r]]), axis=0)[-1]
 
