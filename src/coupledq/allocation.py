@@ -75,6 +75,19 @@ def as_rates(rates, n: Optional[int] = None) -> ArrivalRates:
     return rates
 
 
+@dataclass(frozen=True)
+class _Declared:
+    """What a builder knows of its spec, and a hand-written spec cannot
+    claim: the array form of ``rate_fn``, exact saturated limits (a ``None``
+    from ``limits`` falls back to numeric escalation), and that every rate
+    settles uniformly under saturation, which passes the uniform-limit gate
+    whatever it measures."""
+
+    rates: Optional[ArrayRateFn] = None
+    limits: Optional[LimitFn] = None
+    uniform_limits: bool = False
+
+
 @dataclass(eq=False)
 class AllocationSpec:
     """A family of bounded service-rate functions on Z_+^N.
@@ -87,27 +100,17 @@ class AllocationSpec:
     treated as immutable after construction and are safe to share across
     concurrent evaluations under the GIL.
 
-    ``analytic_limits(prefix, queue, U)`` optionally returns the saturated
-    limits of queue ``queue``'s rate when every queue outside ``prefix`` is at
-    infinity, one per row of ``U``.  ``prefix`` is the sorted tuple of
-    unsaturated queues and each row of the ``(m, len(prefix))`` integer array
-    ``U`` holds their occupancies in that order; ``queue`` may lie inside or
-    outside ``prefix``.  Returning ``None`` falls back to numeric escalation.
-    The builders read the limits from the same tables as their array form of
-    ``rate_fn``.
-
-    The builders also give the spec an array form of ``rate_fn`` that
-    :meth:`rates_at` uses; any other spec is evaluated there row by row.
-    The structure gates and the engine's envelope bounds evaluate whole
-    boxes of states through :meth:`rates_at`.
+    The builders attach a private :class:`_Declared` record: an array form of
+    ``rate_fn``, exact saturated limits read from the same tables, and the
+    uniform-limit guarantee.  A hand-written spec declares nothing: it is
+    evaluated row by row in :meth:`rates_at`, its limits are escalated
+    numerically, and the gate alone judges its uniform limits.
     """
 
     n_queues: int
     rate_fn: RateFn
     bound: float
-    analytic_limits: Optional[LimitFn] = None
-    monotone_by_construction: bool = False
-    _array_fn: Optional[ArrayRateFn] = field(default=None, repr=False)
+    _declared: _Declared = field(default=_Declared(), repr=False)
 
     def __post_init__(self):
         _check_integer("n_queues", self.n_queues)
@@ -135,12 +138,12 @@ class AllocationSpec:
         :class:`BoundViolation` that ``rate_unmemoized`` raises for it.
         """
         X = _check_states(X, self.n_queues)
-        if self._array_fn is None:
+        if self._declared.rates is None:
             return np.array(
                 [self.rate_unmemoized(i, row) for row in map(tuple, X.tolist())],
                 dtype=float,
             )
-        v = self._array_fn(i, X)
+        v = self._declared.rates(i, X)
         self._check_bounds(v[None], X.T, (i,))
         return v
 
@@ -292,13 +295,13 @@ def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
 
     ``prefix`` lists distinct queues of the spec in any order, and ``U`` is
     an ``(m, len(prefix))`` nonnegative integer array of their occupancies
-    in increasing queue order.  The allocation's analytic limits are used
-    when available (the first one outside ``[0, bound]`` raises
+    in increasing queue order.  A builder's declared limits are used when
+    given (the first one outside ``[0, bound]`` raises
     :class:`BoundViolation`).  Otherwise each value is the least rate over
-    the grid ``{R, R+1, ceil(R*growth)}`` per saturated queue, with ``R``
-    escalated from ``sat_level`` until two consecutive levels agree within
-    ``limit_tol``; the ``R+1`` probe catches parity-periodic rate functions
-    that levels ``R`` and ``2R`` alone would miss.
+    the grid ``{R, R+1, max(R+2, ceil(R*growth))}`` per saturated queue, with
+    ``R`` escalated from ``sat_level`` until two consecutive levels agree
+    within ``limit_tol``; the ``R+1`` probe catches parity-periodic rate
+    functions that levels ``R`` and ``2R`` alone would miss.
     ``ValueError`` rejects, before any rate is read, a queue outside the spec
     or given as a bool, a ``sat_level`` not an integer >= 1, a ``growth``
     not a finite real above 1, a ``limit_tol`` not one above 0, and a bad ``U``.
@@ -312,7 +315,8 @@ def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
     _check_real("growth", growth, 1.0)
     _check_real("limit_tol", limit_tol)
     U = _check_states(U, len(prefix))
-    v = None if spec.analytic_limits is None else spec.analytic_limits(prefix, queue, U)
+    limits = spec._declared.limits
+    v = None if limits is None else limits(prefix, queue, U)
     if v is None:
         return _escalate(spec, prefix, queue, U, sat_level, growth, limit_tol)
     v = np.asarray(v, dtype=float)
@@ -337,7 +341,7 @@ class StructureReport:
     pd_counterexample: Optional[tuple] = None  # (x, y, i) with x <= y, x_i = y_i
     uniform_limits: Optional[bool] = None
     worst_residual: Optional[float] = None
-    guaranteed_by_shape: bool = False
+    uniform_by_construction: bool = False
 
 
 def default_pd_box(n_queues: int) -> int:
@@ -397,15 +401,15 @@ def check_uniform_limits(spec: AllocationSpec, tol: float = DEFAULT_UNIFORM_TOL)
     the spread (max - min) of the rate over the saturation grid
     ``{R, R+1, 2R}`` per saturated coordinate; it must fall below ``tol`` at
     some level ``R = 64 * 2**k``, ``k < 17``.  When a subset still misses
-    ``tol`` at the last level and the allocation does not carry a shape
-    guarantee, the report has ``uniform_limits=False`` and the worst residual
-    so far.  ``ValueError`` rejects a ``tol`` not a finite real above 0.
+    ``tol`` at the last level and no builder declared uniform limits, the
+    report has ``uniform_limits=False`` and the worst residual so far.
+    ``ValueError`` rejects a ``tol`` not a finite real above 0.
     """
     _check_real("tol", tol)
     n = spec.n_queues
+    declared = spec._declared.uniform_limits
     report = StructureReport(probe_box=(_UNIFORM_PROBE_CAP,) * n, uniform_limits=True,
-                             worst_residual=0.0,
-                             guaranteed_by_shape=spec.monotone_by_construction)
+                             worst_residual=0.0, uniform_by_construction=declared)
     for m in range(1, n + 1):  # size of the saturated subset
         for sat in itertools.combinations(range(n), m):
             side = range(_probe_side(n - m))
@@ -419,7 +423,7 @@ def check_uniform_limits(spec: AllocationSpec, tol: float = DEFAULT_UNIFORM_TOL)
                 if residual < tol:
                     break
             report.worst_residual = max(report.worst_residual, residual)
-            if residual >= tol and not spec.monotone_by_construction:
+            if residual >= tol and not declared:
                 report.uniform_limits = False
                 return report
     return report
@@ -444,10 +448,7 @@ def constant_allocation(mus) -> AllocationSpec:
     def limits(prefix, queue, U, _mus=mus):
         return np.full(len(U), _mus[queue])
 
-    return AllocationSpec(
-        n_queues=len(mus), rate_fn=rate, bound=bound,
-        analytic_limits=limits, monotone_by_construction=True, _array_fn=rates,
-    )
+    return AllocationSpec(len(mus), rate, bound, _Declared(rates, limits, uniform_limits=True))
 
 
 def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]]) -> AllocationSpec:
@@ -492,10 +493,7 @@ def busy_table_allocation(tables: Sequence[Mapping[frozenset, float]]) -> Alloca
         w = 1 << np.array(prefix, dtype=np.intp)  # saturated queues are busy
         return _v[queue][(U > 0) @ w + (_all - int(w.sum()))]
 
-    return AllocationSpec(
-        n_queues=n, rate_fn=rate, bound=bound,
-        analytic_limits=limits, monotone_by_construction=True, _array_fn=rates,
-    )
+    return AllocationSpec(n, rate, bound, _Declared(rates, limits, uniform_limits=True))
 
 
 def three_queue_table(a: Sequence[float], a_pair: Mapping) -> AllocationSpec:
@@ -598,10 +596,7 @@ def build_product_allocation(gains, interference) -> AllocationSpec:
             v = v * (tab.at(cols[j]) if j in cols else lim)
         return v
 
-    return AllocationSpec(
-        n_queues=n, rate_fn=rate, bound=bound,
-        analytic_limits=limits, monotone_by_construction=True, _array_fn=rates,
-    )
+    return AllocationSpec(n, rate, bound, _Declared(rates, limits, uniform_limits=True))
 
 
 # Built-in gain / interference families ------------------------------------

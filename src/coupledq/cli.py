@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="tolerance override (repeatable)")
         sp.add_argument("--param", action="append", metavar="KEY=VAL",
                         help="built-in scenario parameter (repeatable)")
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--rates", help="comma-separated arrival rates")
 
     sp = sub.add_parser("analyze", help="classify a single rate point")
@@ -379,6 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("simulate", help="empirical stability probe")
     common(sp)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--horizon", type=_positive_float, default=2000.0)
     sp.add_argument("--replicas", type=_positive_int, default=32)
     sp.add_argument("--dump", help="write one sampled trajectory to this CSV")
@@ -402,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--param", action="append", metavar="KEY=VAL",
                     help="a1..a3, a12..a32 table rates")
     sp.add_argument("--tol", action="append", metavar="KEY=VAL")
-    sp.add_argument("--seed", type=int, default=None)
     sp.set_defaults(fn=cmd_three_queues, scenario="three_queues", scenario_required=False)
     return p
 

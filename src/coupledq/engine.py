@@ -338,12 +338,14 @@ class StabilityEngine:
         law, or raises :class:`NoConvergence` again with the same message
         (the unconverged law itself is not kept).
         """
-        rates = self._at(rates)
-        prefix, n = frozenset(prefix), self.spec.n_queues
+        rates, prefix, n = self._at(rates), tuple(prefix), self.spec.n_queues
+        if not set(prefix) <= set(range(n)):
+            raise ValueError(f"prefix {sorted(prefix)} holds a queue outside range({n})")
+        for q in prefix:  # in range already: True and 1.0 would hit prefix {1}'s kept law
+            _check_integer("queue", q, 0)
+        prefix = frozenset(prefix)
         law = self._laws.get(prefix)
         if law is None:
-            if not prefix <= set(range(n)):
-                raise ValueError(f"prefix {sorted(prefix)} holds a queue outside range({n})")
             order = tuple(sorted(prefix))
             try:
                 law = adaptive_stationary(
@@ -387,13 +389,13 @@ class StabilityEngine:
     def structure(self) -> StructureReport:
         """The partial-monotonicity report on ``pd_box``, with the
         uniform-limit gate's ``uniform_limits``, ``worst_residual`` and
-        ``guaranteed_by_shape``; the monotonicity gate runs first."""
+        ``uniform_by_construction``; the monotonicity gate runs first."""
         if self._structure is None:
             pd = check_partially_decreasing(self.spec, box=self.tol.pd_box)
             ul = check_uniform_limits(self.spec, tol=self.tol.uniform_tol)
             self._structure = replace(pd, uniform_limits=ul.uniform_limits,
                                       worst_residual=ul.worst_residual,
-                                      guaranteed_by_shape=ul.guaranteed_by_shape)
+                                      uniform_by_construction=ul.uniform_by_construction)
         return self._structure
 
     # -- envelope (model-free) bounds ----------------------------------------
@@ -463,6 +465,8 @@ class StabilityEngine:
         rates, sigma, n = as_rates(rates, self.spec.n_queues), tuple(sigma), self.spec.n_queues
         if sorted(sigma) != list(range(n)):
             raise ValueError(f"sigma {sigma} is not a permutation of range({n})")
+        for q in sigma:  # True and 1.0 sort as 1, and would hit queue 1's kept values
+            _check_integer("queue", q, 0)
         stages = []
         n_max = 0
         for pos in range(n):
@@ -522,7 +526,7 @@ class StabilityEngine:
         pd_ok, ul_ok = structure.partially_decreasing, structure.uniform_limits
         t1 = self.general_bounds(rates)
         notes = []
-        if structure.guaranteed_by_shape:
+        if structure.uniform_by_construction:
             notes.append("uniform limits guaranteed by construction")
 
         if not pd_ok:

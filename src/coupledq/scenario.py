@@ -241,6 +241,8 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
 
     tol_block = data.get("tolerances", {})
     _require(isinstance(tol_block, dict), "tolerances must be an object")
+    _require(not ("limit_tol" in data and "limit_tol" in tol_block),
+             "limit_tol is set both at the top level and under tolerances; give it once")
     tol_kw = {"limit_tol": data["limit_tol"]} if "limit_tol" in data else {}
     tol_kw.update(tol_block)
     try:

@@ -519,8 +519,8 @@ def _lockstep(rates, spec: AllocationSpec, x0, horizon: float,
     dB = np.empty((C, n, R), dtype=np.int64)  # the births at each step
     S = np.empty((C, n, R), dtype=np.int64)  # the state during each step
     V = np.empty((C, n, R))                  # the rates during each step
-    rate = spec.rates_at if spec._array_fn is None else spec._array_fn
-    guess = 1 if spec._array_fn is None else _GUESS
+    array = spec._declared.rates
+    rate, guess = (spec.rates_at, 1) if array is None else (array, _GUESS)
     Z = np.empty((n, guess * R), dtype=np.int64)  # a window's states; Z.T has contiguous columns
     M = np.empty((n + 1, guess, R))               # its v and rates, see _deaths
     guessed = np.empty((guess, n, R), dtype=bool)

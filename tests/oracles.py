@@ -17,6 +17,7 @@ from coupledq.allocation import (
     AllocationSpec,
     ArrivalRates,
     StructureReport,
+    _Declared,
     _probe_side,
     _state_grid,
     as_rates,
@@ -60,8 +61,9 @@ def relabel(spec: AllocationSpec, rates, sigma) -> tuple:
     input, with states permuted to match.
 
     Round trip with the inverse permutation is the identity pointwise.
-    Analytic limits are transported: a prefix of new queues maps through
-    ``sigma`` to a prefix of old queues, its occupancies reordered to match.
+    The builder's declared record is transported: the array form reads each
+    row permuted, and a prefix of new queues maps through ``sigma`` to a
+    prefix of old queues, its occupancies reordered to match.
     """
     sigma = tuple(sigma)
     n = spec.n_queues
@@ -76,20 +78,19 @@ def relabel(spec: AllocationSpec, rates, sigma) -> tuple:
         y = tuple(x[_inv[j]] for j in range(len(_inv)))
         return _spec.rate(_sigma[i], y)
 
-    new_limits = None
-    if spec.analytic_limits is not None:
-        def new_limits(prefix, queue, U, _spec=spec, _sigma=sigma):
+    declared = spec._declared
+    new_array = new_limits = None
+    if declared.rates is not None:
+        def new_array(i, X, _rates=declared.rates, _sigma=sigma, _inv=tuple(inv)):
+            return _rates(_sigma[i], X[:, _inv])
+    if declared.limits is not None:
+        def new_limits(prefix, queue, U, _limits=declared.limits, _sigma=sigma):
             col = {_sigma[k]: c for c, k in enumerate(prefix)}
             old = tuple(sorted(col))
-            return _spec.analytic_limits(old, _sigma[queue], U[:, [col[q] for q in old]])
+            return _limits(old, _sigma[queue], U[:, [col[q] for q in old]])
 
-    new_spec = AllocationSpec(
-        n_queues=n,
-        rate_fn=new_rate,
-        bound=spec.bound,
-        analytic_limits=new_limits,
-        monotone_by_construction=spec.monotone_by_construction,
-    )
+    new_spec = AllocationSpec(n, new_rate, spec.bound, _Declared(
+        new_array, new_limits, declared.uniform_limits))
     new_rates = ArrivalRates(tuple(rates[sigma[i]] for i in range(n)))
     return new_spec, new_rates
 
@@ -209,14 +210,14 @@ def check_uniform_limits_scalar(spec: AllocationSpec, tol=1e-6) -> StructureRepo
                 if residual < tol:
                     break
             worst = max(worst, residual)
-            if residual >= tol and not spec.monotone_by_construction:
+            if residual >= tol and not spec._declared.uniform_limits:
                 return StructureReport(probe_box=(8,) * n, uniform_limits=False,
                                        worst_residual=worst)
     return StructureReport(
         probe_box=(8,) * n,
         uniform_limits=True,
         worst_residual=worst,
-        guaranteed_by_shape=spec.monotone_by_construction,
+        uniform_by_construction=spec._declared.uniform_limits,
     )
 
 
@@ -271,7 +272,7 @@ def envelope_scalar(engine, i: int, kind: str) -> float:
 def scalar_limits(spec: AllocationSpec):
     """A builder's closed-form saturated limit ``(prefix, queue, u) -> value``
     at one state, read from the data its scalar ``rate_fn`` holds: the
-    reference for the builder's array ``analytic_limits``."""
+    reference for the builder's declared array ``limits``."""
     builder = spec.rate_fn.__qualname__.split(".")[0]
     data = spec.rate_fn.__defaults__
     if builder == "constant_allocation":
@@ -347,7 +348,7 @@ def lower_partial_limit_scalar(spec: AllocationSpec, prefix, queue: int, u, **kw
     """State-by-state reference for ``lower_partial_limit``; ``kw`` are its
     escalation settings."""
     u = tuple(int(c) for c in u)
-    if spec.analytic_limits is not None:
+    if spec._declared.limits is not None:
         v = float(scalar_limits(spec)(tuple(sorted(prefix)), queue, u))
         if not (0.0 <= v <= spec.bound + _MONO_SLACK):
             raise BoundViolation(f"analytic limit {v} outside [0, {spec.bound}]")

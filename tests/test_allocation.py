@@ -10,6 +10,7 @@ import pytest
 from coupledq.allocation import (
     FACTOR_TABLE_CAP,
     AllocationSpec,
+    _Declared,
     _FactorTable,
     _state_grid,
     ArrivalRates,
@@ -173,7 +174,7 @@ def test_product_black_box_uniform_limits_exponential_decay():
     report = check_uniform_limits(spec, tol=1e-6)
     assert report.uniform_limits is True
     assert report.worst_residual < 1e-6
-    assert report.guaranteed_by_shape is False
+    assert report.uniform_by_construction is False
 
 
 def test_product_saturation_residual_decays_exponentially():
@@ -208,10 +209,25 @@ def test_oscillating_rate_has_no_uniform_limit():
     report = check_uniform_limits(spec)
     assert report.uniform_limits is False
     assert report.worst_residual == 1.0  # levels R and R + 1 differ in parity
-    assert report.guaranteed_by_shape is False
+    assert report.uniform_by_construction is False
     structure = StabilityEngine(spec).structure()
     assert (structure.uniform_limits, structure.worst_residual,
-            structure.guaranteed_by_shape) == (False, 1.0, False)
+            structure.uniform_by_construction) == (False, 1.0, False)
+
+
+def test_spec_takes_no_public_structure_claims():
+    # analytic_limits and monotone_by_construction were public fields, and
+    # the second turned the uniform-limit gate off for a hand-written spec
+    public = [f.name for f in dataclasses.fields(AllocationSpec) if not f.name.startswith("_")]
+    assert public == ["n_queues", "rate_fn", "bound"]
+    parity = lambda i, x: 1.0 + x[0] % 2
+    for claim in ({"monotone_by_construction": True},
+                  {"analytic_limits": lambda prefix, queue, U: np.full(len(U), 2.0)}):
+        with pytest.raises(TypeError):
+            AllocationSpec(1, parity, 2.0, **claim)
+    verdict = StabilityEngine(AllocationSpec(1, parity, 2.0)).classify((1.9,))
+    assert verdict.system is SystemLabel.HYPOTHESES_UNVERIFIED
+    assert verdict.notes == ("uniform-limit check failed: refusing instability claims",)
 
 
 # -- saturated limits ------------------------------------------------------------
@@ -510,7 +526,7 @@ def _gate_outcome(check, spec, **kw):
     r = check(spec, **kw)
     residual = None if r.worst_residual is None else r.worst_residual.hex()
     return (r.probe_box, r.partially_decreasing, r.pd_counterexample,
-            r.uniform_limits, residual, r.guaranteed_by_shape)
+            r.uniform_limits, residual, r.uniform_by_construction)
 
 
 @pytest.mark.parametrize("black_box", [False, True], ids=["builder", "black-box"])
@@ -536,8 +552,8 @@ def test_array_gates_match_scalar_oracles(name, black_box):
 @pytest.mark.parametrize("seed", range(6))
 def test_pd_counterexample_order_matches_scalar_walk(seed):
     spec = _bumpy_table(seed)
-    array_twin = AllocationSpec(3, spec.rate_fn, spec.bound, _array_fn=lambda i, X: np.array(
-        [spec.rate_fn(i, tuple(row)) for row in X.tolist()]))
+    array_twin = AllocationSpec(3, spec.rate_fn, spec.bound, _Declared(lambda i, X: np.array(
+        [spec.rate_fn(i, tuple(row)) for row in X.tolist()])))
     want = check_partially_decreasing_scalar(spec, box=4)
     assert want.partially_decreasing is False
     for s in (spec, array_twin):
@@ -640,7 +656,7 @@ def test_poly_uniform_limit_check_does_not_fill_factor_tables(deadline):
     spec = base_station_pair(0.7, "poly_interference")
     with deadline(0.5):
         assert check_uniform_limits(spec).uniform_limits
-    gain_tabs, inter_tabs = spec._array_fn.__defaults__
+    gain_tabs, inter_tabs = spec._declared.rates.__defaults__
     sizes = [t.values.size for t in gain_tabs] + \
         [t.values.size for tabs in inter_tabs for _, t in tabs]
     assert max(sizes) <= 128

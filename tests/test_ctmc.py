@@ -482,6 +482,15 @@ def _never_read(i, x):
 
 
 _BLACK_BOX = AllocationSpec(1, _never_read, 2.0)
+
+
+def _warm_engine(rates):
+    """A base-station engine that has classified ``rates`` and kept its laws."""
+    engine = StabilityEngine(base_station_pair(2.0))
+    engine.classify(rates)
+    return engine
+
+
 _ONE = constant_allocation((1.0,))
 _HUGE = 10 ** 400  # does not fit a float: it raised OverflowError, or passed
 _REAL_BAD = (math.nan, math.inf, -math.inf, 0.0, -1.0, True, "1", _HUGE)
@@ -516,6 +525,13 @@ _BAD_ARGUMENTS = {
     "classify-rate": ("arrival rate",
                       lambda v: StabilityEngine(base_station_pair(2.0)).classify((v, 0.5)),
                       _REAL_BAD),
+    # after a classify, (True, 0) and (1.0, 0) scanned as (1, 0) from the
+    # kept values and wrote queue=True or 1.0 into their stages
+    "scan-sigma": ("queue", lambda v: _warm_engine((1.3, 0.2)).sequential_prefix(
+        (1.3, 0.2), (v, 0)), (True, 1.0)),
+    # frozenset({True}) == frozenset({1}): after the classify, prefix {1}'s kept law came back
+    "prefix-law": ("queue", lambda v: _warm_engine((1.3, 0.2)).prefix_law((1.3, 0.2), (v,)),
+                   (True, 1.0)),
     "adaptive-rate": ("arrival rate", lambda v: adaptive_stationary(
         (v,), _MM1_DEATHS, death_bound=1.0), _REAL_BAD),
     "path-rate": ("arrival rate", lambda v: simulate_path((v,), _ONE, (0,), 10.0, 1),

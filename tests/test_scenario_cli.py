@@ -188,6 +188,8 @@ def test_bound_override_must_cover():
     doc["bound"] = 2.0
     scn = scenario_from_dict(doc)
     assert scn.spec.bound == 2.0
+    declared = scn.spec._declared  # the builder's record survives the override
+    assert declared.rates and declared.limits and declared.uniform_limits
 
 
 def test_tolerance_block():
@@ -200,6 +202,17 @@ def test_tolerance_block():
     doc["tolerances"] = {"not_a_knob": 1}
     with pytest.raises(ScenarioError):
         scenario_from_dict(doc)
+
+
+def test_limit_tol_set_twice_is_rejected(tmp_path, capsys):
+    # the block's value was taken and the top-level one silently dropped
+    doc = dict(PRODUCT_DOC, limit_tol=1e-3, tolerances={"limit_tol": 1e-12})
+    with pytest.raises(ScenarioError, match="limit_tol is set both"):
+        scenario_from_dict(doc)
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--scenario", str(path)]) == 64
+    assert "limit_tol is set both" in capsys.readouterr().err
 
 
 def test_probe_cap_rejected_in_both_spellings():
@@ -590,6 +603,27 @@ def test_cli_closed_pipe_exits_141_quietly(deadline):
 
 def test_cli_missing_scenario_exit_64(capsys):
     assert main(["analyze", "--rates", "0.5"]) == 64
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--scenario", "mm1", "--rates", "0.5"],
+    ["sweep", "--scenario", "two_basestations", "--grid", "0.5:0.5:0.1"],
+    ["three-queues", "--rates", "0.5,1.2,0.3"],
+], ids=lambda argv: argv[0])
+def test_cli_seed_where_nothing_reads_it_exits_64(argv, capsys):
+    # these commands draw no random numbers, and took --seed 7 and exited 0
+    assert main([*argv, "--seed", "7"]) == 64
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+def test_cli_simulate_reads_seed(capsys):
+    argv = ["simulate", "--scenario", "mm1", "--rates", "0.5", "--horizon", "40",
+            "--replicas", "2"]
+    outs = []
+    for seed in ("7", "7", "8"):
+        assert main([*argv, "--seed", seed]) == 0
+        outs.append(json.loads(capsys.readouterr().out)["slope_mean"])
+    assert outs[0] == outs[1] != outs[2]
 
 
 @pytest.mark.parametrize("where, key, value", [

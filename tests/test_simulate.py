@@ -9,6 +9,7 @@ import pytest
 
 from coupledq.allocation import (
     AllocationSpec,
+    _Declared,
     base_station_pair,
     constant_allocation,
     one_server_power_law,
@@ -613,13 +614,13 @@ def test_guessed_windows_match_one_step_windows(name, replicas, monkeypatch):
 
 def _spy_array_form(spec, on_call):
     """``spec`` whose array form calls ``on_call(X)`` before evaluating."""
-    inner = spec._array_fn
+    inner = spec._declared.rates
 
     def rates(i, X):
         on_call(X)
         return inner(i, X)
 
-    return dataclasses.replace(spec, _array_fn=rates)
+    return dataclasses.replace(spec, _declared=dataclasses.replace(spec._declared, rates=rates))
 
 
 def test_array_form_raising_off_the_path_falls_back_to_single_steps():
@@ -784,7 +785,7 @@ def test_probe_reports_first_out_of_bound_rate(case, seed, deadline):
     # 0's and before queue 0's first bad rate; seed 9: both queues are bad
     # at the first bad state, and queue 0 is named
     rate, array_fn = BOUND_CASES[case]
-    spec = AllocationSpec(2, rate, bound=2.0, _array_fn=array_fn)
+    spec = AllocationSpec(2, rate, bound=2.0, _declared=_Declared(array_fn))
     want = _first_bad_rate(rate, 2, 2.0, (0.9, 0.6), seed, 8)
     with deadline(10.0), pytest.raises(BoundViolation) as err:
         empirical_stability_probe((0.9, 0.6), spec, (0, 0), (50, 100), 8, seed)
@@ -795,7 +796,7 @@ def test_probe_reports_first_out_of_bound_rate(case, seed, deadline):
 def test_simulate_path_reports_first_out_of_bound_rate(case, deadline):
     # a single path reads every queue's rate at every step, as the probe does
     rate, array_fn = BOUND_CASES[case]
-    spec = AllocationSpec(2, rate, bound=2.0, _array_fn=array_fn)
+    spec = AllocationSpec(2, rate, bound=2.0, _declared=_Declared(array_fn))
     want = _first_bad_rate(rate, 2, 2.0, (0.9, 0.6), 1, 1)
     with deadline(10.0), pytest.raises(BoundViolation) as err:
         simulate_path((0.9, 0.6), spec, (0, 0), 100.0, seed=1)
