@@ -34,10 +34,12 @@ DEFAULT_SAT_LEVEL = 64
 DEFAULT_GROWTH = 2.0
 DEFAULT_LIMIT_TOL = 1e-9
 DEFAULT_UNIFORM_TOL = 1e-6
-# saturation levels R of the uniform-limit check, and the cap on its prefix probe box
-_UNIFORM_LEVELS = tuple(DEFAULT_SAT_LEVEL * 2 ** k for k in range(17))
+# levels the uniform-limit check walks, and the cap on its prefix probe box
+_UNIFORM_STEPS = 17
 _UNIFORM_PROBE_CAP = 8
 MAX_ESCALATIONS = 96
+# the longest queue length a state array holds; longer ones are read on Python ints
+_INT64_GUARD = int(np.iinfo(np.intp).max)
 # factor tables stop growing here; larger queue lengths are evaluated row by row
 FACTOR_TABLE_CAP = 1 << 20
 
@@ -249,42 +251,62 @@ def _check_states(X, width: int) -> np.ndarray:
     return X
 
 
+def _levels(r: int, growth):
+    """Saturation levels from ``r``, each followed by ``max(r + 1, ceil(r *
+    growth))`` as an exact int: the product in floats while that is finite,
+    and from ``growth``'s integer ratio past it."""
+    while True:
+        yield r
+        try:
+            up = math.ceil(r * growth)
+        except OverflowError:  # r * growth leaves the float range
+            num, den = float(growth).as_integer_ratio()
+            up = -(-r * num // den)
+        r = max(r + 1, up)
+
+
+def _saturation_grid(spec: AllocationSpec, queue: int, prefix, U, levels) -> np.ndarray:
+    """Rates of ``queue`` with the sorted ``prefix`` at each row of ``U`` and the
+    other ``k`` queues over ``levels``, an ``(len(U), len(levels) ** k)`` array
+    in ``itertools.product`` order: one ``rates_at`` call while every queue
+    length fits the state arrays, and past that guard state by state through
+    ``spec.rate`` on Python ints."""
+    n, sat = spec.n_queues, [q for q in range(spec.n_queues) if q not in prefix]
+    big = max(levels) > _INT64_GUARD or int(np.max(U, initial=0)) > _INT64_GUARD
+    X = np.empty((len(U), len(levels) ** len(sat), n), dtype=object if big else np.intp)
+    X[:, :, list(prefix)] = np.reshape(U, (len(U), 1, len(prefix)))
+    X[:, :, sat] = list(itertools.product(levels, repeat=len(sat)))
+    X = X.reshape(-1, n)
+    v = np.array([spec.rate(queue, x) for x in map(tuple, X.tolist())]) if big \
+        else spec.rates_at(queue, X)
+    return v.reshape(len(U), -1)
+
+
 def _escalate(spec: AllocationSpec, prefix: tuple, queue: int, U: np.ndarray,
-              sat_level: int, growth: float, limit_tol: float) -> np.ndarray:
-    """Numeric saturated limits at each row of ``U``, escalated state by state
-    on Python ints: a level can pass int64 before the limit settles."""
-    saturated = [q for q in range(spec.n_queues) if q not in prefix]
-
-    def grid_min(u, r):  # the least rate over the saturation grid of level r
-        levels = sorted({r, r + 1, max(r + 2, math.ceil(r * growth))})
-        x = [0] * spec.n_queues
-        for q, c in zip(prefix, u):
-            x[q] = c
-        best = math.inf
-        for combo in itertools.product(levels, repeat=len(saturated)):
-            for q, v in zip(saturated, combo):
-                x[q] = v
-            best = min(best, spec.rate(queue, tuple(x)))
-        return best
-
-    out = np.empty(len(U))
-    for k, u in enumerate(U.tolist()):
-        r = sat_level
-        prev = grid_min(u, r)
-        for _ in range(MAX_ESCALATIONS):
-            r = max(r + 1, math.ceil(r * growth))
-            cur = grid_min(u, r)
-            if abs(cur - prev) < limit_tol:
-                break
-            prev = cur
-        else:
-            raise SaturationNotConverged(
-                f"saturated limit for queue {queue} at prefix {prefix} = "
-                f"{tuple(u)} did not stabilize within {limit_tol} after "
-                f"{MAX_ESCALATIONS} escalations"
-            )
-        out[k] = cur
-    return out
+              sat_level: int, growth, limit_tol: float) -> np.ndarray:
+    """Numeric saturated limits at the rows of ``U``, every unsettled row read
+    at each level in one grid.  An error there is raised as a walk row after
+    row meets it first: the rows are walked again one by one."""
+    out, rows, prev = np.empty(len(U)), np.arange(len(U)), np.inf
+    ladder = itertools.pairwise(_levels(sat_level, growth))
+    for r, up in itertools.islice(ladder, MAX_ESCALATIONS + 1):
+        grid = sorted({r, r + 1, max(r + 2, up)})
+        try:
+            cur = _saturation_grid(spec, queue, prefix, U[rows], grid).min(axis=1)
+        except Exception:
+            for u in U if len(U) > 1 else ():
+                _escalate(spec, prefix, queue, u[None], sat_level, growth, limit_tol)
+            raise
+        done = np.abs(cur - prev) < limit_tol
+        out[rows[done]] = cur[done]
+        rows, prev = rows[~done], cur[~done]
+        if not rows.size:
+            return out
+    # every row before the first unsettled one settled without an error
+    raise SaturationNotConverged(
+        f"saturated limit for queue {queue} at prefix {prefix} = "
+        f"{tuple(U[rows[0]].tolist())} did not stabilize within {limit_tol} "
+        f"after {MAX_ESCALATIONS} escalations")
 
 
 def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
@@ -301,7 +323,8 @@ def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
     the grid ``{R, R+1, max(R+2, ceil(R*growth))}`` per saturated queue, with
     ``R`` escalated from ``sat_level`` until two consecutive levels agree
     within ``limit_tol``; the ``R+1`` probe catches parity-periodic rate
-    functions that levels ``R`` and ``2R`` alone would miss.
+    functions that levels ``R`` and ``2R`` alone would miss.  The levels are
+    exact ints, and a grid past int64 is read state by state on Python ints.
     ``ValueError`` rejects, before any rate is read, a queue outside the spec
     or given as a bool, a ``sat_level`` not an integer >= 1, a ``growth``
     not a finite real above 1, a ``limit_tol`` not one above 0, and a bad ``U``.
@@ -400,10 +423,11 @@ def check_uniform_limits(spec: AllocationSpec, tol: float = DEFAULT_UNIFORM_TOL)
     For each saturated subset and each probed prefix state, the residual is
     the spread (max - min) of the rate over the saturation grid
     ``{R, R+1, 2R}`` per saturated coordinate; it must fall below ``tol`` at
-    some level ``R = 64 * 2**k``, ``k < 17``.  When a subset still misses
-    ``tol`` at the last level and no builder declared uniform limits, the
-    report has ``uniform_limits=False`` and the worst residual so far.
-    ``ValueError`` rejects a ``tol`` not a finite real above 0.
+    one of the first 17 levels from 64 at growth 2, ``R = 64 * 2**k``, read
+    through the escalation's level generator and grid evaluator.  When a subset still misses ``tol`` at
+    the last level and no builder declared uniform limits, the report has
+    ``uniform_limits=False`` and the worst residual so far.  ``ValueError``
+    rejects a ``tol`` not a finite real above 0.
     """
     _check_real("tol", tol)
     n = spec.n_queues
@@ -412,14 +436,13 @@ def check_uniform_limits(spec: AllocationSpec, tol: float = DEFAULT_UNIFORM_TOL)
                              worst_residual=0.0, uniform_by_construction=declared)
     for m in range(1, n + 1):  # size of the saturated subset
         for sat in itertools.combinations(range(n), m):
-            side = range(_probe_side(n - m))
-            for r in _UNIFORM_LEVELS:
+            prefix = tuple(q for q in range(n) if q not in sat)
+            U = _state_grid([_probe_side(n - m)] * (n - m))
+            for r in itertools.islice(_levels(DEFAULT_SAT_LEVEL, 2.0), _UNIFORM_STEPS):
                 levels = sorted({r, r + 1, 2 * r})
-                axes = [levels if q in sat else side for q in range(n)]
-                X, shape = _state_grid(axes), [len(a) for a in axes]
                 # the largest spread over the saturation combos at a probe state
-                residual = max(float(np.ptp(spec.rates_at(i, X).reshape(shape), axis=sat).max())
-                               for i in range(n))
+                residual = max(float(np.ptp(_saturation_grid(spec, i, prefix, U, levels),
+                                            axis=1).max()) for i in range(n))
                 if residual < tol:
                     break
             report.worst_residual = max(report.worst_residual, residual)
@@ -662,6 +685,6 @@ def one_server_power_law(alpha: float) -> AllocationSpec:
     def rate(i, x, _a=alpha, _b=bound):
         if x[0] == 0:
             return _b
-        return (1.0 + 1.0 / x[0]) ** _a
+        return (1.0 + 1 / x[0]) ** _a  # int division takes levels past the float range
 
     return AllocationSpec(n_queues=1, rate_fn=rate, bound=bound)

@@ -107,28 +107,29 @@ def build_truncated_generator(
     if count > state_cap:
         raise BoxTooLarge(f"box {box} has {count} states, above cap {state_cap}")
 
-    coords = _state_grid(shape)
-    busy = coords > 0
-    death_values = np.where(busy, deaths(box), 0.0)
+    death_values = np.array(deaths(box), dtype=float).reshape(shape + (dim,))
+    boundary_mask = np.zeros(shape, dtype=bool)
+    for k in range(dim):  # deaths unused where x_k = 0; the upper face x_k = T_k
+        death_values.swapaxes(0, k)[0, ..., k] = 0.0
+        boundary_mask.swapaxes(0, k)[-1] = True
+    death_values = death_values.reshape(count, dim)
     slack = death_bound * 1e-12 + 1e-12
-    ok = np.isfinite(death_values) & (death_values >= 0.0)
-    ok &= death_values <= death_bound + slack
-    bad = np.flatnonzero(busy & ~ok)
-    if bad.size:
-        s, i = divmod(int(bad[0]), dim)
-        x = tuple(coords[s].tolist())
+    if not (np.minimum.reduce(death_values, axis=None) >= 0.0
+            and np.maximum.reduce(death_values, axis=None) <= death_bound + slack):
+        ok = (death_values >= 0.0) & (death_values <= death_bound + slack)
+        s, i = divmod(int(np.argmin(ok)), dim)
+        x = tuple(int(c) for c in np.unravel_index(s, shape))
         raise BoundViolation(
             f"death rate {float(death_values[s, i])!r} at (i={i}, x={x}) "
             f"outside [0, {death_bound}]"
         )
 
-    boundary_mask = (coords == np.asarray(box)).any(axis=1)
     return TruncatedGenerator(
         dim=dim,
         box=box,
         birth_rates=tuple(rates),
         death_values=death_values,
-        boundary_mask=boundary_mask,
+        boundary_mask=boundary_mask.reshape(count),
     )
 
 

@@ -12,7 +12,6 @@ the margin band are reported as boundary-indeterminate rather than guessed.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
@@ -28,8 +27,12 @@ from .allocation import (
     AllocationSpec,
     ArrivalRates,
     StructureReport,
+    _INT64_GUARD,
     _check_integer,
     _check_real,
+    _escalate,
+    _levels,
+    _saturation_grid,
     _state_grid,
     as_rates,
     check_partially_decreasing,
@@ -293,8 +296,12 @@ class StabilityEngine:
     # -- saturated limit plumbing ------------------------------------------
 
     def _ell(self, prefix: frozenset, queue: int, U) -> np.ndarray:
-        return lower_partial_limit(self.spec, prefix, queue, U, sat_level=self.tol.sat_level,
-                                   growth=self.tol.growth, limit_tol=self.tol.limit_tol)
+        tol = self.tol
+        if int(np.max(U, initial=0)) > _INT64_GUARD:  # declared limits read int64 arrays
+            return _escalate(self.spec, tuple(sorted(prefix)), queue, np.array(U, dtype=object),
+                             tol.sat_level, tol.growth, tol.limit_tol)
+        return lower_partial_limit(self.spec, prefix, queue, U, sat_level=tol.sat_level,
+                                   growth=tol.growth, limit_tol=tol.limit_tol)
 
     def _limits(self, prefix: frozenset, queue: int, box: tuple) -> np.ndarray:
         """``ell(prefix, queue, u)`` at every state ``u`` of ``box``, in state
@@ -404,31 +411,23 @@ class StabilityEngine:
         key = (i, kind)
         if key in self._envelopes:
             return self._envelopes[key]
-        spec, n = self.spec, self.spec.n_queues
-        pick = np.min if kind == "lower" else np.max
+        n, tol = self.spec.n_queues, self.tol
         pd_ok = self.structure().partially_decreasing
-        own_prefix = frozenset({i})
+        others = tuple(j for j in range(n) if j != i)
         # Monotone in the other coordinates, the inner extremum over them sits
         # at their saturation limit (lower) or at zero (upper); otherwise the
         # other coordinates run over a probe grid and the own levels.
-        probe = list(range(self.tol.bounds_probe_cap + 1))
-
-        def level_val(r):
+        prev = np.inf
+        for r in itertools.islice(_levels(tol.sat_level, tol.growth), 49):  # 48 steps
             own = sorted({r, r + 1, 2 * r})
             if pd_ok and kind == "lower":
-                return float(np.min(self._ell(own_prefix, i, np.array(own)[:, None])))
-            others = [0] if pd_ok else probe + own
-            X = _state_grid([own if j == i else others for j in range(n)])
-            return float(pick(spec.rates_at(i, X)))
-
-        r = self.tol.sat_level
-        prev = level_val(r)
-        for _ in range(48):
-            r = max(r + 1, math.ceil(r * self.tol.growth))
-            if 2 * r > np.iinfo(np.intp).max:  # the levels leave the state arrays' range
-                break
-            cur = level_val(r)
-            if abs(cur - prev) < max(self.tol.limit_tol, 1e-9):
+                cur = float(np.min(self._ell(frozenset({i}), i, [[x] for x in own])))
+            else:
+                axis = [0] if pd_ok else [*range(tol.bounds_probe_cap + 1), *own]
+                v = _saturation_grid(self.spec, i, others,
+                                     list(itertools.product(axis, repeat=n - 1)), own)
+                cur = float(v.min() if kind == "lower" else v.max())
+            if abs(cur - prev) < max(tol.limit_tol, 1e-9):
                 self._envelopes[key] = cur
                 return cur
             prev = cur

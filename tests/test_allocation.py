@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 from coupledq.allocation import (
+    DEFAULT_LIMIT_TOL,
     FACTOR_TABLE_CAP,
     AllocationSpec,
     _Declared,
     _FactorTable,
+    _levels,
     _state_grid,
     ArrivalRates,
     base_station_pair,
@@ -715,6 +717,40 @@ def test_lower_partial_limit_raises_the_scalar_errors():
         got = _limit_outcome(lambda: lower_partial_limit(spec, (0,), 0, U))
         assert got == _limit_outcome(lambda: _scalar_limits(spec, (0,), 0, U))
         assert got[0] == kind and text in got[1]
+
+
+def test_saturation_levels_keep_the_float_step_and_go_exact_past_it():
+    def float_steps(r, growth, count):
+        out = []
+        for _ in range(count):
+            out.append(r)
+            r = max(r + 1, math.ceil(r * growth))
+        return out
+
+    for sat_level, growth in ((64, 2.0), (64, 1.5), (1, 1.01), (64, 3)):
+        assert list(itertools.islice(_levels(sat_level, growth), 40)) == \
+            float_steps(sat_level, growth, 40)
+    assert list(itertools.islice(_levels(64, 2.0), 17)) == [64 * 2 ** k for k in range(17)]
+    # the third level's float product overflows: it is the exact product
+    _, second, third = itertools.islice(_levels(64, 1e300), 3)
+    assert second == math.ceil(64 * 1e300)
+    num, den = (1e300).as_integer_ratio()
+    assert third == -(-second * num // den) and third > 10 ** 600
+
+
+def test_lower_partial_limit_escalates_past_the_float_range():
+    # growth 1e300 reads the rate at a level of 601 digits, past the float
+    # range, and the value agrees with the default's within limit_tol
+    spec = one_server_power_law(1.0)
+    U = np.zeros((1, 0), dtype=int)
+    want = lower_partial_limit(spec, (), 0, U)[0]
+    got = lower_partial_limit(spec, (), 0, U, growth=1e300)[0]
+    assert abs(got - want) < DEFAULT_LIMIT_TOL
+    # a level past int64 is read on Python ints, as the scalar walk reads it
+    for s in (base_station_pair(2.0), strip_analytic(base_station_pair(2.0))):
+        got = lower_partial_limit(s, (0,), 0, np.array([[3]]), sat_level=2 ** 62)
+        assert got[0].hex() == lower_partial_limit_scalar(
+            s, (0,), 0, (3,), sat_level=2 ** 62).hex()
 
 
 def test_lower_partial_limit_rejects_bad_state_arrays():

@@ -113,7 +113,8 @@ def test_envelope_bounds_match_scalar_oracle_at_growth_1_5(name):
 
 def test_envelope_levels_stay_in_the_state_arrays_range(deadline):
     # with growth 3, a rate settling like 1/log escalates past int64 within
-    # 48 levels: the escalation stops there and reports it did not settle
+    # 48 levels: the levels past that guard are read state by state on Python
+    # ints, and after 48 levels the escalation reports it did not settle
     spec = AllocationSpec(
         2, lambda i, x: 1.0 + 1.0 / math.log(x[i] + 2.0) + 0.1 / (1.0 + x[1 - i]), 3.0)
     eng = StabilityEngine(spec, Tolerances(growth=3))
@@ -122,6 +123,22 @@ def test_envelope_levels_stay_in_the_state_arrays_range(deadline):
         with deadline(10.0), pytest.raises(SaturationNotConverged,
                                            match=f"envelope {kind} bound for queue 0"):
             eng._envelope(0, kind)
+
+
+@pytest.mark.parametrize("tol", [{"sat_level": 2 ** 62}, {"growth": 1e20}],
+                         ids=["sat_level-2**62", "growth-1e20"])
+@pytest.mark.parametrize("spec", [lambda: base_station_pair(2.0),
+                                  lambda: constant_allocation((1.0,)),
+                                  lambda: one_server_power_law(2.0)],
+                         ids=["base-station", "constant", "power-law"])
+def test_saturation_ladders_past_int64_keep_the_verdict(spec, tol):
+    # the envelope levels pass int64 at the first or second step, and are
+    # read on Python ints past it
+    spec = spec()
+    rates = (0.3,) * spec.n_queues
+    want = StabilityEngine(spec).classify(rates)
+    got = StabilityEngine(spec, Tolerances(**tol)).classify(rates)
+    assert (got.system, got.per_queue) == (want.system, want.per_queue)
 
 
 # -- sequential chains ---------------------------------------------------------------

@@ -460,6 +460,24 @@ def test_cli_analyze_exit_codes(capsys):
     assert '"margins_tol"' in out
 
 
+@pytest.mark.parametrize("scenario,rates,tol", [
+    ("mm1", "0.5", "sat_level=4611686018427387904"),
+    ("two_basestations", "0.3,0.4", "sat_level=4611686018427387904"),
+    ("one_server_alpha", "0.95", "sat_level=4611686018427387904"),
+    ("mm1", "0.5", "growth=1e20"),
+    ("two_basestations", "0.3,0.4", "growth=1e20"),
+    ("one_server_alpha", "0.95", "growth=1e300"),
+])
+def test_cli_analyze_keeps_its_verdict_on_huge_saturation_levels(scenario, rates, tol, capsys):
+    # these levels pass int64 or the float range, and are read on Python ints
+    # past it
+    argv = ["analyze", "--scenario", scenario, "--rates", rates]
+    want = main(argv), json.loads(capsys.readouterr().out)["verdict"]
+    got = main([*argv, "--tol", tol]), json.loads(capsys.readouterr().out)["verdict"]
+    assert got[0] == want[0] == 0
+    assert (got[1]["system"], got[1]["per_queue"]) == (want[1]["system"], want[1]["per_queue"])
+
+
 def test_cli_analyze_with_a_residual_tol_no_solve_meets(capsys, deadline):
     # every prefix solve misses the residual: envelope bounds decide (0.3, 0.4),
     # (0.5, 0.9) is left indeterminate
