@@ -34,12 +34,10 @@ DEFAULT_SAT_LEVEL = 64
 DEFAULT_GROWTH = 2.0
 DEFAULT_LIMIT_TOL = 1e-9
 DEFAULT_UNIFORM_TOL = 1e-6
-# levels the uniform-limit check walks, and the cap on its prefix probe box
-_UNIFORM_STEPS = 17
+# the cap on the uniform-limit check's prefix probe box
 _UNIFORM_PROBE_CAP = 8
 MAX_ESCALATIONS = 96
-# the longest queue length a state array holds; longer ones are read on Python ints
-_INT64_GUARD = int(np.iinfo(np.intp).max)
+_INT64_GUARD = int(np.iinfo(np.intp).max)  # longer queue lengths are read on Python ints
 # factor tables stop growing here; larger queue lengths are evaluated row by row
 FACTOR_TABLE_CAP = 1 << 20
 
@@ -238,17 +236,20 @@ def _check_integer(name: str, value, floor: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {floor}, got {value!r}")
 
 
-def _check_states(X, width: int) -> np.ndarray:
+def _check_states(X, width: int, wide: bool = False) -> np.ndarray:
     """``X`` as an ``(m, width)`` array of nonnegative integers, or
-    ``ValueError``; an empty one, such as ``[()]``, reads as integers."""
+    ``ValueError``; an empty one, such as ``[()]``, reads as integers.  A
+    ``wide`` one may be an object array of ints, kept so only past int64."""
     X = np.asarray(X)
     if X.ndim == 2 and X.size == 0:
         X = X.astype(np.intp)
-    if X.ndim != 2 or X.shape[1] != width or X.dtype.kind not in "iu":
+    wide = wide and X.dtype == object and all(
+        isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in X.flat)
+    if X.ndim != 2 or X.shape[1] != width or X.dtype.kind not in "iu" and not wide:
         raise ValueError(f"states must be an integer array of shape (m, {width})")
     if X.size and np.minimum.reduce(X, axis=None) < 0:
         raise ValueError("queue lengths must be nonnegative")
-    return X
+    return X.astype(np.intp) if wide and np.max(X) <= _INT64_GUARD else X
 
 
 def _levels(r: int, growth):
@@ -265,48 +266,17 @@ def _levels(r: int, growth):
         r = max(r + 1, up)
 
 
-def _saturation_grid(spec: AllocationSpec, queue: int, prefix, U, levels) -> np.ndarray:
-    """Rates of ``queue`` with the sorted ``prefix`` at each row of ``U`` and the
-    other ``k`` queues over ``levels``, an ``(len(U), len(levels) ** k)`` array
-    in ``itertools.product`` order: one ``rates_at`` call while every queue
-    length fits the state arrays, and past that guard state by state through
-    ``spec.rate`` on Python ints."""
-    n, sat = spec.n_queues, [q for q in range(spec.n_queues) if q not in prefix]
-    big = max(levels) > _INT64_GUARD or int(np.max(U, initial=0)) > _INT64_GUARD
-    X = np.empty((len(U), len(levels) ** len(sat), n), dtype=object if big else np.intp)
-    X[:, :, list(prefix)] = np.reshape(U, (len(U), 1, len(prefix)))
-    X[:, :, sat] = list(itertools.product(levels, repeat=len(sat)))
-    X = X.reshape(-1, n)
-    v = np.array([spec.rate(queue, x) for x in map(tuple, X.tolist())]) if big \
-        else spec.rates_at(queue, X)
-    return v.reshape(len(U), -1)
-
-
-def _escalate(spec: AllocationSpec, prefix: tuple, queue: int, U: np.ndarray,
-              sat_level: int, growth, limit_tol: float) -> np.ndarray:
-    """Numeric saturated limits at the rows of ``U``, every unsettled row read
-    at each level in one grid.  An error there is raised as a walk row after
-    row meets it first: the rows are walked again one by one."""
-    out, rows, prev = np.empty(len(U)), np.arange(len(U)), np.inf
-    ladder = itertools.pairwise(_levels(sat_level, growth))
-    for r, up in itertools.islice(ladder, MAX_ESCALATIONS + 1):
-        grid = sorted({r, r + 1, max(r + 2, up)})
-        try:
-            cur = _saturation_grid(spec, queue, prefix, U[rows], grid).min(axis=1)
-        except Exception:
-            for u in U if len(U) > 1 else ():
-                _escalate(spec, prefix, queue, u[None], sat_level, growth, limit_tol)
-            raise
-        done = np.abs(cur - prev) < limit_tol
-        out[rows[done]] = cur[done]
-        rows, prev = rows[~done], cur[~done]
-        if not rows.size:
-            return out
-    # every row before the first unsettled one settled without an error
-    raise SaturationNotConverged(
-        f"saturated limit for queue {queue} at prefix {prefix} = "
-        f"{tuple(U[rows[0]].tolist())} did not stabilize within {limit_tol} "
-        f"after {MAX_ESCALATIONS} escalations")
+def _rates_over(spec: AllocationSpec, queues, axes) -> list:
+    """Rates of each of ``queues`` at every state whose coordinate ``q`` runs
+    over ``axes[q]``, shaped like the axes, in ``itertools.product`` order:
+    one ``rates_at`` call per queue for a builder's array form while every
+    queue length fits int64, else state by state through ``spec.rate``."""
+    shape = [len(a) for a in axes]
+    if spec._declared.rates and max(max(a) for a in axes) <= _INT64_GUARD:
+        X = _state_grid(axes)
+        return [spec.rates_at(i, X).reshape(shape) for i in queues]
+    X = list(itertools.product(*axes))
+    return [np.array([spec.rate(i, x) for x in X]).reshape(shape) for i in queues]
 
 
 def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
@@ -317,14 +287,15 @@ def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
 
     ``prefix`` lists distinct queues of the spec in any order, and ``U`` is
     an ``(m, len(prefix))`` nonnegative integer array of their occupancies
-    in increasing queue order.  A builder's declared limits are used when
-    given (the first one outside ``[0, bound]`` raises
+    in increasing queue order; an object array of ints may hold occupancies
+    past int64.  A builder's declared limits are used when given and ``U``
+    fits int64 (the first one outside ``[0, bound]`` raises
     :class:`BoundViolation`).  Otherwise each value is the least rate over
     the grid ``{R, R+1, max(R+2, ceil(R*growth))}`` per saturated queue, with
-    ``R`` escalated from ``sat_level`` until two consecutive levels agree
-    within ``limit_tol``; the ``R+1`` probe catches parity-periodic rate
-    functions that levels ``R`` and ``2R`` alone would miss.  The levels are
-    exact ints, and a grid past int64 is read state by state on Python ints.
+    ``R`` walked up the saturation ladder from ``sat_level`` until two
+    consecutive levels agree within ``limit_tol``; the ``R+1`` probe catches
+    parity-periodic rate functions that levels ``R`` and ``2R`` alone would
+    miss.  The levels are exact ints, read on Python ints past int64.
     ``ValueError`` rejects, before any rate is read, a queue outside the spec
     or given as a bool, a ``sat_level`` not an integer >= 1, a ``growth``
     not a finite real above 1, a ``limit_tol`` not one above 0, and a bad ``U``.
@@ -337,17 +308,33 @@ def lower_partial_limit(spec: AllocationSpec, prefix, queue: int, U, *,
     _check_integer("sat_level", sat_level)
     _check_real("growth", growth, 1.0)
     _check_real("limit_tol", limit_tol)
-    U = _check_states(U, len(prefix))
+    U = _check_states(U, len(prefix), wide=True)
     limits = spec._declared.limits
-    v = None if limits is None else limits(prefix, queue, U)
-    if v is None:
-        return _escalate(spec, prefix, queue, U, sat_level, growth, limit_tol)
-    v = np.asarray(v, dtype=float)
-    bad = ~((v >= 0.0) & (v <= spec.bound + _MONO_SLACK))
-    if bad.any():
-        raise BoundViolation(
-            f"analytic limit {float(v[np.argmax(bad)])} outside [0, {spec.bound}]")
-    return np.minimum(v, spec.bound)
+    v = None if limits is None or U.dtype == object else limits(prefix, queue, U)
+    if v is not None:
+        v = np.asarray(v, dtype=float)
+        bad = ~((v >= 0.0) & (v <= spec.bound + _MONO_SLACK))
+        if bad.any():
+            raise BoundViolation(
+                f"analytic limit {float(v[np.argmax(bad)])} outside [0, {spec.bound}]")
+        return np.minimum(v, spec.bound)
+    out = np.empty(len(U))
+    for k, u in enumerate(U.tolist()):  # each row walks up the ladder on its own
+        at, prev = dict(zip(prefix, u)), math.inf
+        ladder = itertools.pairwise(_levels(sat_level, growth))
+        for r, up in itertools.islice(ladder, MAX_ESCALATIONS + 1):
+            grid = sorted({r, r + 1, max(r + 2, up)})
+            axes = [[at[q]] if q in at else grid for q in range(n)]
+            cur = float(_rates_over(spec, [queue], axes)[0].min())
+            if abs(cur - prev) < limit_tol:
+                break
+            prev = cur
+        else:
+            raise SaturationNotConverged(
+                f"saturated limit for queue {queue} at prefix {prefix} = {tuple(u)} did not "
+                f"stabilize within {limit_tol} after {MAX_ESCALATIONS} escalations")
+        out[k] = cur
+    return out
 
 
 @dataclass
@@ -377,8 +364,8 @@ def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) 
     """Exhaustively verify phi_i(x) >= phi_i(y) for x <= y, x_i = y_i on a box.
 
     Single-coordinate increments suffice by transitivity.  Every rate on the
-    box is evaluated first, one :meth:`AllocationSpec.rates_at` call per
-    queue; a failing check reports the first counterexample ``(x, y, i)``
+    box is evaluated first, queue by queue, by the saturation ladder's grid
+    evaluator; a failing check reports the first counterexample ``(x, y, i)``
     with ``y = x + e_j``, ordered by ``x`` in ``itertools.product`` order,
     then ``j``, then ``i``.
 
@@ -395,9 +382,7 @@ def check_partially_decreasing(spec: AllocationSpec, box: Optional[int] = None) 
     report = StructureReport(probe_box=(box,) * n, partially_decreasing=True)
     if n == 1:  # a single queue has no other coordinate to compare along
         return report
-    shape = (box + 1,) * n
-    X = _state_grid(shape)
-    rates = [spec.rates_at(i, X).reshape(shape) for i in range(n)]
+    rates = _rates_over(spec, range(n), [range(box + 1)] * n)
     found = []  # (x, j, i) of each pair's first rise, x in product order
     for j in range(n):
         lower = (slice(None),) * j + (slice(None, -1),)
@@ -423,11 +408,11 @@ def check_uniform_limits(spec: AllocationSpec, tol: float = DEFAULT_UNIFORM_TOL)
     For each saturated subset and each probed prefix state, the residual is
     the spread (max - min) of the rate over the saturation grid
     ``{R, R+1, 2R}`` per saturated coordinate; it must fall below ``tol`` at
-    one of the first 17 levels from 64 at growth 2, ``R = 64 * 2**k``, read
-    through the escalation's level generator and grid evaluator.  When a subset still misses ``tol`` at
-    the last level and no builder declared uniform limits, the report has
-    ``uniform_limits=False`` and the worst residual so far.  ``ValueError``
-    rejects a ``tol`` not a finite real above 0.
+    one of the first 17 levels of the saturation ladder from 64 at growth 2,
+    ``R = 64 * 2**k``, each grid read like the escalation's.  When a subset
+    still misses ``tol`` at the last level and no builder declared uniform
+    limits, the report has ``uniform_limits=False`` and the worst residual
+    so far.  ``ValueError`` rejects a ``tol`` not a finite real above 0.
     """
     _check_real("tol", tol)
     n = spec.n_queues
@@ -436,13 +421,13 @@ def check_uniform_limits(spec: AllocationSpec, tol: float = DEFAULT_UNIFORM_TOL)
                              worst_residual=0.0, uniform_by_construction=declared)
     for m in range(1, n + 1):  # size of the saturated subset
         for sat in itertools.combinations(range(n), m):
-            prefix = tuple(q for q in range(n) if q not in sat)
-            U = _state_grid([_probe_side(n - m)] * (n - m))
-            for r in itertools.islice(_levels(DEFAULT_SAT_LEVEL, 2.0), _UNIFORM_STEPS):
+            side = range(_probe_side(n - m))
+            for r in itertools.islice(_levels(DEFAULT_SAT_LEVEL, 2.0), 17):  # 64 * 2**k
                 levels = sorted({r, r + 1, 2 * r})
+                axes = [levels if q in sat else side for q in range(n)]
                 # the largest spread over the saturation combos at a probe state
-                residual = max(float(np.ptp(_saturation_grid(spec, i, prefix, U, levels),
-                                            axis=1).max()) for i in range(n))
+                residual = max(float(np.ptp(v, axis=sat).max())
+                               for v in _rates_over(spec, range(n), axes))
                 if residual < tol:
                     break
             report.worst_residual = max(report.worst_residual, residual)

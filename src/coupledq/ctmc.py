@@ -107,12 +107,11 @@ def build_truncated_generator(
     if count > state_cap:
         raise BoxTooLarge(f"box {box} has {count} states, above cap {state_cap}")
 
-    death_values = np.array(deaths(box), dtype=float).reshape(shape + (dim,))
+    death_values = np.array(deaths(box), dtype=float)
     boundary_mask = np.zeros(shape, dtype=bool)
     for k in range(dim):  # deaths unused where x_k = 0; the upper face x_k = T_k
-        death_values.swapaxes(0, k)[0, ..., k] = 0.0
+        death_values.reshape(shape + (dim,)).swapaxes(0, k)[0, ..., k] = 0.0
         boundary_mask.swapaxes(0, k)[-1] = True
-    death_values = death_values.reshape(count, dim)
     slack = death_bound * 1e-12 + 1e-12
     if not (np.minimum.reduce(death_values, axis=None) >= 0.0
             and np.maximum.reduce(death_values, axis=None) <= death_bound + slack):

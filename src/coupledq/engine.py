@@ -27,12 +27,10 @@ from .allocation import (
     AllocationSpec,
     ArrivalRates,
     StructureReport,
-    _INT64_GUARD,
     _check_integer,
     _check_real,
-    _escalate,
     _levels,
-    _saturation_grid,
+    _rates_over,
     _state_grid,
     as_rates,
     check_partially_decreasing,
@@ -296,12 +294,8 @@ class StabilityEngine:
     # -- saturated limit plumbing ------------------------------------------
 
     def _ell(self, prefix: frozenset, queue: int, U) -> np.ndarray:
-        tol = self.tol
-        if int(np.max(U, initial=0)) > _INT64_GUARD:  # declared limits read int64 arrays
-            return _escalate(self.spec, tuple(sorted(prefix)), queue, np.array(U, dtype=object),
-                             tol.sat_level, tol.growth, tol.limit_tol)
-        return lower_partial_limit(self.spec, prefix, queue, U, sat_level=tol.sat_level,
-                                   growth=tol.growth, limit_tol=tol.limit_tol)
+        return lower_partial_limit(self.spec, prefix, queue, U, sat_level=self.tol.sat_level,
+                                   growth=self.tol.growth, limit_tol=self.tol.limit_tol)
 
     def _limits(self, prefix: frozenset, queue: int, box: tuple) -> np.ndarray:
         """``ell(prefix, queue, u)`` at every state ``u`` of ``box``, in state
@@ -413,7 +407,6 @@ class StabilityEngine:
             return self._envelopes[key]
         n, tol = self.spec.n_queues, self.tol
         pd_ok = self.structure().partially_decreasing
-        others = tuple(j for j in range(n) if j != i)
         # Monotone in the other coordinates, the inner extremum over them sits
         # at their saturation limit (lower) or at zero (upper); otherwise the
         # other coordinates run over a probe grid and the own levels.
@@ -421,11 +414,10 @@ class StabilityEngine:
         for r in itertools.islice(_levels(tol.sat_level, tol.growth), 49):  # 48 steps
             own = sorted({r, r + 1, 2 * r})
             if pd_ok and kind == "lower":
-                cur = float(np.min(self._ell(frozenset({i}), i, [[x] for x in own])))
+                cur = float(np.min(self._ell(frozenset({i}), i, np.array([own], dtype=object).T)))
             else:
-                axis = [0] if pd_ok else [*range(tol.bounds_probe_cap + 1), *own]
-                v = _saturation_grid(self.spec, i, others,
-                                     list(itertools.product(axis, repeat=n - 1)), own)
+                others = [0] if pd_ok else [*range(tol.bounds_probe_cap + 1), *own]
+                v = _rates_over(self.spec, [i], [own if j == i else others for j in range(n)])[0]
                 cur = float(v.min() if kind == "lower" else v.max())
             if abs(cur - prev) < max(tol.limit_tol, 1e-9):
                 self._envelopes[key] = cur

@@ -41,6 +41,7 @@ from oracles import (
     limit_at,
     lower_partial_limit_scalar,
     relabel,
+    saturation_value,
 )
 
 
@@ -751,6 +752,33 @@ def test_lower_partial_limit_escalates_past_the_float_range():
         got = lower_partial_limit(s, (0,), 0, np.array([[3]]), sat_level=2 ** 62)
         assert got[0].hex() == lower_partial_limit_scalar(
             s, (0,), 0, (3,), sat_level=2 ** 62).hex()
+
+
+def test_uniform_gate_reads_each_queue_in_queue_product_order():
+    # bad rates at (65, 0) and (64, 3): queue 0's levels vary slowest, so the
+    # first one read is (64, 3), as it was before the gate shared its grids
+    def rate(i, x):
+        return 2.0 if x in ((65, 0), (64, 3)) else 1.0
+
+    with pytest.raises(BoundViolation, match=r"rate_fn\(0, \(64, 3\)\) = 2\.0"):
+        check_uniform_limits(AllocationSpec(2, rate, bound=1.0))
+
+
+def test_lower_partial_limit_takes_object_arrays_past_int64():
+    # an object array that fits int64 reads like an int array, declared limits
+    # included; one past int64 is escalated numerically on Python ints
+    for s in (base_station_pair(2.0), strip_analytic(base_station_pair(2.0))):
+        got = lower_partial_limit(s, (0,), 0, np.array([[3], [0]], dtype=object))
+        want = lower_partial_limit(s, (0,), 0, np.array([[3], [0]]))
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        huge = [[2 ** 63], [2 ** 70 + 1]]
+        got = lower_partial_limit(s, (0,), 0, np.array(huge, dtype=object))
+        assert [v.hex() for v in got] == \
+            [saturation_value(s, (0,), 0, u).hex() for u in huge]
+    spec = base_station_pair(2.0)
+    for bad in ([[1.5]], [[True]], [[2 ** 70], [-1]], [[2 ** 70], [0.5]], [[2 ** 70, 1]]):
+        with pytest.raises(ValueError):
+            lower_partial_limit(spec, (0,), 0, np.array(bad, dtype=object))
 
 
 def test_lower_partial_limit_rejects_bad_state_arrays():
