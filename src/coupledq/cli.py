@@ -150,18 +150,6 @@ def cmd_analyze(args) -> int:
     return _verdict_exit(verdict.system)
 
 
-def _sweep_rows(scn: Scenario):
-    engine = StabilityEngine(scn.spec, scn.tolerances)
-    points = scn.grid_points()
-    samples = engine.sweep(points)
-    rows = []
-    for pt, sample in zip(points, samples):
-        code = sample.region
-        margin = sample.verdict.margin if sample.verdict else None
-        rows.append((pt, code, margin))
-    return rows
-
-
 def cmd_sweep(args) -> int:
     scn = _scenario_from_args(args)
     if scn.grid is None:
@@ -182,22 +170,23 @@ def cmd_sweep(args) -> int:
             f"{scn.n_queues}-queue sweeps must fix all but two coordinates "
             f"(got {len(varying)} varying axes)"
         )
-    rows = _sweep_rows(scn)
+    samples = StabilityEngine(scn.spec, scn.tolerances).sweep(scn.grid_points())
     lines = ["lambda_1,lambda_2,label,margin"]
-    for pt, code, margin in rows:
+    for s in samples:
+        margin = s.verdict.margin if s.verdict else None
         m = "" if margin is None else f"{margin:.9g}"
-        lines.append(f"{pt[ax_x]:.6g},{pt[ax_y]:.6g},{code},{m}")
+        lines.append(f"{s.rates[ax_x]:.6g},{s.rates[ax_y]:.6g},{s.region},{m}")
     csv_text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(csv_text)
-        print(f"wrote {args.out} ({len(rows)} points)")
+        print(f"wrote {args.out} ({len(samples)} points)")
     else:
         sys.stdout.write(csv_text)
     if args.svg:
-        xs = sorted({pt[ax_x] for pt, _, _ in rows})
-        ys = sorted({pt[ax_y] for pt, _, _ in rows})
-        index = {(pt[ax_x], pt[ax_y]): code for pt, code, _ in rows}
+        xs = sorted({s.rates[ax_x] for s in samples})
+        ys = sorted({s.rates[ax_y] for s in samples})
+        index = {(s.rates[ax_x], s.rates[ax_y]): s.region for s in samples}
         labels = [[index[(x, y)] for x in xs] for y in ys]
         svg = render_region_svg(xs, ys, labels, title=f"{scn.name} stability regions")
         with open(args.svg, "w", encoding="utf-8") as f:
@@ -210,11 +199,14 @@ def cmd_simulate(args) -> int:
     scn = _scenario_from_args(args)
     if scn.rates is None:
         raise ScenarioError("simulate needs a single rate point (use --rates)")
+    interval = 1.0 if args.sample_interval is None else args.sample_interval
     if args.dump:
         try:
-            check_sampling(args.horizon, args.sample_interval)
+            check_sampling(args.horizon, interval)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from None
+    elif args.sample_interval is not None:
+        raise ScenarioError("--sample-interval applies only to --dump")
     horizons = [args.horizon / 4, args.horizon / 2, args.horizon]
     diag = empirical_stability_probe(
         scn.rates, scn.spec, (0,) * scn.n_queues, horizons, args.replicas, scn.seed
@@ -224,7 +216,7 @@ def cmd_simulate(args) -> int:
 
         path = simulate_path(
             scn.rates, scn.spec, (0,) * scn.n_queues, args.horizon, scn.seed,
-            sample_interval=args.sample_interval,
+            sample_interval=interval,
         )
         with open(args.dump, "w", encoding="utf-8") as f:
             dump_path_csv(path, f)
@@ -232,15 +224,7 @@ def cmd_simulate(args) -> int:
     record = {
         "scenario": scn.name,
         "arrival_rates": list(scn.rates),
-        "verdict": diag.verdict,
-        "slope_mean": list(diag.slope_mean),
-        "slope_lcb": list(diag.slope_lcb),
-        "escape_fraction": list(diag.escape_fraction),
-        "growth_ratio": list(diag.growth_ratio),
-        "cover_level": list(diag.cover_level),
-        "replicas": diag.replicas,
-        "horizons": list(diag.horizons),
-        "warnings": list(diag.warnings),
+        **dataclasses.asdict(diag),
         "note": "heuristic cross-check; thresholds: 99.9% cover, 1% escape, "
                 "one-sided 95% drift band; never overrides the analytic verdict",
     }
@@ -256,6 +240,8 @@ def cmd_couple_check(args) -> int:
         raise ScenarioError("a scenario pair needs both --scenario and --scenario-y, "
                             "and --param applies only to such a pair")
     if all(pair):
+        if args.pairs is not None:
+            raise ScenarioError("--pairs applies only to randomized pairs")
         typed = _typed_params(args.param)
         low = resolve_scenario(args.scenario, typed)
         high = resolve_scenario(args.scenario_y, typed)
@@ -280,7 +266,7 @@ def cmd_couple_check(args) -> int:
         )
     else:
         checked = 0
-        for k in range(args.pairs):
+        for k in range(100 if args.pairs is None else args.pairs):
             lam, spec_x, eta, spec_y, x0, y0 = random_hypothesis_pair(rng)
             try:
                 rep = simulate_coupled_pair(
@@ -354,14 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, tol=True, rates=True):
         sp.add_argument("--scenario", required=False,
                         help="built-in name or path to a JSON scenario file")
-        sp.add_argument("--tol", action="append", metavar="KEY=VAL",
-                        help="tolerance override (repeatable)")
+        if tol:
+            sp.add_argument("--tol", action="append", metavar="KEY=VAL",
+                            help="tolerance override (repeatable)")
         sp.add_argument("--param", action="append", metavar="KEY=VAL",
                         help="built-in scenario parameter (repeatable)")
-        sp.add_argument("--rates", help="comma-separated arrival rates")
+        if rates:
+            sp.add_argument("--rates", help="comma-separated arrival rates")
 
     sp = sub.add_parser("analyze", help="classify a single rate point")
     common(sp)
@@ -369,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_analyze, scenario_required=True)
 
     sp = sub.add_parser("sweep", help="classify a rate grid, emit CSV/SVG")
-    common(sp)
+    common(sp, rates=False)
     sp.add_argument("--grid", metavar="MIN:MAX:STEP[,MIN:MAX:STEP]",
                     help="override the scenario grid")
     sp.add_argument("--out", help="CSV output path")
@@ -377,18 +365,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_sweep, scenario_required=True)
 
     sp = sub.add_parser("simulate", help="empirical stability probe")
-    common(sp)
+    common(sp, tol=False)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--horizon", type=_positive_float, default=2000.0)
     sp.add_argument("--replicas", type=_positive_int, default=32)
     sp.add_argument("--dump", help="write one sampled trajectory to this CSV")
-    sp.add_argument("--sample-interval", type=_positive_float, default=1.0,
-                    help="sampling interval for --dump")
+    sp.add_argument("--sample-interval", type=_positive_float,
+                    help="sampling interval for --dump (default 1)")
     sp.set_defaults(fn=cmd_simulate, scenario_required=True)
 
     sp = sub.add_parser("couple-check",
                         help="order-preservation check on coupled pairs")
-    sp.add_argument("--pairs", type=_positive_int, default=100)
+    sp.add_argument("--pairs", type=_positive_int, help="randomized pairs (default 100)")
     sp.add_argument("--events", type=_positive_int, default=1000)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--scenario", help="lower system (built-in or file)")

@@ -123,6 +123,16 @@ class Tolerances:
         return Tolerances(**data)
 
 
+def _record(pairs) -> dict:
+    """The ``asdict`` factory of the JSON records: enums by value, tuples as
+    lists, and a stage's ``lam`` under the key ``"lambda"``."""
+    def plain(v):
+        if isinstance(v, Enum):
+            return v.value
+        return [plain(x) for x in v] if isinstance(v, (tuple, list)) else v
+    return {"lambda" if k == "lam" else k: plain(v) for k, v in pairs}
+
+
 @dataclass
 class StageRecord:
     """One link of the sequential chain: queue `queue` at position `position`
@@ -136,15 +146,8 @@ class StageRecord:
     margin: float
     trustworthy: bool
 
-    def as_dict(self):
-        return {
-            "position": self.position,
-            "queue": self.queue,
-            "lambda": self.lam,
-            "avg_rate": self.avg_rate,
-            "margin": self.margin,
-            "trustworthy": self.trustworthy,
-        }
+    def as_dict(self) -> dict:
+        return asdict(self, dict_factory=_record)
 
 
 @dataclass
@@ -185,21 +188,8 @@ class Certificate:
     witness_rates: Optional[tuple] = None               # descent fallback point
     descent_r: Optional[float] = None
 
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "sigma": list(self.sigma) if self.sigma is not None else None,
-            "n": self.n,
-            "stages": [s.as_dict() for s in self.stages],
-            "excess": [s.as_dict() for s in self.excess],
-            "bounds": [
-                {"queue": b.queue, "lower": b.lower, "upper": b.upper,
-                 "label": b.label.value}
-                for b in self.bounds
-            ],
-            "witness_rates": list(self.witness_rates) if self.witness_rates else None,
-            "descent_r": self.descent_r,
-        }
+    def as_dict(self) -> dict:
+        return asdict(self, dict_factory=_record)
 
 
 @dataclass
@@ -213,15 +203,7 @@ class StabilityVerdict:
     tolerances: Optional[Tolerances] = None
 
     def to_record(self) -> dict:
-        return {
-            "per_queue": [l.value for l in self.per_queue],
-            "system": self.system.value,
-            "margin": self.margin,
-            "margins_tol": self.margins_tol,
-            "certificate": self.certificate.as_dict() if self.certificate else None,
-            "notes": list(self.notes),
-            "tolerances": asdict(self.tolerances) if self.tolerances else None,
-        }
+        return asdict(self, dict_factory=_record)
 
 
 @dataclass
@@ -419,7 +401,7 @@ class StabilityEngine:
                 others = [0] if pd_ok else [*range(tol.bounds_probe_cap + 1), *own]
                 v = _rates_over(self.spec, [i], [own if j == i else others for j in range(n)])[0]
                 cur = float(v.min() if kind == "lower" else v.max())
-            if abs(cur - prev) < max(tol.limit_tol, 1e-9):
+            if abs(cur - prev) < tol.limit_tol:
                 self._envelopes[key] = cur
                 return cur
             prev = cur

@@ -261,7 +261,7 @@ def envelope_scalar(engine, i: int, kind: str) -> float:
     for _ in range(48):
         r = max(r + 1, math.ceil(r * tol.growth))
         cur = level_val(r)
-        if abs(cur - prev) < max(tol.limit_tol, 1e-9):
+        if abs(cur - prev) < tol.limit_tol:
             return cur
         prev = cur
     raise SaturationNotConverged(f"envelope {kind} bound for queue {i} did not stabilize")

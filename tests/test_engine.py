@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import itertools
+import json
 import math
 import pathlib
 
@@ -16,15 +17,19 @@ from coupledq.allocation import (
     ArrivalRates,
     base_station_pair,
     build_product_allocation,
+    busy_table_allocation,
     constant_allocation,
     exp_interference,
+    lower_partial_limit,
     one_server_power_law,
     three_queue_table,
 )
 from coupledq.engine import (
     Certificate,
     Label,
+    QueueBounds,
     StabilityEngine,
+    StageRecord,
     SystemLabel,
     Tolerances,
     region_label,
@@ -123,6 +128,15 @@ def test_envelope_levels_stay_in_the_state_arrays_range(deadline):
         with deadline(10.0), pytest.raises(SaturationNotConverged,
                                            match=f"envelope {kind} bound for queue 0"):
             eng._envelope(0, kind)
+
+
+def test_envelope_honours_a_limit_tol_below_1e_9():
+    # the envelope stops where the saturated limit itself stops: limit_tol
+    # is honoured below 1e-9 too
+    spec, tol = one_server_power_law(2.0), 1e-12
+    want = lower_partial_limit(spec, (), 0, [()], limit_tol=tol)[0]
+    assert abs(want - 1.0) < 1e-12
+    assert StabilityEngine(spec, Tolerances(limit_tol=tol))._envelope(0, "lower") == want
 
 
 @pytest.mark.parametrize("tol", [{"sat_level": 2 ** 62}, {"growth": 1e20}],
@@ -258,6 +272,43 @@ def test_verdict_record_round_trip(bs_engine):
     assert rec["certificate"]["kind"] == "sequential"
     stages = rec["certificate"]["stages"]
     assert all(s["lambda"] < s["avg_rate"] for s in stages)
+
+
+def test_verdict_records_are_json_native_and_hold_every_field(bs_engine):
+    # a field added to a record's dataclass lands in its record, and a
+    # stage's lam is written as lambda
+    def keys(cls):
+        return {"lambda" if f.name == "lam" else f.name for f in dataclasses.fields(cls)}
+
+    # one verdict of each kind: sequential, saturation witness with descent,
+    # envelope bounds, and hypotheses-unverified
+    verdicts = {
+        "sequential": bs_engine.classify((0.45, 0.45)),
+        "descent-witness": bs_engine.classify((0.5, 0.6)),
+        "envelope-bounds": StabilityEngine(rising_spec()).classify((0.3, 0.5)),
+        "hypotheses-unverified": StabilityEngine(busy_table_allocation(
+            [{frozenset(): 1.0, frozenset({1}): 2.0},
+             {frozenset(): 1.5, frozenset({0}): 0.5}])).classify((1.5, 0.3)),
+    }
+    assert verdicts["descent-witness"].certificate.witness_rates is not None
+    assert verdicts["envelope-bounds"].certificate.kind == "envelope-bounds"
+    assert (verdicts["hypotheses-unverified"].system
+            is SystemLabel.HYPOTHESES_UNVERIFIED)
+    seen = set()
+    for v in verdicts.values():
+        rec = v.to_record()
+        assert json.loads(json.dumps(rec)) == rec
+        assert set(rec) == keys(coupledq.engine.StabilityVerdict)
+        assert set(rec["certificate"]) == keys(Certificate)
+        assert set(rec["tolerances"]) == keys(Tolerances)
+        cert = rec["certificate"]
+        for stage in cert["stages"] + cert["excess"]:
+            assert set(stage) == keys(StageRecord)
+            seen.add("stage")
+        for bound in cert["bounds"]:
+            assert set(bound) == keys(QueueBounds)
+            seen.add("bound")
+    assert seen == {"stage", "bound"}
 
 
 # -- sweeps ------------------------------------------------------------------------------

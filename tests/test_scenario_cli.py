@@ -24,7 +24,7 @@ from coupledq.scenario import (
     resolve_scenario,
     scenario_from_dict,
 )
-from coupledq.simulate import dump_path_csv
+from coupledq.simulate import ProbeDiagnostic, dump_path_csv
 from coupledq.svg import PALETTE
 from oracles import reference_path
 
@@ -632,6 +632,31 @@ def test_cli_seed_where_nothing_reads_it_exits_64(argv, capsys):
     # these commands draw no random numbers, and took --seed 7 and exited 0
     assert main([*argv, "--seed", "7"]) == 64
     assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--scenario", "mm1", "--rates", "0.5", "--tol", "margins_tol=0.3"],
+     "unrecognized arguments: --tol"),
+    (["sweep", "--scenario", "two_basestations", "--grid", "0.1:0.3:0.1",
+      "--rates", "0.3,0.4"], "unrecognized arguments: --rates"),
+    (["couple-check", "--scenario", "mm1", "--scenario-y", "mm1", "--pairs", "5"],
+     "--pairs applies only to randomized pairs"),
+    (["simulate", "--scenario", "mm1", "--rates", "0.5", "--sample-interval", "5"],
+     "--sample-interval applies only to --dump"),
+], ids=["simulate-tol", "sweep-rates", "pair-pairs", "interval-without-dump"])
+def test_cli_flag_the_command_does_not_read_exits_64(argv, message, capsys):
+    # a flag the command does not read is rejected, never silently ignored
+    assert main(argv) == 64
+    assert message in capsys.readouterr().err
+
+
+def test_cli_simulate_record_holds_every_probe_field(capsys):
+    argv = ["simulate", "--scenario", "mm1", "--rates", "0.5", "--horizon", "20",
+            "--replicas", "2"]
+    assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    fields = {f.name for f in dataclasses.fields(ProbeDiagnostic)}
+    assert set(record) == fields | {"scenario", "arrival_rates", "note"}
 
 
 def test_cli_simulate_reads_seed(capsys):
